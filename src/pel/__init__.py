@@ -47,6 +47,7 @@ from .fock import (
     SourceSpec,
     coherent_amplitudes,
     coherent_tail_weight,
+    displaced_number_elements,
     make_basis,
     make_state,
     min_eigenvalue,

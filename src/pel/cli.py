@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import jsonschema
 
@@ -227,12 +228,21 @@ _EXIT_GUARD = 3
 _EXIT_VIOLATION = 4
 
 
+@lru_cache(maxsize=1)
+def _spec_validator():
+    """The schema's validator, checked and built once; ``jsonschema.validate``
+    would redo both on every call."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def validate_spec(spec: dict) -> None:
-    try:
-        jsonschema.validate(spec, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # best_match picks the same error that jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_spec_validator().iter_errors(spec))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ValidationError(f"spec field {path}: {exc.message}") from None
+        raise ValidationError(f"spec field {path}: {exc.message}")
 
 
 def _as_complex(value) -> complex:

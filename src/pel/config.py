@@ -5,7 +5,7 @@ a single source of truth.  Operations accept an optional ``Tolerances``
 instance; the module-level ``DEFAULT`` is used when none is given.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Tolerances:
     #: minimum-eigenvalue slack used by the loss-feasibility test
     #: (deliberately looser than ``psd`` so verdicts do not flap)
     feasibility: float = 1e-9
-
-    def with_tail(self, tail: float) -> "Tolerances":
-        return replace(self, tail=tail)
 
 
 DEFAULT = Tolerances()

@@ -153,6 +153,9 @@ class DensityMatrix:
             raise ContractViolation(
                 f"elements shape {elements.shape} does not match basis dimension {dim}"
             )
+        # NaN fails every comparison below, so it has to be refused explicitly
+        if not np.isfinite(elements).all():
+            raise ContractViolation("matrix has non-finite elements")
         scale = max(1.0, float(np.abs(elements).max())) if dim else 1.0
         herm_defect = float(np.abs(elements - elements.conj().T).max())
         if herm_defect > tol.hermiticity * scale:
@@ -251,24 +254,31 @@ SourceSpec = Isps | Coherent | Fock | PartialQubit
 def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     """Probability weight of a coherent state beyond the cutoff.
 
-    Summed termwise rather than as 1 - cdf so that tiny tails keep full
-    relative precision.
+    The larger of two estimates: the omitted Poisson terms summed in log space,
+    which keeps tiny tails to full relative precision, and one minus the kept
+    terms, which stays right when |alpha|^2 far exceeds the cutoff and the
+    first omitted term underflows or the termwise sum stops short.
     """
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
+    log_lam = math.log(lam)
+
+    def log_term(n):
+        return -lam + n * log_lam - math.lgamma(n + 1)
+
     # first omitted term, then the (rapidly convergent) remainder
-    log_term = -lam + (cutoff + 1) * math.log(lam) - math.lgamma(cutoff + 2)
-    term = math.exp(log_term)
-    total = 0.0
+    term = math.exp(log_term(cutoff + 1))
+    omitted = 0.0
     n = cutoff + 1
-    while term > total * 1e-18 + 1e-300:
-        total += term
+    while term > omitted * 1e-18 + 1e-300:
+        omitted += term
         n += 1
         term *= lam / n
         if n > cutoff + 500:
             break
-    return total
+    kept = math.fsum(math.exp(log_term(k)) for k in range(cutoff + 1))
+    return max(omitted, 1.0 - kept)
 
 
 def make_state(
@@ -358,6 +368,29 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         return amps
     phase = np.exp(1j * np.angle(alpha) * n)
     return mag * phase
+
+
+def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
+    """Displaced-number matrix elements <m|D(alpha_j)|k> for m = 0..cutoff and
+    k = 0..photons, stacked over the amplitudes: shape
+    (len(alphas), cutoff + 1, photons + 1).
+
+    Column 0 is the coherent state; the others follow from D a^dag =
+    (a^dag - alpha^*) D, i.e. sqrt(k) <m|D|k> = sqrt(m) <m-1|D|k-1> -
+    alpha^* <m|D|k-1>.  Row m needs only rows <= m, so truncating the rows
+    at the cutoff is exact, and alpha = 0 gives the identity exactly.
+    """
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    out = np.zeros((alphas.size, cutoff + 1, photons + 1), dtype=complex)
+    for j, alpha in enumerate(alphas):
+        out[j, :, 0] = coherent_amplitudes(complex(alpha), cutoff)
+    root = np.sqrt(np.arange(max(cutoff, photons) + 1))
+    conj = alphas.conj()[:, None]
+    for k in range(1, photons + 1):
+        column = -conj * out[:, :, k - 1]
+        column[:, 1:] += root[1 : cutoff + 1] * out[:, :-1, k - 1]
+        out[:, :, k] = column / root[k]
+    return out
 
 
 # --- composite-state operations --------------------------------------------

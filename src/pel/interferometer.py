@@ -205,11 +205,10 @@ def decompose(u, *, tol: Tolerances = DEFAULT) -> list:
 @lru_cache(maxsize=512)
 def _pair_block_tensors(s: int):
     """Combinatorial tensors for the total-photon-number-s block of a two-mode
-    rotation: coefficient J and the cos/sin exponent tables, indexed
-    [k_out, k_in, j]."""
+    rotation: coefficient J and the sin exponent table (the cos exponent is
+    s minus it), indexed [k_out, k_in, j]."""
     size = s + 1
     J = np.zeros((size, size, size))
-    CE = np.zeros((size, size, size), dtype=np.int64)
     QE = np.zeros((size, size, size), dtype=np.int64)
     for ko in range(size):
         norm_o = math.lgamma(ko + 1) + math.lgamma(s - ko + 1)
@@ -223,16 +222,15 @@ def _pair_block_tensors(s: int):
                     * math.comb(s - ki, ko - j)
                     * scale
                 )
-                CE[ko, ki, j] = s - ki - ko + 2 * j
                 QE[ko, ki, j] = ki + ko - 2 * j
-    return J, CE, QE
+    return J, QE
 
 
 @lru_cache(maxsize=512)
 def _pair_power_matrix(s: int) -> np.ndarray:
     """Matrix mapping the vector (cos^(s-t) sin^t)_t to the flattened real part
     of the s-block; exploits that every term carries total power s."""
-    J, _, QE = _pair_block_tensors(s)
+    J, QE = _pair_block_tensors(s)
     size = s + 1
     out = np.zeros((size * size, size))
     for ko in range(size):
@@ -291,21 +289,6 @@ def _pair_perm(basis: FockBasis, pair: int):
             segments.append((s, start, n_orbits))
         start += count
     return perm, inverse, tuple(segments)
-
-
-def apply_pair_rotation(vectors: np.ndarray, pair: int, theta: float, phi: float,
-                        basis: FockBasis) -> None:
-    """In-place action of R(theta, phi) on modes (pair, pair+1) for a batch of
-    state vectors of shape (dimension, batch)."""
-    blocks = _pair_rotation_blocks(theta, phi, basis.cutoff)
-    perm, inverse, segments = _pair_perm(basis, pair)
-    batch = vectors.shape[1]
-    work = vectors.take(perm, axis=0)
-    for s, start, n_orbits in segments:
-        stop = start + (s + 1) * n_orbits
-        segment = work[start:stop].reshape(s + 1, n_orbits * batch)
-        work[start:stop] = (blocks[s] @ segment).reshape((s + 1) * n_orbits, batch)
-    vectors[:] = work.take(inverse, axis=0)
 
 
 @lru_cache(maxsize=64)

@@ -13,18 +13,18 @@ a proof: it can only ever demonstrate tightness, never validity.
 modes commutes with any interferometer.  With unequal loss it does not, and
 ``unequal_loss_counterexample`` shows the test has the power to notice.
 
-Scheme evaluation walks the 2^S mixture branches of the source states as
-pure vectors through the mesh, which keeps a single evaluation cheap enough
-for tens of thousands of them per search cell.  Heralded quantities for an
-outcome with total detected count d are exact whenever d plus the surviving
-photon number fits under the cutoff; the only truncation effect is a missing
-high-photon contribution to the herald probability, bounded by the recorded
-input tail and reported with each result.
+Scheme evaluation never builds the joint Fock space of sources and ancillas.
+A coherent ancilla is a displaced vacuum, so each of the 2^S source branches
+leaves the mesh as D(U alpha) V|f_b>, with V|f_b> on the S-photon basis, and
+the outcome amplitudes factor per mode into displaced-number elements.
+Herald probability, one-photon and multiphoton weight are therefore exact
+for every enumerated heralding pattern.  The cutoff only bounds the detected
+photon total of the enumerated patterns; ``truncation_weight`` is the herald
+mass outside them, 1 - sum of the enumerated herald probabilities.
 """
 
 import itertools
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,8 +39,8 @@ from .fock import (
     DensityMatrix,
     FockBasis,
     Isps,
-    coherent_amplitudes,
-    make_basis,
+    coherent_tail_weight,
+    displaced_number_elements,
     make_state,
     tensor_all,
     trace_distance,
@@ -56,32 +56,28 @@ from .interferometer import (
 BOUND_SLACK = 1e-6
 
 
-def _poisson_tail(lam: float, above: int) -> float:
-    """P(Poisson(lam) > above)."""
-    if lam <= 0.0:
-        return 0.0
-    total = 0.0
-    log_term = -lam + (above + 1) * math.log(lam) - math.lgamma(above + 2)
-    term = math.exp(log_term)
-    n = above + 1
-    while term > total * 1e-18 + 1e-300:
-        total += term
-        n += 1
-        term *= lam / n
-        if n > above + 500:
-            break
-    return total
-
-
 def default_cutoff(num_sources: int, num_coherent: int, amplitude_cap: float) -> int:
-    """Smallest cutoff keeping the worst-case coherent tail below 1e-12."""
+    """Smallest bound on the detected photon total that leaves at most 1e-12
+    of the worst-case coherent photon number beyond it."""
     if num_coherent == 0:
         return max(num_sources, 1)
-    lam = num_coherent * amplitude_cap**2
-    extra = 1
-    while _poisson_tail(lam, extra) > 1e-12:
-        extra += 1
-    return num_sources + extra
+    amplitude = math.sqrt(num_coherent) * amplitude_cap
+
+    def too_short(extra):
+        return coherent_tail_weight(amplitude, extra) > 1e-12
+
+    # the tail falls with the cutoff: bracket the first short enough one by
+    # doubling, then bisect, so that large caps cost a few dozen tail sums
+    short, enough = 0, 1
+    while too_short(enough):
+        short, enough = enough, 2 * enough
+    while enough - short > 1:
+        middle = (short + enough) // 2
+        if too_short(middle):
+            short = middle
+        else:
+            enough = middle
+    return num_sources + enough
 
 
 @dataclass(frozen=True)
@@ -175,26 +171,30 @@ class SearchReport:
 
 
 class _SchemeEngine:
-    """Precomputed index machinery for one SearchSpace."""
+    """Index tables for evaluating schemes of one SearchSpace on the S-photon
+    basis.
+
+    A coherent ancilla is a displaced vacuum and U D(alpha) = D(U alpha) V,
+    so the output of source branch b (the Fock state |f_b> of the fired
+    sources) is D(beta) V|f_b> with beta = U[:, S:] alpha.  V|f_b> lives on
+    FockBasis(M, S), and the amplitude of outcome (m_0, d) factors per mode
+    into displaced-number elements:
+
+        c_b(k_0, d) = sum_{k'} psi_b(k_0, k') G[k', d],
+        G[k', d] = prod_{j >= 1} <d_j|D(beta_j)|k'_j>,
+
+    summed over the detected part k' of each basis state (k_0, k').  D(beta_0)
+    is unitary, so the herald probability sum_b w_b sum_{k_0} |c_b(k_0, d)|^2
+    is exact; the surviving mode's m_0 = 0 and m_0 = 1 terms contract
+    c_b(., d) with <m_0|D(beta_0)|k_0>.
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.basis = make_basis(space.modes, space.cutoff_used)
-        occ = self.basis.occupations
-        S = space.num_sources
-        branch_weights = []
-        branch_indices = []
-        src = occ[:, :S]
-        for fired in itertools.product((0, 1), repeat=S):
-            w = 1.0
-            for bit, p in zip(fired, space.source_efficiencies):
-                w *= p if bit else 1.0 - p
-            branch_weights.append(w)
-            branch_indices.append(np.flatnonzero((src == fired).all(axis=1)))
-        self.branch_weights = np.array(branch_weights)
-        self.branch_indices = branch_indices
-        detected = occ[:, 1:]
-        self.patterns, inverse = np.unique(detected, axis=0, return_inverse=True)
+        S, M, cutoff = space.num_sources, space.modes, space.cutoff_used
+        self.basis = FockBasis(M, S)
+        detected = FockBasis(M - 1, S)
+        self.patterns = np.unique(FockBasis(M - 1, cutoff).occupations, axis=0)
         self.pattern_index = {tuple(int(v) for v in row): i
                               for i, row in enumerate(self.patterns)}
         if space.patterns is None:
@@ -209,23 +209,47 @@ class _SchemeEngine:
                 raise ContractViolation(
                     "none of the requested heralding patterns fits under the cutoff"
                 )
-        self.levels = self.basis.cutoff + 1
-        self.flat_bins = inverse * self.levels + occ[:, 0]
-        self.num_patterns = self.patterns.shape[0]
-        self.coherent_columns = [occ[:, S + j] for j in range(space.num_coherent)]
-        self.mesh_len = mesh_param_count(space.modes)
-        worst_tail = _poisson_tail(
-            space.num_coherent * space.amplitude_cap**2,
-            space.cutoff_used - space.num_sources,
+        self.mesh_len = mesh_param_count(M)
+
+        branches = list(itertools.product((0, 1), repeat=S))
+        self.branch_weights = np.array([
+            math.prod(p if bit else 1.0 - p
+                      for bit, p in zip(fired, space.source_efficiencies))
+            for fired in branches
+        ])
+        B = len(branches)
+        self.num_branches = B
+        # mesh inputs: the branch Fock states, then one photon in each coherent
+        # mode, whose images give U[:, S:] on the one-photon rows
+        unit = np.eye(M, dtype=np.int64)
+        self.inputs = np.zeros((self.basis.dimension, B + space.num_coherent),
+                               dtype=complex)
+        for b, fired in enumerate(branches):
+            self.inputs[self.basis.index_of(fired + (0,) * space.num_coherent), b] = 1.0
+        for j in range(space.num_coherent):
+            self.inputs[self.basis.index_of(unit[S + j]), B + j] = 1.0
+        self.one_photon_rows = np.array([self.basis.index_of(row) for row in unit])
+
+        # G[k', d] gathers one element per detected mode from the stacked
+        # (M - 1, max_count + 1, S + 1) displacement tables; the survivor's
+        # table needs rows m_0 = 0 and 1 even at cutoff 0
+        self.max_count = max(cutoff, 1)
+        mode_offset = (np.arange(M - 1) * (self.max_count + 1))[:, None, None]
+        self.g_index = (
+            (mode_offset + self.patterns.T[:, None, :]) * (S + 1)
+            + detected.occupations.T[:, :, None]
         )
-        if worst_tail > BOUND_SLACK * space.min_herald:
-            warnings.warn(
-                f"cutoff {space.cutoff_used} allows truncation weight "
-                f"{worst_tail:.2e}, which heralding at min_herald="
-                f"{space.min_herald:.1e} can amplify past the bound slack; "
-                f"raise the cutoff",
-                stacklevel=3,
-            )
+
+        # psi_b(k_0, k') for every branch, k_0-major.  At a given k_0 the basis
+        # holds exactly the detected parts with |k'| <= S - k_0, a prefix of
+        # the graded detected basis; slots past the prefix are never read
+        self.prefix = [detected.block(S - k0).stop for k0 in range(S + 1)]
+        self.psi_index = np.zeros((S + 1, B, detected.dimension), dtype=np.int64)
+        stride = self.inputs.shape[1]
+        for k0 in range(S + 1):
+            for i, row in enumerate(detected.occupations[: self.prefix[k0]]):
+                state = self.basis.index_of((k0,) + tuple(row))
+                self.psi_index[k0, :, i] = state * stride + np.arange(B)
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)
@@ -237,25 +261,12 @@ class _SchemeEngine:
             )
         mesh = params[: self.mesh_len]
         amp = params[self.mesh_len:]
-        alphas = [complex(amp[2 * j], amp[2 * j + 1])
-                  for j in range(self.space.num_coherent)]
+        alphas = amp[0::2] + 1j * amp[1::2]
         return mesh, alphas
 
-    def input_vectors(self, alphas):
-        """Branch vectors (dimension, branches) and exact truncation weight."""
-        dim = self.basis.dimension
-        coherent_part = np.ones(dim, dtype=complex)
-        for column, alpha in zip(self.coherent_columns, alphas):
-            coherent_part = coherent_part * coherent_amplitudes(alpha, self.basis.cutoff)[column]
-        vectors = np.zeros((dim, len(self.branch_indices)), dtype=complex)
-        for b, idx in enumerate(self.branch_indices):
-            vectors[idx, b] = coherent_part[idx]
-        kept = (np.abs(vectors) ** 2).sum(axis=0) @ self.branch_weights
-        return vectors, max(0.0, 1.0 - float(kept))
-
     def outcome_table(self, params):
-        """Per-pattern herald probability, one-photon weight, multiphoton
-        weight (unnormalized), and the input truncation weight."""
+        """Per-pattern herald probability, one-photon weight and multiphoton
+        weight (unnormalized), and the herald mass outside the patterns."""
         mesh, alphas = self.split_params(params)
         for alpha in alphas:
             if abs(alpha) > self.space.amplitude_cap * (1.0 + 1e-9):
@@ -263,16 +274,25 @@ class _SchemeEngine:
                     f"|alpha| = {abs(alpha):.4g} exceeds the amplitude cap "
                     f"{self.space.amplitude_cap}"
                 )
-        vectors, tail = self.input_vectors(alphas)
+        B = self.num_branches
+        vectors = self.inputs.copy()
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
-        weights = (np.abs(vectors) ** 2) @ self.branch_weights
-        table = np.bincount(
-            self.flat_bins, weights=weights, minlength=self.num_patterns * self.levels
-        ).reshape(self.num_patterns, self.levels)
-        herald = table.sum(axis=1)
-        one = table[:, 1] if self.levels > 1 else np.zeros(self.num_patterns)
-        multi = table[:, 2:].sum(axis=1) if self.levels > 2 else np.zeros(self.num_patterns)
-        return herald, one, multi, tail
+        betas = vectors[self.one_photon_rows, B:] @ alphas
+        tables = displaced_number_elements(
+            betas, self.max_count, self.space.num_sources
+        )
+        g = tables[1:].take(self.g_index).prod(axis=0)
+        psi = vectors.take(self.psi_index)
+        c = np.empty(psi.shape[:2] + g.shape[1:], dtype=complex)
+        for k0, width in enumerate(self.prefix):
+            np.matmul(psi[k0, :, :width], g[:width], out=c[k0])
+        weights = self.branch_weights
+        herald = weights @ (c.real**2 + c.imag**2).sum(axis=0)
+        # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
+        amps = (tables[0][:2] @ c.reshape(c.shape[0], -1)).reshape(2, B, -1)
+        vacuum, one = weights @ (amps.real**2 + amps.imag**2)
+        multi = np.maximum(herald - vacuum - one, 0.0)
+        return herald, one, multi, max(0.0, 1.0 - float(herald.sum()))
 
 
 @lru_cache(maxsize=32)

@@ -240,7 +240,6 @@ def test_criterion_8_loss_covariance_of_efficiency():
     )
 
 
-@pytest.mark.filterwarnings("ignore:cutoff")
 def test_criterion_9_determinism():
     spec = {
         "command": "nogo-search",

@@ -3,10 +3,11 @@ import math
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 import pel
-from pel.cli import emit, main, run_spec, validate_spec
+from pel.cli import SCHEMA, emit, main, run_spec, validate_spec
 from pel.errors import ValidationError
 
 
@@ -48,6 +49,26 @@ def test_bad_source_rejected():
         validate_spec(
             {"command": "simulate", "sources": [{"kind": "isps", "p": 1.5}]}
         )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"command": "simulate", "cutof": 3},
+        {"command": "simulate", "sources": [{"kind": "isps", "p": 1.5}]},
+        {"command": "nogo-search", "search": {"budget": 0, "cutoff": "8"}},
+        {"command": "teleport"},
+        {"seed": -1},
+        {"command": "simulate", "interferometer": {"mesh": [0.0], "haar": {"seed": 1}}},
+    ],
+)
+def test_validation_error_is_the_one_jsonschema_validate_picks(spec):
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(spec, SCHEMA)
+    path = ".".join(str(p) for p in reference.value.absolute_path) or "(top level)"
+    with pytest.raises(ValidationError) as raised:
+        validate_spec(spec)
+    assert str(raised.value) == f"spec field {path}: {reference.value.message}"
 
 
 def test_simulate_hom():
@@ -97,7 +118,6 @@ def test_verify_bernoulli_spec():
     assert document["all_passed"] is True
 
 
-@pytest.mark.filterwarnings("ignore:cutoff")
 def test_nogo_search_exit_code_and_csv():
     spec = {
         "command": "nogo-search",
@@ -129,7 +149,6 @@ def test_json_floats_round_trip():
     assert parsed["bracket"][0] == document["bracket"][0]
 
 
-@pytest.mark.filterwarnings("ignore:cutoff")
 def test_json_determinism_across_runs_and_threads():
     spec = {
         "command": "nogo-search",
@@ -183,6 +202,22 @@ def test_main_bad_json(tmp_path, capsys):
     path.write_text("{not json")
     code = main(["simulate", "--spec", str(path)])
     assert code == 2
+
+
+def test_main_coherent_tail_beyond_cutoff_exit_code(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps(
+            {
+                "command": "efficiency",
+                "cutoff": 10,
+                "sources": [{"kind": "coherent", "alpha": 31.6}],
+            }
+        )
+    )
+    code = main(["efficiency", "--spec", str(path)])
+    assert code == 3
+    assert "tail" in capsys.readouterr().err
 
 
 def test_main_missing_file(capsys):

@@ -117,6 +117,33 @@ def test_coherent_tail_refusal():
         make_state(Coherent(1.0), make_basis(1, 4))
 
 
+def test_coherent_tail_survives_underflow():
+    # |alpha|^2 ~ 1000 far above the cutoff: the first omitted Poisson term
+    # underflows, yet nearly all of the weight lies beyond the cutoff
+    assert pel.coherent_tail_weight(31.6, 10) == pytest.approx(1.0)
+    with pytest.raises(TruncationError, match="tail"):
+        make_state(Coherent(31.6), make_basis(1, 10))
+
+
+def test_coherent_tail_keeps_relative_precision():
+    exact = math.fsum(math.exp(-1.0) / math.factorial(n) for n in range(15, 60))
+    assert pel.coherent_tail_weight(1.0, 14) == pytest.approx(exact, rel=1e-12)
+
+
+def test_displaced_number_elements_against_matrix_exponential():
+    from scipy.linalg import expm
+
+    size = 60
+    annihilate = np.diag(np.sqrt(np.arange(1, size)), 1)
+    alphas = [0.3 + 0.2j, -1.1 + 0.7j]
+    tables = pel.displaced_number_elements(alphas + [0.0], 12, 3)
+    for alpha, table in zip(alphas, tables):
+        generator = alpha * annihilate.conj().T - np.conj(alpha) * annihilate
+        assert np.abs(table - expm(generator)[:13, :4]).max() < 1e-12
+    # alpha = 0 gives the identity exactly
+    assert (tables[2] == np.eye(13, 4)).all()
+
+
 def test_partial_qubit_state_and_positivity_guard():
     rho = make_state(PartialQubit(0.5, 0.3j), make_basis(1, 2))
     assert rho.elements[0, 1] == 0.3j
@@ -150,6 +177,15 @@ def test_density_matrix_rejects_bad_trace():
     b = make_basis(1, 1)
     with pytest.raises(ContractViolation, match="trace"):
         DensityMatrix(b, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    # NaN passes every comparison-based guard, so it needs its own
+    b = make_basis(1, 1)
+    for normalized in (True, False):
+        with pytest.raises(ContractViolation, match="non-finite"):
+            DensityMatrix(b, np.diag([1.0, bad]), normalized=normalized)
 
 
 # --- tensor and partial trace --------------------------------------------------

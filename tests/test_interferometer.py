@@ -204,22 +204,3 @@ def test_commutation_with_equal_loss(rng):
     a = apply_loss(apply_interferometer(rho, u), ch)
     b = apply_interferometer(apply_loss(rho, ch), u)
     assert trace_distance(a, b) < 1e-10
-
-
-def test_apply_pair_rotation_matches_mesh(rng):
-    # the standalone pair rotation agrees with the full mesh application
-    from pel.interferometer import apply_mesh_to_vectors, apply_pair_rotation
-
-    basis = make_basis(3, 4)
-    vec = rng.standard_normal((basis.dimension, 2)) + 1j * rng.standard_normal(
-        (basis.dimension, 2)
-    )
-    a = vec.copy()
-    apply_pair_rotation(a, 1, 0.7, -0.4, basis)
-    params = np.zeros(mesh_param_count(3))
-    layout = mesh_layout(3)
-    slot = layout.index(1)
-    params[2 * slot], params[2 * slot + 1] = 0.7, -0.4
-    b = vec.copy()
-    apply_mesh_to_vectors(b, params, 3, basis)
-    assert np.abs(a - b).max() < 1e-12

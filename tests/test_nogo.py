@@ -28,11 +28,12 @@ from pel import (
     verify_bernoulli_consequence,
     verify_commutation,
 )
-from pel.errors import ArityError, ContractViolation, HeraldImpossibleError
-
-# several spaces here use deliberately small cutoffs; the truncation-budget
-# warning is expected there
-pytestmark = pytest.mark.filterwarnings("ignore:cutoff")
+from pel.errors import (
+    ArityError,
+    CapacityError,
+    ContractViolation,
+    HeraldImpossibleError,
+)
 
 
 def small_space(**kw):
@@ -88,33 +89,73 @@ def test_vacuum_ancilla_identity():
     assert prob == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evaluate_scheme_matches_density_matrix_pipeline(rng):
-    space = small_space(cutoff=7)
+def _dense_pipeline(space, params, cutoff):
+    """The heralding outcome oracle: sources and ancilla as density matrices
+    on FockBasis(modes, cutoff), the Fock lift of the mesh, then condition."""
     mesh_len = mesh_param_count(space.modes)
+    single = make_basis(1, cutoff)
+    states = [make_state(Isps(p), single) for p in space.source_efficiencies]
+    alpha = complex(params[mesh_len], params[mesh_len + 1])
+    states.append(make_state(Coherent(alpha), single, tail_tol=1.0))
+    rho = tensor_all(states, make_basis(space.modes, cutoff), tail_tol=1.0)
+    rho = apply_interferometer(rho, from_mesh(params[:mesh_len], space.modes))
+
+    def outcome(pattern):
+        survivor, prob = condition(
+            rho, MeasurementPattern({j + 1: n for j, n in enumerate(pattern)})
+        )
+        return (
+            single_photon_probability(survivor),
+            prob,
+            multiphoton_weight(survivor),
+        )
+
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "eff,cutoff,dense_cutoff,amp",
+    [((0.6, 0.3), 7, 7, 0.5), ((0.6, 0.3, 0.5), 5, 9, 0.2)],
+    ids=["two-sources", "three-sources"],
+)
+def test_evaluate_scheme_matches_density_matrix_pipeline(
+    rng, eff, cutoff, dense_cutoff, amp
+):
+    # the dense cutoff leaves room for the coherent photons the dense
+    # truncation would otherwise drop (|alpha|^2 <= 2 amp^2)
+    space = small_space(eff=eff, cutoff=cutoff)
+    mesh_len = mesh_param_count(space.modes)
+    detected = space.modes - 1
+    patterns = [tuple(row) for row in np.vstack([np.zeros(detected, int),
+                                                 np.eye(detected, dtype=int)])]
     for _ in range(3):
         params = np.concatenate(
             [
                 rng.uniform(-math.pi, math.pi, size=mesh_len),
-                rng.uniform(-0.5, 0.5, size=2),
+                rng.uniform(-amp, amp, size=2),
             ]
         )
-        single = make_basis(1, space.cutoff_used)
-        states = [make_state(Isps(p), single) for p in space.source_efficiencies]
-        alpha = complex(params[mesh_len], params[mesh_len + 1])
-        states.append(make_state(Coherent(alpha), single, tail_tol=1.0))
-        rho = tensor_all(states, make_basis(space.modes, space.cutoff_used), tail_tol=1.0)
-        rho = apply_interferometer(rho, from_mesh(params[:mesh_len], space.modes))
-        for pattern in [(0, 0), (1, 0), (0, 1)]:
+        slow = _dense_pipeline(space, params, dense_cutoff)
+        for pattern in patterns:
             fast = evaluate_scheme(space, params, pattern)
-            survivor, prob = condition(
-                rho, MeasurementPattern({1: pattern[0], 2: pattern[1]})
-            )
-            slow = (
-                single_photon_probability(survivor),
-                prob,
-                multiphoton_weight(survivor),
-            )
-            assert max(abs(a - b) for a, b in zip(fast, slow)) < 1e-8
+            assert max(abs(a - b) for a, b in zip(fast, slow(pattern))) < 1e-8
+
+
+def test_heralds_exact_near_the_cutoff(rng):
+    # detected totals within 2 of the cutoff leave no room for the surviving
+    # mode in a cutoff-6 joint basis; against the dense pipeline at cutoff 18
+    # the engine's heralds must hold to 1e-8 relative (they are tiny)
+    space = small_space(cutoff=6)
+    mesh_len = mesh_param_count(space.modes)
+    params = np.concatenate(
+        [rng.uniform(-math.pi, math.pi, size=mesh_len), [0.6, -0.5]]
+    )
+    slow = _dense_pipeline(space, params, 18)
+    for pattern in [(3, 2), (2, 2), (4, 0), (1, 5), (0, 6)]:
+        _, prob, multi = evaluate_scheme(space, params, pattern)
+        _, prob_ref, multi_ref = slow(pattern)
+        assert prob == pytest.approx(prob_ref, rel=1e-8)
+        assert multi == pytest.approx(multi_ref, rel=1e-8)
 
 
 def test_output_phases_do_not_change_observables(rng):
@@ -210,6 +251,14 @@ def test_bernoulli_consequences(rng):
     assert apply_loss(two, LossChannel(0.4)).diagonal()[1] == pytest.approx(
         0.48, abs=1e-12
     )
+
+
+def test_large_amplitude_cap_fails_loudly():
+    # the Poisson(1600) tail beyond a few photons underflows termwise; the
+    # cutoff must still cover it, and the pattern basis then exceeds capacity
+    assert default_cutoff(2, 1, 40.0) > 1600
+    with pytest.raises(CapacityError):
+        maximize_X(SearchSpace((0.5, 0.5), amplitude_cap=40.0), 200, seed=1)
 
 
 def test_report_carries_truncation_weight():
