@@ -9,17 +9,23 @@ available as
 * a fixed-step integration of the damping master equation
   (``apply_loss_lindblad``), kept permanently as an independent oracle for
   the Kraus implementation;
-* a restricted inverse (``invert_loss``), exact back-substitution from the
-  top photon-number grade downward.
+* a restricted inverse (``invert_loss``), the same Kraus kernel run at
+  transmissivity 1/p.
 
-The inverse is exact for states supported inside the cutoff: a loss channel
-with p > 0 cannot map weight from above photon number n to below it without
-leaving a trace in between (each Kraus term lowers the photon number by
-exactly its loss count, and the zero-loss term keeps the top grade with
-positive weight p^n), so the truncated preimage coincides with the
-infinite-dimensional one.  The preimage is generally *not* positive
-semidefinite; that indefiniteness is precisely the infeasibility signal used
-by the efficiency module.
+``apply_loss`` and ``invert_loss`` run one table-driven kernel: per mode
+and loss count l it moves each matrix element whose row and column hold
+n, n' >= l photons in that mode down by l photons on both sides, weighted
+by (1-p)^l sqrt(C(n, l) C(n', l)) p^((n+n')/2 - l).  The Lindblad integrator
+reuses the kernel's l = 1 index table.  The weights are polynomials in p
+and satisfy E_p o E_q = E_pq as a polynomial identity, so E_(1/p), whose
+(1-1/p)^l factors alternate in sign, inverts E_p.  The truncated inverse is
+exact for states supported inside the cutoff: a loss channel with p > 0
+cannot map weight from above photon number n to below it without leaving a
+trace in between (each Kraus term lowers the photon number by exactly its
+loss count, and the zero-loss term keeps the top grade with positive weight
+p^n), so the truncated preimage coincides with the infinite-dimensional one.
+The preimage is generally *not* positive semidefinite; that indefiniteness
+is precisely the infeasibility signal used by the efficiency module.
 """
 
 import math
@@ -86,16 +92,31 @@ class LindbladParams:
 
 
 @lru_cache(maxsize=256)
-def _lowering_map(basis: FockBasis, mode: int) -> np.ndarray:
-    """index -> index of (occupation - e_mode), or -1 where empty."""
+def _loss_ladder(basis: FockBasis, mode: int) -> tuple:
+    """Index and coefficient tables of the single-mode loss kernel.
+
+    Entry l (loss count 0..cutoff) is (src, tgt, root, kept) over the indices
+    holding n >= l photons in ``mode``: ``root`` is sqrt(C(n, l)), ``kept`` is
+    n - l, and ``src`` / ``tgt`` are the flat (row, column) positions, in a
+    dimension x dimension matrix, of every pair of those indices before and
+    after l of the photons are removed.
+    """
     occ = basis.occupations
-    out = np.full(basis.dimension, -1, dtype=np.int64)
-    for i in range(basis.dimension):
-        if occ[i, mode] > 0:
-            row = occ[i].copy()
-            row[mode] -= 1
-            out[i] = basis.index_of(row)
-    return out
+    dim = basis.dimension
+    ladder = []
+    for l in range(basis.cutoff + 1):
+        rows = np.flatnonzero(occ[:, mode] >= l)
+        lowered = occ[rows].copy()
+        lowered[:, mode] -= l
+        moved = np.array([basis.index_of(row) for row in lowered], dtype=np.int64)
+        n = occ[rows, mode]
+        ladder.append((
+            (rows[:, None] * dim + rows[None, :]).ravel(),
+            (moved[:, None] * dim + moved[None, :]).ravel(),
+            np.sqrt([float(math.comb(int(v), l)) for v in n]),
+            n - l,
+        ))
+    return tuple(ladder)
 
 
 def kraus_operators(p: float, levels: int) -> list:
@@ -116,25 +137,17 @@ def kraus_operators(p: float, levels: int) -> list:
     return ops
 
 
-def _apply_loss_mode(elements: np.ndarray, basis: FockBasis, mode: int, p: float) -> np.ndarray:
-    occ_k = basis.occupations[:, mode]
-    lower = _lowering_map(basis, mode)
-    out = np.zeros_like(elements)
-    sel = np.arange(basis.dimension)
-    tgt = sel.copy()
-    for l in range(basis.cutoff + 1):
-        if l > 0:
-            keep = occ_k[sel] >= l
-            sel = sel[keep]
-            tgt = lower[tgt[keep]]
-            if sel.size == 0:
-                break
-        n = occ_k[sel]
-        amp = np.sqrt([math.comb(int(v), l) for v in n]) * p ** ((n - l) / 2.0) * (
-            (1.0 - p) ** (l / 2.0)
-        )
-        out[np.ix_(tgt, tgt)] += np.outer(amp, amp.conj()) * elements[np.ix_(sel, sel)]
-    return out
+def _loss_mode(elements: np.ndarray, basis: FockBasis, mode: int, p: float) -> np.ndarray:
+    """The loss channel of transmissivity p on one mode.  Any p > 0 is
+    accepted: p > 1 runs the inverse of loss at 1/p."""
+    source = elements.reshape(-1)
+    out = np.zeros_like(source)
+    for l, (src, tgt, root, kept) in enumerate(_loss_ladder(basis, mode)):
+        a = root * p ** (kept / 2.0)
+        # (1 - p)^l stays a real factor with an integer power, so that its
+        # sign survives at p > 1
+        out[tgt] += (1.0 - p) ** l * np.outer(a, a).ravel() * source.take(src)
+    return out.reshape(elements.shape)
 
 
 def apply_loss(rho: DensityMatrix, ch: LossChannel, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
@@ -142,7 +155,7 @@ def apply_loss(rho: DensityMatrix, ch: LossChannel, *, tol: Tolerances = DEFAULT
     modes commute, so the order is irrelevant)."""
     elements = rho.elements
     for mode in ch.acted_modes(rho.basis.modes):
-        elements = _apply_loss_mode(elements, rho.basis, mode, ch.p)
+        elements = _loss_mode(elements, rho.basis, mode, ch.p)
     return DensityMatrix(
         rho.basis, elements, normalized=rho.normalized, tail=rho.tail, tol=tol
     )
@@ -159,20 +172,14 @@ def bernoulli_diagonal(diag: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _lindblad_rhs(rho: np.ndarray, basis: FockBasis, modes: tuple, kappa: float) -> np.ndarray:
-    out = np.zeros_like(rho)
-    nvec = np.zeros(basis.dimension)
-    for mode in modes:
-        occ_k = basis.occupations[:, mode]
-        lower = _lowering_map(basis, mode)
-        sel = np.flatnonzero(occ_k > 0)
-        tgt = lower[sel]
-        amp = np.sqrt(occ_k[sel].astype(float))
-        # a rho a^dag term
-        out[np.ix_(tgt, tgt)] += np.outer(amp, amp) * rho[np.ix_(sel, sel)]
-        nvec += occ_k
+def _lindblad_rhs(rho: np.ndarray, jumps: list, decay: np.ndarray, kappa: float) -> np.ndarray:
+    source = rho.reshape(-1)
+    out = np.zeros_like(source)
+    # a rho a^dag per acted mode
+    for src, tgt, weight in jumps:
+        out[tgt] += weight * source.take(src)
     # -(N rho + rho N)/2 with N the summed number operator over acted modes
-    out -= 0.5 * (nvec[:, None] + nvec[None, :]) * rho
+    out = out.reshape(rho.shape) - decay * rho
     return kappa * out
 
 
@@ -201,13 +208,22 @@ def apply_loss_lindblad(
             f"above 1e-8; increase steps",
             stacklevel=2,
         )
+    jumps = []
+    # the l = 1 rung of each acted mode's loss ladder gives a rho a^dag; at
+    # cutoff 0 there is no such rung and nothing decays
+    if basis.cutoff > 0:
+        for mode in acted:
+            src, tgt, root, _ = _loss_ladder(basis, mode)[1]
+            jumps.append((src, tgt, np.outer(root, root).ravel()))
+    nvec = basis.occupations[:, list(acted)].sum(axis=1)
+    decay = 0.5 * (nvec[:, None] + nvec[None, :])
     h = params.t0 / params.steps
     state = rho.elements.astype(complex)
     for _ in range(params.steps):
-        k1 = _lindblad_rhs(state, basis, acted, params.kappa)
-        k2 = _lindblad_rhs(state + 0.5 * h * k1, basis, acted, params.kappa)
-        k3 = _lindblad_rhs(state + 0.5 * h * k2, basis, acted, params.kappa)
-        k4 = _lindblad_rhs(state + h * k3, basis, acted, params.kappa)
+        k1 = _lindblad_rhs(state, jumps, decay, params.kappa)
+        k2 = _lindblad_rhs(state + 0.5 * h * k1, jumps, decay, params.kappa)
+        k3 = _lindblad_rhs(state + 0.5 * h * k2, jumps, decay, params.kappa)
+        k4 = _lindblad_rhs(state + h * k3, jumps, decay, params.kappa)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     state = (state + state.conj().T) / 2.0
     return DensityMatrix(
@@ -215,58 +231,20 @@ def apply_loss_lindblad(
     )
 
 
-@lru_cache(maxsize=256)
-def _raising_map(basis: FockBasis, mode: int) -> np.ndarray:
-    """index -> index of (occupation + e_mode), or -1 beyond the cutoff."""
-    occ = basis.occupations
-    out = np.full(basis.dimension, -1, dtype=np.int64)
-    for i in range(basis.dimension):
-        row = occ[i].copy()
-        row[mode] += 1
-        if row.sum() <= basis.cutoff:
-            out[i] = basis.index_of(row)
-    return out
-
-
-def _invert_loss_mode(elements: np.ndarray, basis: FockBasis, mode: int, p: float) -> np.ndarray:
-    occ_k = basis.occupations[:, mode]
-    raise_map = _raising_map(basis, mode)
-    dim = basis.dimension
-    out = np.zeros_like(elements)
-    order = np.argsort(occ_k[:, None] + occ_k[None, :], axis=None)[::-1]
-    rows, cols = np.unravel_index(order, (dim, dim))
-    for i, j in zip(rows, cols):
-        m, n = int(occ_k[i]), int(occ_k[j])
-        acc = elements[i, j]
-        ii, jj = i, j
-        for l in range(1, basis.cutoff + 1):
-            ii = raise_map[ii] if ii >= 0 else -1
-            jj = raise_map[jj] if jj >= 0 else -1
-            if ii < 0 or jj < 0:
-                break
-            coeff = (
-                math.sqrt(math.comb(m + l, l) * math.comb(n + l, l))
-                * p ** ((m + n) / 2.0)
-                * (1.0 - p) ** l
-            )
-            acc -= coeff * out[ii, jj]
-        out[i, j] = acc / p ** ((m + n) / 2.0)
-    return out
-
-
 def invert_loss(
     rho: DensityMatrix, ch: LossChannel, *, tol: Tolerances = DEFAULT
 ) -> np.ndarray:
     """Unique trace-preserving Hermitian preimage of ``rho`` under the channel.
 
-    Solved by back-substitution from the top photon-number grade downward;
-    the result is exact for states supported inside the cutoff but NOT
-    guaranteed positive semidefinite.  Elements above the state's numerical
-    support are treated as exact zeros so float dust is not amplified.
+    Computed by the loss kernel itself at transmissivity 1/p on each acted
+    mode, since E_(1/p) o E_p is the identity; the result is exact for
+    states supported inside the cutoff but NOT guaranteed positive
+    semidefinite.  Elements above the state's numerical support are treated
+    as exact zeros so float dust is not amplified.
 
     Raises ConditioningError when p^(-support) exceeds the configured
-    amplification bound: beyond it the back-substituted values carry no
-    trustworthy sign information.
+    amplification bound: beyond it the inverted values carry no trustworthy
+    sign information.
     """
     p = ch.p
     support = rho.numerical_support(tol)
@@ -281,5 +259,5 @@ def invert_loss(
     elements[junk, :] = 0.0
     elements[:, junk] = 0.0
     for mode in ch.acted_modes(rho.basis.modes):
-        elements = _invert_loss_mode(elements, rho.basis, mode, p)
+        elements = _loss_mode(elements, rho.basis, mode, 1.0 / p)
     return (elements + elements.conj().T) / 2.0

@@ -22,7 +22,7 @@ class Tolerances:
     unit_trace: float = 1e-10
     #: occupation weight below which a photon-number level counts as empty
     support: float = 1e-13
-    #: maximum back-substitution amplification allowed when inverting loss
+    #: maximum amplification p^(-support) allowed when inverting loss
     conditioning: float = 1e12
     #: minimum-eigenvalue slack used by the loss-feasibility test
     #: (deliberately looser than ``psd`` so verdicts do not flap)

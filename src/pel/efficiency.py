@@ -3,9 +3,10 @@
 The efficiency of a single-mode state is the least loss-channel
 transmissivity p such that the state is the image of some valid (positive
 semidefinite) state under that channel.  Feasibility at a given p is decided
-by constructing the unique Hermitian preimage (exact back-substitution, see
-``channels.invert_loss``) and checking its smallest eigenvalue; feasibility
-is monotone in p, so the minimum is found by bisection.
+by constructing the unique Hermitian preimage (the loss channel at 1/p,
+exact for states inside the cutoff, see ``channels.invert_loss``) and
+checking its smallest eigenvalue; feasibility is monotone in p, so the
+minimum is found by bisection.
 
 Two practical refinements:
 

@@ -31,7 +31,7 @@ class TruncationError(PelError):
 
 
 class ConditioningError(PelError):
-    """Back-substitution amplification exceeds the trusted range."""
+    """Loss-inversion amplification p^(-support) exceeds the trusted range."""
 
 
 class HeraldImpossibleError(PelError):

@@ -475,6 +475,28 @@ def tensor_all(
     return acc
 
 
+def _trace_out(rho: DensityMatrix, rows: np.ndarray, keep: tuple,
+               reduced: FockBasis) -> np.ndarray:
+    """Elements on ``reduced`` of the block of ``rho`` on ``rows``, summed over
+    the occupations of every mode not in ``keep``."""
+    occ = rho.basis.occupations[rows]
+    traced = [m for m in range(rho.basis.modes) if m not in keep]
+    keep_idx = np.array(
+        [reduced.index_of(row) for row in occ[:, list(keep)]], dtype=np.int64
+    )
+    if traced:
+        _, group = np.unique(occ[:, traced], axis=0, return_inverse=True)
+    else:
+        group = np.zeros(rows.size, dtype=np.int64)
+    elements = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
+    for g in range(int(group.max()) + 1):
+        part = group == g
+        elements[np.ix_(keep_idx[part], keep_idx[part])] += (
+            rho.elements[np.ix_(rows[part], rows[part])]
+        )
+    return elements
+
+
 def partial_trace(rho: DensityMatrix, keep, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Reduced state on the ``keep`` modes (0-based indices); trace preserved.
 
@@ -488,17 +510,8 @@ def partial_trace(rho: DensityMatrix, keep, *, tol: Tolerances = DEFAULT) -> Den
         raise ContractViolation(f"keep={keep} outside mode range 0..{modes - 1}")
     if len(keep) == modes:
         return rho
-    traced = tuple(m for m in range(modes) if m not in keep)
     reduced = FockBasis(len(keep), rho.basis.cutoff)
-    occ = rho.basis.occupations
-    keep_idx = np.array(
-        [reduced.index_of(row) for row in occ[:, keep]], dtype=np.int64
-    )
-    _, group = np.unique(occ[:, traced], axis=0, return_inverse=True)
-    elements = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
-    for g in range(group.max() + 1):
-        sel = np.flatnonzero(group == g)
-        elements[np.ix_(keep_idx[sel], keep_idx[sel])] += rho.elements[np.ix_(sel, sel)]
+    elements = _trace_out(rho, np.arange(rho.basis.dimension), keep, reduced)
     return DensityMatrix(
         reduced, elements, normalized=rho.normalized, tail=rho.tail, tol=tol
     )

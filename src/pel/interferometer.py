@@ -417,12 +417,6 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
     raise ContractViolation(f"unknown lift method {method!r}")
 
 
-@lru_cache(maxsize=128)
-def _cached_lift(modes: int, cutoff: int, key: bytes) -> FockLift:
-    matrix = np.frombuffer(key, dtype=complex).reshape(modes, modes)
-    return lift(ModeUnitary(matrix), FockBasis(modes, cutoff))
-
-
 def apply_interferometer(rho: DensityMatrix, u: ModeUnitary,
                          *, tol: Tolerances = DEFAULT) -> DensityMatrix:
     """Blockwise V rho V^dag with V the Fock lift of ``u``.  Trace and the
@@ -431,5 +425,4 @@ def apply_interferometer(rho: DensityMatrix, u: ModeUnitary,
         raise ContractViolation(
             f"unitary has {u.modes} modes, state has {rho.basis.modes}"
         )
-    lifted = _cached_lift(rho.basis.modes, rho.basis.cutoff, u.matrix.tobytes())
-    return lifted.apply(rho, tol=tol)
+    return lift(u, rho.basis).apply(rho, tol=tol)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ContractViolation, HeraldImpossibleError
-from .fock import DensityMatrix, FockBasis
+from .fock import DensityMatrix, FockBasis, _trace_out
 
 
 class MeasurementPattern:
@@ -98,20 +98,7 @@ def condition(
     sel = np.flatnonzero(_selection(rho, pattern))
     survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
     reduced = FockBasis(len(survivors), rho.basis.cutoff)
-    occ = rho.basis.occupations
-    keep_idx = np.array(
-        [reduced.index_of(row) for row in occ[sel][:, survivors]], dtype=np.int64
-    )
-    wild = pattern.wildcards
-    if wild:
-        _, group = np.unique(occ[sel][:, wild], axis=0, return_inverse=True)
-    else:
-        group = np.zeros(sel.size, dtype=np.int64)
-    elements = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
-    for g in range(int(group.max()) + 1 if sel.size else 0):
-        part = sel[group == g]
-        ridx = keep_idx[group == g]
-        elements[np.ix_(ridx, ridx)] += rho.elements[np.ix_(part, part)]
+    elements = _trace_out(rho, sel, survivors, reduced)
     elements /= prob
     out = DensityMatrix(
         reduced,

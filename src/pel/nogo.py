@@ -46,9 +46,9 @@ from .fock import (
     trace_distance,
 )
 from .interferometer import (
-    apply_interferometer,
     apply_mesh_to_vectors,
     haar_random,
+    lift,
     mesh_param_count,
 )
 
@@ -158,6 +158,15 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """Best scheme found by ``maximize_X``.
+
+    ``best_pattern == ()`` means that no heralding pattern was ranked at the
+    best parameters: none was eligible, or none met the multiphoton
+    constraint.  X, herald probability and multiphoton weight then read 0;
+    ``truncation_weight`` is the herald mass outside the enumerated patterns
+    at ``best_params`` either way.
+    """
+
     best_X: float
     best_params: tuple
     best_pattern: tuple
@@ -454,28 +463,20 @@ def maximize_X(
         total_evals += evals_r
         if score_r > best_score or (score_r == best_score and best_pattern is None):
             best_score, best_pattern, best_params = score_r, pattern_r, params_r
-    if best_pattern is None:
-        return SearchReport(
-            best_X=0.0,
-            best_params=tuple(best_params),
-            best_pattern=(),
-            herald_probability=0.0,
-            multiphoton_weight=0.0,
-            bound=space.bound,
-            violated=False,
-            evaluations=total_evals,
-            cutoff_used=space.cutoff_used,
-            truncation_weight=0.0,
-        )
     herald, one, multi, tail = engine.outcome_table(best_params)
-    prob = float(herald[best_pattern])
-    best_x = float(one[best_pattern]) / prob
+    best_x = prob = multi_weight = 0.0
+    pattern = ()
+    if best_pattern is not None:
+        prob = float(herald[best_pattern])
+        best_x = float(one[best_pattern]) / prob
+        multi_weight = float(multi[best_pattern]) / prob
+        pattern = tuple(int(v) for v in engine.patterns[best_pattern])
     return SearchReport(
         best_X=best_x,
         best_params=tuple(float(v) for v in best_params),
-        best_pattern=tuple(int(v) for v in engine.patterns[best_pattern]),
+        best_pattern=pattern,
         herald_probability=prob,
-        multiphoton_weight=float(multi[best_pattern]) / prob,
+        multiphoton_weight=multi_weight,
         bound=space.bound,
         violated=bool(best_x > space.bound + BOUND_SLACK),
         evaluations=total_evals,
@@ -513,10 +514,10 @@ def verify_commutation(
                 states.append(make_state(Coherent(alpha), single, tail_tol=1.0))
         joint = FockBasis(modes, cutoff)
         rho = tensor_all(states, joint, tail_tol=1.0)
-        u = haar_random(modes, rng)
+        lifted = lift(haar_random(modes, rng), joint)
         channel = LossChannel(float(rng.uniform(0.3, 0.95)))
-        after = apply_loss(apply_interferometer(rho, u, tol=tol), channel, tol=tol)
-        before = apply_interferometer(apply_loss(rho, channel, tol=tol), u, tol=tol)
+        after = apply_loss(lifted.apply(rho, tol=tol), channel, tol=tol)
+        before = lifted.apply(apply_loss(rho, channel, tol=tol), tol=tol)
         worst = max(worst, trace_distance(after, before))
     return worst
 
@@ -532,7 +533,7 @@ def unequal_loss_counterexample(p1: float = 0.4, p2: float = 0.9) -> float:
     rho = tensor_all(
         [make_state(Isps(1.0), single), make_state(Isps(0.0), single)], basis
     )
-    u = from_mesh([math.pi / 4, 0.0, 0.0, 0.0], 2)
+    lifted = lift(from_mesh([math.pi / 4, 0.0, 0.0, 0.0], 2), basis)
     channels = [LossChannel(p1, modes=(0,)), LossChannel(p2, modes=(1,))]
 
     def lossy(state):
@@ -540,10 +541,7 @@ def unequal_loss_counterexample(p1: float = 0.4, p2: float = 0.9) -> float:
             state = apply_loss(state, ch)
         return state
 
-    return trace_distance(
-        lossy(apply_interferometer(rho, u)),
-        apply_interferometer(lossy(rho), u),
-    )
+    return trace_distance(lossy(lifted.apply(rho)), lifted.apply(lossy(rho)))
 
 
 def verify_bernoulli_consequence(seed: int, trials: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 import pel
 from pel import (
     Coherent,
+    DensityMatrix,
     Isps,
     Fock,
     LindbladParams,
@@ -106,6 +107,13 @@ def test_lindblad_zero_time_is_identity(rng):
     assert np.abs(out.elements - rho.elements).max() == 0.0
 
 
+def test_lindblad_at_cutoff_zero_keeps_vacuum():
+    # no basis state can lose a photon, so the integrator has no jump term
+    rho = DensityMatrix(make_basis(2, 0), np.ones((1, 1)))
+    out = apply_loss_lindblad(rho, LindbladParams.for_transmissivity(0.5, cutoff=0))
+    assert np.abs(out.elements - rho.elements).max() == 0.0
+
+
 def test_lindblad_single_photon():
     rho = make_state(Isps(1.0), make_basis(1, 3))
     params = LindbladParams.for_transmissivity(0.6, cutoff=3)
@@ -161,6 +169,9 @@ def test_invert_infeasible_example():
     assert np.allclose(np.diag(pre).real[:2], [-0.4, 1.4], atol=1e-12)
     assert abs(np.trace(pre).real - 1.0) < 1e-12
     assert min_eigenvalue(pre) == pytest.approx(-0.4, abs=1e-12)
+    # the preimage is not PSD, yet loss maps it back onto the state exactly
+    forward = apply_loss(DensityMatrix(rho.basis, pre), LossChannel(0.5))
+    assert np.abs(forward.elements - rho.elements).max() < 1e-12
 
 
 def test_invert_round_trip(rng):
@@ -173,11 +184,16 @@ def test_invert_round_trip(rng):
         assert np.abs(back - rho.elements).max() < 1e-9
 
 
-def test_invert_round_trip_two_modes(rng):
+@pytest.mark.parametrize(
+    "channel",
+    [LossChannel(0.6), LossChannel(0.6, modes=(1,))],
+    ids=["all-modes", "mode-1"],
+)
+def test_invert_round_trip_two_modes(rng, channel):
     basis = make_basis(2, 4)
     rho = random_density(rng, basis)
-    lossy = apply_loss(rho, LossChannel(0.6))
-    back = invert_loss(lossy, LossChannel(0.6))
+    lossy = apply_loss(rho, channel)
+    back = invert_loss(lossy, channel)
     assert np.abs(back - rho.elements).max() < 1e-9
 
 

@@ -268,6 +268,18 @@ def test_report_carries_truncation_weight():
     assert report.cutoff_used == 12
 
 
+def test_report_without_ranked_pattern_carries_truncation():
+    # no pattern reaches a 0.99 herald, so nothing is ranked; the report must
+    # still carry the herald mass the cutoff leaves out at its parameters
+    space = SearchSpace((0.5, 0.5), cutoff=6, min_herald=0.99)
+    report = maximize_X(space, 200, seed=1)
+    assert report.best_pattern == ()
+    assert report.best_X == 0.0
+    tail = pel.nogo._engine(space).outcome_table(report.best_params)[3]
+    assert report.truncation_weight == tail
+    assert report.truncation_weight > 0.0
+
+
 def test_explicit_pattern_restriction():
     space = small_space(eff=(0.8, 0.6), patterns=((1, 0),), min_herald=1e-6)
     report = maximize_X(space, 800, seed=4)
