@@ -14,6 +14,7 @@ whole module is safe for concurrent use.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -357,39 +358,51 @@ def make_state(
     raise ContractViolation(f"unknown source specification {spec!r}")
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff."""
+@lru_cache(maxsize=64)
+def _half_log_factorials(cutoff: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1) / 2.0 for k in range(cutoff + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
+    """Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff, for one
+    amplitude or an array of them: shape ``np.shape(alpha) + (cutoff + 1,)``.
+    alpha = 0 gives the vacuum exactly."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha) + 1e-300) - log_fact / 2.0)
-    if abs(alpha) == 0.0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    phase = np.exp(1j * np.angle(alpha) * n)
-    return mag * phase
+    mean = alpha.real**2 + alpha.imag**2
+    # magnitudes in log space, so that large amplitudes cannot overflow;
+    # real exp, cos and sin run as vector loops where complex exp may not
+    magnitude = np.exp(
+        n * np.log(np.sqrt(mean) + 1e-300) - (mean / 2.0 + _half_log_factorials(cutoff))
+    )
+    angle = n * np.arctan2(alpha.imag, alpha.real)
+    amps = np.empty(magnitude.shape, dtype=complex)
+    np.multiply(magnitude, np.cos(angle), out=amps.real)
+    np.multiply(magnitude, np.sin(angle), out=amps.imag)
+    return np.where(mean == 0.0, n == 0, amps)
 
 
 def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
-    """Displaced-number matrix elements <m|D(alpha_j)|k> for m = 0..cutoff and
-    k = 0..photons, stacked over the amplitudes: shape
-    (len(alphas), cutoff + 1, photons + 1).
+    """Displaced-number matrix elements <m|D(alpha)|k> for m = 0..cutoff and
+    k = 0..photons, for every amplitude of the array ``alphas``: shape
+    ``np.shape(alphas) + (cutoff + 1, photons + 1)``.
 
     Column 0 is the coherent state; the others follow from D a^dag =
     (a^dag - alpha^*) D, i.e. sqrt(k) <m|D|k> = sqrt(m) <m-1|D|k-1> -
     alpha^* <m|D|k-1>.  Row m needs only rows <= m, so truncating the rows
     at the cutoff is exact, and alpha = 0 gives the identity exactly.
     """
-    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    out = np.zeros((alphas.size, cutoff + 1, photons + 1), dtype=complex)
-    for j, alpha in enumerate(alphas):
-        out[j, :, 0] = coherent_amplitudes(complex(alpha), cutoff)
+    alphas = np.asarray(alphas, dtype=complex)
+    out = np.empty(alphas.shape + (cutoff + 1, photons + 1), dtype=complex)
+    out[..., 0] = coherent_amplitudes(alphas, cutoff)
     root = np.sqrt(np.arange(max(cutoff, photons) + 1))
-    conj = alphas.conj()[:, None]
+    conj = alphas.conj()[..., None]
     for k in range(1, photons + 1):
-        column = -conj * out[:, :, k - 1]
-        column[:, 1:] += root[1 : cutoff + 1] * out[:, :-1, k - 1]
-        out[:, :, k] = column / root[k]
+        column = -conj * out[..., k - 1]
+        column[..., 1:] += root[1 : cutoff + 1] * out[..., :-1, k - 1]
+        out[..., k] = column / root[k]
     return out
 
 

@@ -226,35 +226,74 @@ def _pair_block_tensors(s: int):
     return J, QE
 
 
-@lru_cache(maxsize=512)
-def _pair_power_matrix(s: int) -> np.ndarray:
-    """Matrix mapping the vector (cos^(s-t) sin^t)_t to the flattened real part
-    of the s-block; exploits that every term carries total power s."""
-    J, QE = _pair_block_tensors(s)
-    size = s + 1
-    out = np.zeros((size * size, size))
-    for ko in range(size):
-        for ki in range(size):
-            for j in range(size):
-                if J[ko, ki, j]:
-                    out[ko * size + ki, QE[ko, ki, j]] += J[ko, ki, j]
+@lru_cache(maxsize=64)
+def _pair_block_tables(cutoff: int):
+    """Tables for the s = 0..cutoff blocks of a two-mode rotation, their
+    entries concatenated row-major.
+
+    With z = e^{i theta}, cos^a sin^b = ((z + 1/z) / 2)^a ((z - 1/z) / 2i)^b,
+    so entry (k_out, k_in) of block s is e^{i t phi} times a sum of terms
+    coefficient * e^{i k theta}, k = -s..s, with t = k_out - k_in.  Returns
+    the (2, 2 (2 cutoff + 1)) matrix taking (theta, phi) to the angles
+    k theta and then t phi, k and t in -cutoff..cutoff; the (2 cutoff + 1,
+    entries) coefficient matrix; the index of each entry's phase among the
+    angles; and the offset of each block."""
+    size = 2 * cutoff + 1
+    offsets = np.cumsum([0] + [(s + 1) ** 2 for s in range(cutoff + 1)])
+    coefficients = np.zeros((size, offsets[-1]), dtype=complex)
+    turns = np.empty(offsets[-1], dtype=np.int64)
+    cos_factor = np.array([0.5, 0.0, 0.5])
+    sin_factor = np.array([0.5j, 0.0, -0.5j])
+    for s in range(cutoff + 1):
+        J, QE = _pair_block_tensors(s)
+        for ko in range(s + 1):
+            for ki in range(s + 1):
+                entry = offsets[s] + ko * (s + 1) + ki
+                turns[entry] = size + ko - ki + cutoff
+                for j in range(s + 1):
+                    if not J[ko, ki, j]:
+                        continue
+                    # z-polynomial of cos^(s - b) sin^b, exponents -s..s
+                    poly = np.ones(1, dtype=complex)
+                    for _ in range(s - QE[ko, ki, j]):
+                        poly = np.convolve(poly, cos_factor)
+                    for _ in range(QE[ko, ki, j]):
+                        poly = np.convolve(poly, sin_factor)
+                    coefficients[cutoff - s : cutoff + s + 1, entry] += J[ko, ki, j] * poly
+    steps = np.arange(-cutoff, cutoff + 1, dtype=float)
+    terms = np.zeros((2, 2 * size))
+    terms[0, :size] = steps
+    terms[1, size:] = steps
+    for table in (terms, coefficients, turns):
+        table.setflags(write=False)
+    return terms, coefficients, turns, tuple(int(v) for v in offsets)
+
+
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """exp(i angles) from the real sine and cosine, which run as vector
+    loops; complex exp is several times slower after a complex GEMM on
+    some BLAS builds."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
     return out
 
 
-def _pair_rotation_blocks(theta: float, phi: float, cutoff: int) -> list:
-    """Matrices of R(theta, phi) on the (k, s-k) occupation ladder, s = 0..cutoff."""
-    c, q = math.cos(theta), math.sin(theta)
-    steps = np.arange(cutoff + 1)
-    cpow = c ** steps
-    qpow = q ** steps
-    phase_step = np.exp(1j * phi * steps)
-    blocks = [np.ones((1, 1), dtype=complex)]
-    for s in range(1, cutoff + 1):
-        powers = cpow[s::-1] * qpow[: s + 1]
-        real = (_pair_power_matrix(s) @ powers).reshape(s + 1, s + 1)
-        e = phase_step[: s + 1]
-        blocks.append(real * (e[:, None] * e[None, :].conj()))
-    return blocks
+def _pair_rotation_blocks(angles, cutoff: int) -> list:
+    """Matrices of R(theta, phi) on the (k, s-k) occupation ladder, s = 0..cutoff,
+    for an (R, L, 2) array of (theta, phi) pairs: entry s has shape
+    (R, L, s+1, s+1).  Row r of each entry depends on row r of the angles
+    alone."""
+    angles = np.asarray(angles, dtype=float)
+    terms, coefficients, turns, offsets = _pair_block_tables(cutoff)
+    phases = _unit_phases(np.matmul(angles, terms))
+    entries = np.matmul(phases[..., : 2 * cutoff + 1], coefficients)
+    entries *= phases.take(turns, axis=-1)
+    rows, slots = angles.shape[:2]
+    return [
+        entries[..., offsets[s] : offsets[s + 1]].reshape(rows, slots, s + 1, s + 1)
+        for s in range(cutoff + 1)
+    ]
 
 
 @lru_cache(maxsize=256)
@@ -306,35 +345,42 @@ def _mesh_chain(basis: FockBasis, modes: int):
 def apply_mesh_to_vectors(vectors: np.ndarray, params, modes: int,
                           basis: FockBasis) -> None:
     """In-place mesh action (rotations in layout order, then output phases)
-    on a (dimension, batch) array of state vectors."""
+    on an (R, dimension, columns) array of state vectors: row r of the
+    (R, parameters) array ``params`` acts on ``vectors[r]``.  Each row's
+    result is the same whatever R is."""
     params = np.asarray(params, dtype=float)
     expected = mesh_param_count(modes)
-    if params.shape[0] != expected:
+    if params.ndim != 2 or params.shape[1] != expected:
         raise ArityError(
-            f"mesh for {modes} modes needs {expected} parameters, got {params.shape[0]}"
+            f"mesh for {modes} modes needs rows of {expected} parameters, "
+            f"got shape {params.shape}"
+        )
+    rows, _, columns = vectors.shape
+    if params.shape[0] != rows:
+        raise ContractViolation(
+            f"{params.shape[0]} parameter rows for {rows} rows of vectors"
         )
     layout = mesh_layout(modes)
+    rotations = 2 * len(layout)
     if layout:
         first, hops, last_inverse, segments = _mesh_chain(basis, modes)
-        batch = vectors.shape[1]
-        work = vectors.take(first, axis=0)
+        blocks = _pair_rotation_blocks(
+            params[:, :rotations].reshape(rows, len(layout), 2), basis.cutoff
+        )
+        work = vectors.take(first, axis=1)
         for slot in range(len(layout)):
-            blocks = _pair_rotation_blocks(
-                params[2 * slot], params[2 * slot + 1], basis.cutoff
-            )
             for s, start, n_orbits in segments[slot]:
                 stop = start + (s + 1) * n_orbits
-                segment = work[start:stop].reshape(s + 1, n_orbits * batch)
-                work[start:stop] = (blocks[s] @ segment).reshape(
-                    (s + 1) * n_orbits, batch
+                segment = work[:, start:stop].reshape(rows, s + 1, n_orbits * columns)
+                work[:, start:stop] = np.matmul(blocks[s][:, slot], segment).reshape(
+                    rows, (s + 1) * n_orbits, columns
                 )
             if slot + 1 < len(layout):
-                work = work.take(hops[slot], axis=0)
-        vectors[:] = work.take(last_inverse, axis=0)
-    phases = params[2 * len(layout):]
+                work = work.take(hops[slot], axis=1)
+        vectors[:] = work.take(last_inverse, axis=1)
+    phases = params[:, rotations:]
     if np.any(phases):
-        factor = np.exp(1j * (basis.occupations @ phases))
-        vectors *= factor[:, None]
+        vectors *= _unit_phases(np.matmul(basis.occupations, phases[:, :, None]))
 
 
 class FockLift:
@@ -392,9 +438,9 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
         )
     if method == "mesh":
         params = u.params if u.params is not None else decompose(u.matrix)
-        full = np.eye(basis.dimension, dtype=complex)
-        apply_mesh_to_vectors(full, params, basis.modes, basis)
-        return FockLift(basis, [full[sl, sl] for sl in basis.block_slices])
+        full = np.eye(basis.dimension, dtype=complex)[None]
+        apply_mesh_to_vectors(full, [params], basis.modes, basis)
+        return FockLift(basis, [full[0, sl, sl] for sl in basis.block_slices])
     if method == "permanent":
         blocks = []
         occ = basis.occupations

@@ -9,6 +9,13 @@ sets the ``violated`` flag, which should never happen.  The optimizer
 (random restarts refined by coordinate-wise golden sections) is a probe, not
 a proof: it can only ever demonstrate tightness, never validity.
 
+Every restart follows the same fixed schedule of evaluations, so restarts
+run in lockstep blocks of ``_LOCKSTEP``: a block advances together, one
+parameter row per restart, through one batched evaluation of the mesh, the
+displacement tables and the objective.  Rows never mix, so a restart's result
+depends on (space, seed, restart) alone, not on its block or the thread
+count.
+
 ``verify_commutation`` checks the enabling lemma directly: equal loss on all
 modes commutes with any interferometer.  With unequal loss it does not, and
 ``unequal_loss_counterexample`` shows the test has the power to notice.
@@ -239,15 +246,16 @@ class _SchemeEngine:
             self.inputs[self.basis.index_of(unit[S + j]), B + j] = 1.0
         self.one_photon_rows = np.array([self.basis.index_of(row) for row in unit])
 
-        # G[k', d] gathers one element per detected mode from the stacked
-        # (M - 1, max_count + 1, S + 1) displacement tables; the survivor's
-        # table needs rows m_0 = 0 and 1 even at cutoff 0
+        # G[k', d] multiplies one element <d_j|D(beta_j)|k'_j> per detected
+        # mode j of the (M, max_count + 1, S + 1) displacement tables of one
+        # parameter row.  With those tables transposed, one gather takes
+        # entry d_j of every (j, k) row for each pattern, and a second picks
+        # row (j, k'_j) for each detected state.  The survivor's table needs
+        # rows m_0 = 0 and 1 even at cutoff 0
         self.max_count = max(cutoff, 1)
-        mode_offset = (np.arange(M - 1) * (self.max_count + 1))[:, None, None]
-        self.g_index = (
-            (mode_offset + self.patterns.T[:, None, :]) * (S + 1)
-            + detected.occupations.T[:, :, None]
-        )
+        row_start = np.arange((M - 1) * (S + 1))[:, None] * (self.max_count + 1)
+        self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
+        self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, k_0-major.  At a given k_0 the basis
         # holds exactly the detected parts with |k'| <= S - k_0, a prefix of
@@ -262,46 +270,61 @@ class _SchemeEngine:
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)
-        if params.shape[0] != self.space.parameter_count():
+        if params.ndim != 2 or params.shape[1] != self.space.parameter_count():
             raise ArityError(
-                f"scheme expects {self.space.parameter_count()} parameters "
+                f"scheme expects rows of {self.space.parameter_count()} parameters "
                 f"({self.mesh_len} mesh + {2 * self.space.num_coherent} amplitude), "
-                f"got {params.shape[0]}"
+                f"got shape {params.shape}"
             )
-        mesh = params[: self.mesh_len]
-        amp = params[self.mesh_len:]
-        alphas = amp[0::2] + 1j * amp[1::2]
+        mesh = params[:, : self.mesh_len]
+        amp = params[:, self.mesh_len:]
+        alphas = amp[:, 0::2] + 1j * amp[:, 1::2]
         return mesh, alphas
 
     def outcome_table(self, params):
         """Per-pattern herald probability, one-photon weight and multiphoton
-        weight (unnormalized), and the herald mass outside the patterns."""
+        weight (unnormalized), each (R, patterns), and the herald mass outside
+        the patterns, (R,), for an (R, parameters) array.  Each row's result
+        is the same whatever R is."""
         mesh, alphas = self.split_params(params)
-        for alpha in alphas:
-            if abs(alpha) > self.space.amplitude_cap * (1.0 + 1e-9):
-                raise ContractViolation(
-                    f"|alpha| = {abs(alpha):.4g} exceeds the amplitude cap "
-                    f"{self.space.amplitude_cap}"
-                )
-        B = self.num_branches
-        vectors = self.inputs.copy()
+        size = np.abs(alphas)
+        if np.any(size > self.space.amplitude_cap * (1.0 + 1e-9)):
+            raise ContractViolation(
+                f"|alpha| = {size.max():.4g} exceeds the amplitude cap "
+                f"{self.space.amplitude_cap}"
+            )
+        rows, B = mesh.shape[0], self.num_branches
+        vectors = np.repeat(self.inputs[None], rows, axis=0)
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
-        betas = vectors[self.one_photon_rows, B:] @ alphas
+        betas = np.matmul(vectors[:, self.one_photon_rows, B:], alphas[:, :, None])
         tables = displaced_number_elements(
-            betas, self.max_count, self.space.num_sources
+            betas[:, :, 0], self.max_count, self.space.num_sources
         )
-        g = tables[1:].take(self.g_index).prod(axis=0)
-        psi = vectors.take(self.psi_index)
-        c = np.empty(psi.shape[:2] + g.shape[1:], dtype=complex)
+        # take along axis 1 applies one index table to every parameter row
+        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(self.row_index, axis=1)
+        g = rows_of_d.take(self.column_index, axis=1).prod(axis=1)
+        psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
+        c = np.empty(psi.shape[:3] + g.shape[2:], dtype=complex)
         for k0, width in enumerate(self.prefix):
-            np.matmul(psi[k0, :, :width], g[:width], out=c[k0])
-        weights = self.branch_weights
-        herald = weights @ (c.real**2 + c.imag**2).sum(axis=0)
+            np.matmul(psi[:, k0, :, :width], g[:, :width], out=c[:, k0])
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
-        amps = (tables[0][:2] @ c.reshape(c.shape[0], -1)).reshape(2, B, -1)
-        vacuum, one = weights @ (amps.real**2 + amps.imag**2)
-        multi = np.maximum(herald - vacuum - one, 0.0)
-        return herald, one, multi, max(0.0, 1.0 - float(herald.sum()))
+        amps = np.matmul(tables[:, 0, :2], c.reshape(rows, c.shape[1], -1))
+        weights = self.branch_weights
+        herald = weights @ _squared_magnitude(c, axis=1)
+        vacuum_one = weights @ _squared_magnitude(amps).reshape(rows, 2, B, -1)
+        one = vacuum_one[:, 1]
+        multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
+        return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
+
+
+def _squared_magnitude(values, axis=None):
+    """|values|^2, summed over ``axis`` when given.  Squares the real and
+    imaginary parts in the memory of ``values``, which it overwrites."""
+    parts = values.view(np.float64)
+    np.multiply(parts, parts, out=parts)
+    if axis is not None:
+        parts = parts.sum(axis=axis)
+    return parts[..., ::2] + parts[..., 1::2]
 
 
 @lru_cache(maxsize=32)
@@ -318,41 +341,85 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
         raise ContractViolation(
             f"pattern must give counts for the {space.modes - 1} detected modes"
         )
-    herald, one, multi, _ = engine.outcome_table(params)
+    herald, one, multi, _ = engine.outcome_table(np.asarray(params, dtype=float)[None])
     index = engine.pattern_index.get(pattern)
-    prob = float(herald[index]) if index is not None else 0.0
+    prob = float(herald[0, index]) if index is not None else 0.0
     if prob < DEFAULT.herald_floor:
         raise HeraldImpossibleError(
             f"outcome {pattern}: probability {prob:.3e} below the herald floor"
         )
-    return float(one[index]) / prob, prob, float(multi[index]) / prob
+    return float(one[0, index]) / prob, prob, float(multi[0, index]) / prob
+
+
+def _objective(space: SearchSpace, params):
+    """Search score and best pattern index of each row of an (R, parameters)
+    array.  The score is the best X among the ranked patterns; with none
+    ranked it is -2, or -1 minus the least multiphoton ratio when eligible
+    patterns all break the constraint, and the pattern index is -1."""
+    engine = _engine(space)
+    herald, one, multi, _ = engine.outcome_table(params)
+    eligible = herald >= space.min_herald
+    if engine.scan_mask is not None:
+        eligible &= engine.scan_mask
+    if engine.patterns.shape[0] > space.max_patterns:
+        crowded = eligible.sum(axis=1) > space.max_patterns
+        if crowded.any():
+            # rank only the eligible patterns, the heaviest heralds first
+            heaviest = np.where(eligible[crowded], -herald[crowded], np.inf)
+            order = np.argsort(heaviest, axis=1, kind="stable")
+            kept = np.zeros_like(heaviest, dtype=bool)
+            np.put_along_axis(kept, order[:, : space.max_patterns], True, axis=1)
+            eligible[crowded] &= kept
+    x_ratio = one / np.maximum(herald, 1e-300)
+    valid = eligible
+    fallback = np.full(herald.shape[0], -2.0)
+    if space.constraint is not None:
+        multi_ratio = np.where(eligible, multi / np.maximum(herald, 1e-300), np.inf)
+        valid = eligible & (multi_ratio <= space.constraint)
+        # no feasible outcome: drive the least multiphoton weight down
+        fallback = np.where(
+            eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), fallback
+        )
+    x_ratio = np.where(valid, x_ratio, -1.0)
+    best = np.argmax(x_ratio, axis=1)
+    found = valid.any(axis=1)
+    scores = np.where(found, x_ratio.max(axis=1), fallback)
+    return scores, np.where(found, best, -1)
 
 
 def _golden_max(fun, lo, hi, evals):
-    """Deterministic golden-section maximization; returns the best sampled x."""
+    """Deterministic golden-section maximization of each row: ``fun`` maps an
+    array of abscissae to their values, ``lo`` and ``hi`` bound each row.
+    Returns the best sampled x and its value per row."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
+    first = f1 >= f2
+    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
     for _ in range(evals - 2):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = fun(x2)
-            if f2 > best_f:
-                best_x, best_f = x2, f2
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = fun(x1)
-            if f1 > best_f:
-                best_x, best_f = x1, f1
+        # rows with f1 < f2 keep [x1, hi] and probe a new x2; the others keep
+        # [lo, x2] and probe a new x1
+        up = f1 < f2
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
+        step = ratio * (hi - lo)
+        x = np.where(up, lo + step, hi - step)
+        f = fun(x)
+        x1, f1, x2, f2 = (
+            np.where(up, x2, x), np.where(up, f2, f),
+            np.where(up, x, x1), np.where(up, f, f1),
+        )
+        better = f > best_f
+        best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
     return best_x, best_f
 
 
 _GOLDEN_EVALS = 12
 _REFINE_PASSES = 2
+#: restarts that advance together through one batched evaluation; larger
+#: blocks amortize more per-call overhead until the 4-mode tables leave cache
+_LOCKSTEP = 8
 
 
 def _restart_cost(space: SearchSpace) -> int:
@@ -361,50 +428,28 @@ def _restart_cost(space: SearchSpace) -> int:
     return 1 + _REFINE_PASSES * refine * _GOLDEN_EVALS
 
 
-def _run_restart(space: SearchSpace, seed: int, restart: int):
-    """One random start plus coordinate refinement; deterministic in
-    (space, seed, restart)."""
+def _run_restarts(space: SearchSpace, seed: int, restarts):
+    """Random starts plus coordinate refinement for the given restart
+    indices, advanced in lockstep: every restart follows the same schedule
+    of ``_restart_cost`` evaluations, one row each.  Returns one
+    (score, pattern index or None, params, evaluations) per restart, each
+    deterministic in (space, seed, restart) alone."""
     engine = _engine(space)
-    rng = np.random.default_rng((seed, restart))
     n_rot = space.modes * (space.modes - 1) // 2
     amp_box = space.amplitude_cap / math.sqrt(2.0)
-    params = np.zeros(space.parameter_count())
-    params[: 2 * n_rot] = rng.uniform(-math.pi, math.pi, size=2 * n_rot)
     amp_lo = engine.mesh_len
-    params[amp_lo:] = rng.uniform(-amp_box, amp_box, size=2 * space.num_coherent)
-
-    def objective(vec):
-        herald, one, multi, _ = engine.outcome_table(vec)
-        eligible = herald >= space.min_herald
-        if engine.scan_mask is not None:
-            eligible &= engine.scan_mask
-        if eligible.sum() > space.max_patterns:
-            order = np.argsort(herald)[::-1]
-            keep = order[: space.max_patterns]
-            mask = np.zeros_like(eligible)
-            mask[keep] = True
-            eligible &= mask
-        if not eligible.any():
-            return -2.0, None
-        x_ratio = np.where(eligible, one / np.maximum(herald, 1e-300), -1.0)
-        if space.constraint is not None:
-            multi_ratio = np.where(
-                eligible, multi / np.maximum(herald, 1e-300), np.inf
-            )
-            valid = eligible & (multi_ratio <= space.constraint)
-            if not valid.any():
-                # no feasible outcome: drive the least multiphoton weight down
-                return -1.0 - float(multi_ratio[eligible].min()), None
-            x_ratio = np.where(valid, x_ratio, -1.0)
-        best = int(np.argmax(x_ratio))
-        return float(x_ratio[best]), best
+    params = np.zeros((len(restarts), space.parameter_count()))
+    for row, restart in zip(params, restarts):
+        rng = np.random.default_rng((seed, restart))
+        row[: 2 * n_rot] = rng.uniform(-math.pi, math.pi, size=2 * n_rot)
+        row[amp_lo:] = rng.uniform(-amp_box, amp_box, size=2 * space.num_coherent)
 
     evals = 0
 
-    def score(vec):
+    def score(trial):
         nonlocal evals
         evals += 1
-        return objective(vec)[0]
+        return _objective(space, trial)[0]
 
     best_score = score(params)
     refine_coords = list(range(2 * n_rot)) + list(
@@ -413,26 +458,29 @@ def _run_restart(space: SearchSpace, seed: int, restart: int):
     spans = {0: math.pi / 2.0, 1: math.pi / 8.0}
     for pass_no in range(_REFINE_PASSES):
         for coord in refine_coords:
-            center = params[coord]
+            center = params[:, coord]
             if coord >= amp_lo:
                 span = amp_box * (0.6 if pass_no == 0 else 0.15)
-                lo = max(-amp_box, center - span)
-                hi = min(amp_box, center + span)
+                lo = np.maximum(-amp_box, center - span)
+                hi = np.minimum(amp_box, center + span)
             else:
                 span = spans[pass_no]
                 lo, hi = center - span, center + span
 
             def line(x, coord=coord):
                 trial = params.copy()
-                trial[coord] = x
+                trial[:, coord] = x
                 return score(trial)
 
             x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS)
-            if f_best > best_score:
-                best_score = f_best
-                params[coord] = x_best
-    final_score, final_pattern = objective(params)
-    return final_score, final_pattern, params, evals
+            better = f_best > best_score
+            best_score = np.where(better, f_best, best_score)
+            params[:, coord] = np.where(better, x_best, center)
+    final_scores, final_patterns = _objective(space, params)
+    return [
+        (float(score_r), int(pattern_r) if pattern_r >= 0 else None, row, evals)
+        for score_r, pattern_r, row in zip(final_scores, final_patterns, params)
+    ]
 
 
 def maximize_X(
@@ -441,35 +489,36 @@ def maximize_X(
     """Random-restart derivative-free search for the largest heralded X.
 
     Deterministic for fixed (space, budget, seed): every restart draws from
-    its own (seed, restart)-keyed stream and the merge is an associative
-    best-of, so the thread count never changes the result.
+    its own (seed, restart)-keyed stream, runs in a block of ``_LOCKSTEP``
+    restarts whose rows never mix, and the merge is an associative best-of,
+    so neither the block size nor the thread count changes the result.
     """
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
     engine = _engine(space)
     per_restart = _restart_cost(space)
     n_restarts = max(1, budget // per_restart)
-    indices = list(range(n_restarts))
+    blocks = [range(start, min(start + _LOCKSTEP, n_restarts))
+              for start in range(0, n_restarts, _LOCKSTEP)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda r: _run_restart(space, seed, r), indices)
-            )
+            done = list(pool.map(lambda b: _run_restarts(space, seed, b), blocks))
     else:
-        results = [_run_restart(space, seed, r) for r in indices]
+        done = [_run_restarts(space, seed, block) for block in blocks]
+    results = [result for block in done for result in block]
     best_score, best_pattern, best_params, _ = results[0]
     total_evals = 0
     for score_r, pattern_r, params_r, evals_r in results:
         total_evals += evals_r
         if score_r > best_score or (score_r == best_score and best_pattern is None):
             best_score, best_pattern, best_params = score_r, pattern_r, params_r
-    herald, one, multi, tail = engine.outcome_table(best_params)
+    herald, one, multi, tail = engine.outcome_table(best_params[None])
     best_x = prob = multi_weight = 0.0
     pattern = ()
     if best_pattern is not None:
-        prob = float(herald[best_pattern])
-        best_x = float(one[best_pattern]) / prob
-        multi_weight = float(multi[best_pattern]) / prob
+        prob = float(herald[0, best_pattern])
+        best_x = float(one[0, best_pattern]) / prob
+        multi_weight = float(multi[0, best_pattern]) / prob
         pattern = tuple(int(v) for v in engine.patterns[best_pattern])
     return SearchReport(
         best_X=best_x,
@@ -481,7 +530,7 @@ def maximize_X(
         violated=bool(best_x > space.bound + BOUND_SLACK),
         evaluations=total_evals,
         cutoff_used=space.cutoff_used,
-        truncation_weight=tail,
+        truncation_weight=float(tail[0]),
     )
 
 

@@ -142,6 +142,21 @@ def test_lift_methods_agree(modes, cutoff):
     assert worst < 1e-9
 
 
+def test_batched_mesh_matches_single_calls(rng):
+    basis = make_basis(3, 3)
+    params = rng.uniform(-math.pi, math.pi, (4, mesh_param_count(3)))
+    vectors = (rng.standard_normal((4, basis.dimension, 2))
+               + 1j * rng.standard_normal((4, basis.dimension, 2)))
+    batched = vectors.copy()
+    pel.interferometer.apply_mesh_to_vectors(batched, params, 3, basis)
+    for row in range(params.shape[0]):
+        single = vectors[row : row + 1].copy()
+        pel.interferometer.apply_mesh_to_vectors(single, params[row : row + 1], 3, basis)
+        assert np.array_equal(batched[row], single[0])
+    with pytest.raises(ArityError):
+        pel.interferometer.apply_mesh_to_vectors(vectors, params[0], 3, basis)
+
+
 def test_lift_blocks_unitary(rng):
     basis = make_basis(3, 5)
     lifted = lift(haar_random(3, rng), basis)

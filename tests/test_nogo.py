@@ -275,9 +275,54 @@ def test_report_without_ranked_pattern_carries_truncation():
     report = maximize_X(space, 200, seed=1)
     assert report.best_pattern == ()
     assert report.best_X == 0.0
-    tail = pel.nogo._engine(space).outcome_table(report.best_params)[3]
-    assert report.truncation_weight == tail
+    tail = pel.nogo._engine(space).outcome_table([report.best_params])[3]
+    assert report.truncation_weight == tail[0]
     assert report.truncation_weight > 0.0
+
+
+def test_pattern_cap_ranks_only_eligible_patterns():
+    # the cap keeps the heaviest heralds among the scanned patterns; ranking
+    # among all patterns would keep (0, 0), (1, 0) and (0, 1) and rank none
+    scanned = ((0, 3), (3, 0), (2, 2), (1, 3), (3, 1))
+    space = SearchSpace((0.5, 0.5), cutoff=6, max_patterns=3, patterns=scanned)
+    assert maximize_X(space, 1, seed=4).best_pattern in scanned
+    params = np.random.default_rng(3).uniform(-0.5, 0.5, space.parameter_count())
+    outcomes = {p: evaluate_scheme(space, params, p) for p in scanned}
+    heaviest = sorted(scanned, key=lambda p: outcomes[p][1])[-3:]
+    expected = max(heaviest, key=lambda p: outcomes[p][0])
+    scores, best = pel.nogo._objective(space, params[None])
+    assert tuple(pel.nogo._engine(space).patterns[best[0]]) == expected
+    assert scores[0] == pytest.approx(outcomes[expected][0], rel=1e-12)
+
+
+def test_lockstep_block_matches_restarts_run_alone():
+    space = small_space(eff=(0.6, 0.4), constraint=1e-3)
+    block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
+    for restart, in_block in enumerate(block):
+        (alone,) = pel.nogo._run_restarts(space, 5, [restart])
+        assert alone[0] == in_block[0]
+        assert alone[1] == in_block[1]
+        assert np.array_equal(alone[2], in_block[2])
+        assert alone[3] == in_block[3] == pel.nogo._restart_cost(space)
+
+
+def test_maximize_across_blocks_is_thread_independent():
+    space = small_space(eff=(0.5, 0.3))
+    budget = (2 * pel.nogo._LOCKSTEP + 3) * pel.nogo._restart_cost(space)
+    reports = [maximize_X(space, budget, seed=12, threads=t) for t in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].evaluations == budget
+
+
+def test_outcome_table_rows_match_single_rows(rng):
+    space = small_space(eff=(0.6, 0.3, 0.5), cutoff=5)
+    engine = pel.nogo._engine(space)
+    params = rng.uniform(-0.5, 0.5, (5, space.parameter_count()))
+    batched = engine.outcome_table(params)
+    for row in range(params.shape[0]):
+        single = engine.outcome_table(params[row : row + 1])
+        for together, alone in zip(batched, single):
+            assert np.array_equal(together[row], alone[0])
 
 
 def test_explicit_pattern_restriction():
