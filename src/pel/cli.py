@@ -390,15 +390,17 @@ def _search_spaces(spec, cutoff):
         common["cutoff"] = block["cutoff"]
     if "p_max_grid" in block:
         num_sources = block.get("num_sources", 2)
-        return [
-            SearchSpace(tuple([p] * num_sources), **common)
-            for p in block["p_max_grid"]
-        ]
-    if "source_efficiencies" not in block:
+        grid = [tuple([p] * num_sources) for p in block["p_max_grid"]]
+    elif "source_efficiencies" in block:
+        grid = [tuple(block["source_efficiencies"])]
+    else:
         raise ValidationError(
             "search: either source_efficiencies or p_max_grid is required"
         )
-    return [SearchSpace(tuple(block["source_efficiencies"]), **common)]
+    try:
+        return [SearchSpace(efficiencies, **common) for efficiencies in grid]
+    except ContractViolation as exc:
+        raise ValidationError(f"search: {exc}") from None
 
 
 def _run_nogo(spec, seed, cutoff, threads, tol):

@@ -255,10 +255,12 @@ SourceSpec = Isps | Coherent | Fock | PartialQubit
 def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     """Probability weight of a coherent state beyond the cutoff.
 
-    The larger of two estimates: the omitted Poisson terms summed in log space,
-    which keeps tiny tails to full relative precision, and one minus the kept
-    terms, which stays right when |alpha|^2 far exceeds the cutoff and the
-    first omitted term underflows or the termwise sum stops short.
+    While the kept terms hold less than half the mass, one minus their sum:
+    then |alpha|^2 exceeds about the cutoff, the first omitted term may
+    underflow and a termwise sum of the omitted terms may stop short or
+    round above 1.  Otherwise the larger of that and the omitted terms summed
+    in log space, which keeps tiny tails to full relative precision.  Either
+    way the result lies in [0, 1] and does not increase with the cutoff.
     """
     lam = abs(alpha) ** 2
     if lam == 0.0:
@@ -268,6 +270,9 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     def log_term(n):
         return -lam + n * log_lam - math.lgamma(n + 1)
 
+    kept = math.fsum(math.exp(log_term(k)) for k in range(cutoff + 1))
+    if kept < 0.5:
+        return 1.0 - kept
     # first omitted term, then the (rapidly convergent) remainder
     term = math.exp(log_term(cutoff + 1))
     omitted = 0.0
@@ -278,7 +283,6 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
         term *= lam / n
         if n > cutoff + 500:
             break
-    kept = math.fsum(math.exp(log_term(k)) for k in range(cutoff + 1))
     return max(omitted, 1.0 - kept)
 
 

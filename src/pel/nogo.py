@@ -28,6 +28,15 @@ Herald probability, one-photon and multiphoton weight are therefore exact
 for every enumerated heralding pattern.  The cutoff only bounds the detected
 photon total of the enumerated patterns; ``truncation_weight`` is the herald
 mass outside them, 1 - sum of the enumerated herald probabilities.
+
+The search objective evaluates only the ranked subset of the patterns.  The
+mesh conserves photon number, so a pattern d heralds with probability at
+most P(N >= |d|), where N is the total input photon number: the sources'
+Poisson-binomial count plus a Poisson count of mean sum |alpha_j|^2 <=
+num_coherent * amplitude_cap^2.  Patterns whose photon total puts this bound
+below ``min_herald`` (less a 1e-12 margin for rounding) can never be
+eligible and are skipped; ``evaluate_scheme``, the final report and
+``truncation_weight`` still cover every enumerated pattern.
 """
 
 import itertools
@@ -87,6 +96,37 @@ def default_cutoff(num_sources: int, num_coherent: int, amplitude_cap: float) ->
     return num_sources + enough
 
 
+#: absolute margin between the rank bound and min_herald, so that rounding in
+#: a computed herald can never lift a pruned pattern over the threshold
+_RANK_MARGIN = 1e-12
+
+
+def _rank_total(space, cutoff: int) -> int:
+    """Largest detected photon total n <= cutoff at which P(N >= n), the
+    module docstring's bound on a pattern's herald, still reaches min_herald
+    less ``_RANK_MARGIN``.  The Poisson part of N takes its largest mean,
+    every ancilla at the amplitude cap."""
+    threshold = space.min_herald - _RANK_MARGIN
+    if threshold <= 0.0:
+        return cutoff
+    counts = np.array([1.0])
+    for p in space.source_efficiencies:
+        counts = np.convolve(counts, [1.0 - p, p])
+    # the engine admits |alpha| up to amplitude_cap * (1 + 1e-9)
+    amplitude = math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)
+
+    def at_least(n):
+        return math.fsum(
+            weight * (coherent_tail_weight(amplitude, n - k - 1) if n > k else 1.0)
+            for k, weight in enumerate(counts)
+        )
+
+    total = 0
+    while total < cutoff and at_least(total + 1) >= threshold:
+        total += 1
+    return total
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Scheme family searched over: ISPS sources, coherent ancillas, a full
@@ -100,7 +140,9 @@ class SearchSpace:
     amplitude_cap: float = 1.0
     #: multiphoton-weight threshold for the constrained regime; None = unconstrained
     constraint: float | None = None
-    #: heralding outcomes below this probability are not ranked
+    #: heralding outcomes below this probability are not ranked; patterns
+    #: whose photon total bounds their herald below it are not even evaluated
+    #: by the search (see ``_rank_total``)
     min_herald: float = 1e-5
     #: per-evaluation cap on ranked heralding outcomes
     max_patterns: int = 200
@@ -111,7 +153,7 @@ class SearchSpace:
         eff = tuple(float(p) for p in self.source_efficiencies)
         if not eff:
             raise ContractViolation("at least one source is required")
-        if any(p < 0.0 or p > 1.0 for p in eff):
+        if not all(0.0 <= p <= 1.0 for p in eff):
             raise ContractViolation(f"source efficiencies {eff} outside [0, 1]")
         object.__setattr__(self, "source_efficiencies", eff)
         if self.num_coherent < 0:
@@ -120,8 +162,24 @@ class SearchSpace:
             raise ContractViolation(
                 "the scheme needs at least two modes (one surviving, one detected)"
             )
-        if self.amplitude_cap <= 0.0:
-            raise ContractViolation("amplitude_cap must be positive")
+        if not 0.0 < self.amplitude_cap < math.inf:
+            raise ContractViolation(
+                f"amplitude_cap must be positive and finite, got {self.amplitude_cap!r}"
+            )
+        if not 0.0 <= self.min_herald <= 1.0:
+            raise ContractViolation(
+                f"min_herald must lie in [0, 1], got {self.min_herald!r}"
+            )
+        if self.constraint is not None and not 0.0 <= self.constraint < math.inf:
+            raise ContractViolation(
+                f"constraint must be None or nonnegative and finite, "
+                f"got {self.constraint!r}"
+            )
+        if not (self.max_patterns >= 1 and float(self.max_patterns).is_integer()):
+            raise ContractViolation(
+                f"max_patterns must be a positive integer, got {self.max_patterns!r}"
+            )
+        object.__setattr__(self, "max_patterns", int(self.max_patterns))
         if self.patterns is not None:
             cleaned = tuple(
                 tuple(int(v) for v in pattern) for pattern in self.patterns
@@ -213,18 +271,23 @@ class _SchemeEngine:
         self.patterns = np.unique(FockBasis(M - 1, cutoff).occupations, axis=0)
         self.pattern_index = {tuple(int(v) for v in row): i
                               for i, row in enumerate(self.patterns)}
+        # the search ranks only the patterns whose photon total may still
+        # reach min_herald, kept in the order of the full list
+        self.rank_total = _rank_total(space, cutoff)
+        self.ranked = np.flatnonzero(self.patterns.sum(axis=1) <= self.rank_total)
         if space.patterns is None:
             self.scan_mask = None
         else:
-            self.scan_mask = np.zeros(self.patterns.shape[0], dtype=bool)
+            scan_mask = np.zeros(self.patterns.shape[0], dtype=bool)
             for pattern in space.patterns:
                 index = self.pattern_index.get(pattern)
                 if index is not None:
-                    self.scan_mask[index] = True
-            if not self.scan_mask.any():
+                    scan_mask[index] = True
+            if not scan_mask.any():
                 raise ContractViolation(
                     "none of the requested heralding patterns fits under the cutoff"
                 )
+            self.scan_mask = scan_mask[self.ranked]
         self.mesh_len = mesh_param_count(M)
 
         branches = list(itertools.product((0, 1), repeat=S))
@@ -255,6 +318,7 @@ class _SchemeEngine:
         self.max_count = max(cutoff, 1)
         row_start = np.arange((M - 1) * (S + 1))[:, None] * (self.max_count + 1)
         self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
+        self.ranked_row_index = self.row_index[:, self.ranked]
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, k_0-major.  At a given k_0 the basis
@@ -281,11 +345,12 @@ class _SchemeEngine:
         alphas = amp[:, 0::2] + 1j * amp[:, 1::2]
         return mesh, alphas
 
-    def outcome_table(self, params):
+    def outcome_table(self, params, *, ranked=False):
         """Per-pattern herald probability, one-photon weight and multiphoton
         weight (unnormalized), each (R, patterns), and the herald mass outside
-        the patterns, (R,), for an (R, parameters) array.  Each row's result
-        is the same whatever R is."""
+        the patterns, (R,), for an (R, parameters) array.  The patterns are
+        all enumerated ones, or with ``ranked`` the subset ``self.ranked``.
+        Each row's result is the same whatever R is."""
         mesh, alphas = self.split_params(params)
         size = np.abs(alphas)
         if np.any(size > self.space.amplitude_cap * (1.0 + 1e-9)):
@@ -301,7 +366,8 @@ class _SchemeEngine:
             betas[:, :, 0], self.max_count, self.space.num_sources
         )
         # take along axis 1 applies one index table to every parameter row
-        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(self.row_index, axis=1)
+        row_index = self.ranked_row_index if ranked else self.row_index
+        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(row_index, axis=1)
         g = rows_of_d.take(self.column_index, axis=1).prod(axis=1)
         psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
         c = np.empty(psi.shape[:3] + g.shape[2:], dtype=complex)
@@ -355,13 +421,15 @@ def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
     array.  The score is the best X among the ranked patterns; with none
     ranked it is -2, or -1 minus the least multiphoton ratio when eligible
-    patterns all break the constraint, and the pattern index is -1."""
+    patterns all break the constraint, and the pattern index is -1.  Only
+    the engine's ranked subset is evaluated: no other pattern can reach
+    min_herald."""
     engine = _engine(space)
-    herald, one, multi, _ = engine.outcome_table(params)
+    herald, one, multi, _ = engine.outcome_table(params, ranked=True)
     eligible = herald >= space.min_herald
     if engine.scan_mask is not None:
         eligible &= engine.scan_mask
-    if engine.patterns.shape[0] > space.max_patterns:
+    if engine.ranked.size > space.max_patterns:
         crowded = eligible.sum(axis=1) > space.max_patterns
         if crowded.any():
             # rank only the eligible patterns, the heaviest heralds first
@@ -381,7 +449,7 @@ def _objective(space: SearchSpace, params):
             eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), fallback
         )
     x_ratio = np.where(valid, x_ratio, -1.0)
-    best = np.argmax(x_ratio, axis=1)
+    best = engine.ranked[np.argmax(x_ratio, axis=1)]
     found = valid.any(axis=1)
     scores = np.where(found, x_ratio.max(axis=1), fallback)
     return scores, np.where(found, best, -1)

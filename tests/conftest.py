@@ -18,6 +18,17 @@ def random_density(rng, basis, support=None):
     return pel.DensityMatrix(basis, elements)
 
 
+def rows_at_the_cap(rng, space, rows):
+    """Random search parameter rows with every coherent amplitude at the
+    space's amplitude cap."""
+    mesh_len = pel.mesh_param_count(space.modes)
+    phases = rng.uniform(-np.pi, np.pi, (rows, space.num_coherent))
+    amps = np.empty((rows, 2 * space.num_coherent))
+    amps[:, 0::2] = space.amplitude_cap * np.cos(phases)
+    amps[:, 1::2] = space.amplitude_cap * np.sin(phases)
+    return np.hstack([rng.uniform(-np.pi, np.pi, (rows, mesh_len)), amps])
+
+
 def inertia_min_eigenvalue(h, tol=1e-9):
     """Independent smallest-eigenvalue oracle: bisection on Sylvester inertia
     computed from an LDL^H factorization (no eigensolver involved)."""

@@ -220,6 +220,30 @@ def test_main_coherent_tail_beyond_cutoff_exit_code(tmp_path, capsys):
     assert "tail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("amplitude_cap", math.inf),
+        ("amplitude_cap", math.nan),
+        ("min_herald", math.nan),
+        ("constraint", math.nan),
+    ],
+)
+def test_main_bad_search_space_exit_code(tmp_path, capsys, monkeypatch, field, value):
+    # JSON admits NaN and Infinity, which pass the schema's bounds; the
+    # search space must reject them before any search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(pel.cli, "maximize_X", no_search)
+    path = tmp_path / "spec.json"
+    search = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}
+    path.write_text(json.dumps({"command": "nogo-search", "search": {**search, field: value}}))
+    code = main(["nogo-search", "--spec", str(path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_main_missing_file(capsys):
     code = main(["simulate", "--spec", "/nonexistent/spec.json"])
     assert code == 3

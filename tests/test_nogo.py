@@ -35,6 +35,8 @@ from pel.errors import (
     HeraldImpossibleError,
 )
 
+from conftest import rows_at_the_cap
+
 
 def small_space(**kw):
     kw.setdefault("num_coherent", 1)
@@ -47,12 +49,35 @@ def test_search_space_validation():
         SearchSpace(())
     with pytest.raises(ContractViolation):
         SearchSpace((1.2,))
+    with pytest.raises(ContractViolation):
+        SearchSpace((math.nan, 0.5))
     with pytest.raises(ContractViolation, match="two modes"):
         SearchSpace((0.5,), num_coherent=0)
     assert SearchSpace((0.3, 0.8)).p_max == 0.8
     assert SearchSpace((0.3,), constraint=1e-9).bound == 0.3
     assert SearchSpace((0.3,)).bound == 0.5
     assert SearchSpace((0.8,)).bound == 0.8
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("amplitude_cap", math.inf),
+        ("amplitude_cap", math.nan),
+        ("amplitude_cap", 0.0),
+        ("min_herald", math.nan),
+        ("min_herald", -1e-3),
+        ("min_herald", 1.5),
+        ("max_patterns", 0),
+        ("max_patterns", 2.5),
+        ("constraint", math.nan),
+        ("constraint", math.inf),
+        ("constraint", -0.5),
+    ],
+)
+def test_search_space_rejects_bad_values(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        SearchSpace((0.5, 0.5), cutoff=6, **{field: value})
 
 
 def test_default_cutoff_policy():
@@ -333,3 +358,80 @@ def test_explicit_pattern_restriction():
     assert free.best_X >= report.best_X - 1e-12
     with pytest.raises(ContractViolation, match="pattern"):
         SearchSpace((0.5, 0.5), num_coherent=1, patterns=((1,),))
+
+
+#: the 3- and 4-mode acceptance shapes at their highest efficiencies, and the
+#: criterion-9 cell
+RANKED_SHAPES = {
+    "3-modes": SearchSpace((0.6, 0.6)),
+    "4-modes": SearchSpace((0.8, 0.8, 0.64)),
+    "criterion-9": SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3),
+}
+
+
+@pytest.mark.parametrize("space", RANKED_SHAPES.values(), ids=RANKED_SHAPES.keys())
+def test_unranked_patterns_never_reach_min_herald(rng, space):
+    engine = pel.nogo._engine(space)
+    unranked = np.setdiff1d(np.arange(engine.patterns.shape[0]), engine.ranked)
+    assert unranked.size > 0
+    assert engine.patterns[unranked].sum(axis=1).min() == engine.rank_total + 1
+    herald = engine.outcome_table(rows_at_the_cap(rng, space, 64))[0]
+    assert herald[:, unranked].max() < space.min_herald
+
+
+def _full_set_objective(space, params):
+    """Reference for ``_objective``: the ranking rules applied to every
+    enumerated pattern, one row at a time."""
+    engine = pel.nogo._engine(space)
+    herald, one, multi, _ = engine.outcome_table(params)
+    scores, best = [], []
+    for h, o, m in zip(herald, one, multi):
+        eligible = [
+            i for i, pattern in enumerate(engine.patterns)
+            if h[i] >= space.min_herald
+            and (space.patterns is None or tuple(pattern) in space.patterns)
+        ]
+        # sorted is stable: equal heralds keep the list order
+        eligible = sorted(sorted(eligible, key=lambda i: -h[i])[: space.max_patterns])
+        valid = [i for i in eligible
+                 if space.constraint is None or m[i] / h[i] <= space.constraint]
+        if valid:
+            top = max(valid, key=lambda i: o[i] / h[i])
+            scores.append(o[top] / h[top])
+            best.append(top)
+        else:
+            least = min((m[i] / h[i] for i in eligible), default=None)
+            scores.append(-2.0 if least is None or space.constraint is None
+                          else -1.0 - least)
+            best.append(-1)
+    return np.array(scores), np.array(best)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"constraint": 1e-3},
+        {"patterns": ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (9, 0), (5, 5))},
+        {"max_patterns": 3},
+    ],
+    ids=["free", "constrained", "patterns", "crowded"],
+)
+def test_ranked_objective_matches_the_full_set(rng, options):
+    space = SearchSpace((0.6, 0.6), **options)
+    engine = pel.nogo._engine(space)
+    assert engine.ranked.size < engine.patterns.shape[0]
+    params = rows_at_the_cap(rng, space, 32)
+    params[16:, engine.mesh_len:] *= rng.uniform(0.0, 1.0, (16, 1))
+    scores, best = pel.nogo._objective(space, params)
+    expected_scores, expected_best = _full_set_objective(space, params)
+    assert np.array_equal(best, expected_best)
+    assert np.allclose(scores, expected_scores, rtol=1e-15, atol=0.0)
+
+
+def test_ranked_subset_is_everything_when_nothing_can_be_ruled_out():
+    for space in (SearchSpace((0.6, 0.6), min_herald=1e-13),
+                  SearchSpace((0.6, 0.6), cutoff=5)):
+        engine = pel.nogo._engine(space)
+        assert engine.rank_total == space.cutoff_used
+        assert np.array_equal(engine.ranked, np.arange(engine.patterns.shape[0]))
