@@ -77,7 +77,6 @@ from .measurement import (
 from .nogo import (
     SearchReport,
     SearchSpace,
-    default_cutoff,
     evaluate_scheme,
     maximize_X,
     unequal_loss_counterexample,

@@ -237,12 +237,25 @@ def _spec_validator():
     return cls(SCHEMA)
 
 
+def _require_finite(value, path=()):
+    """Reject the first NaN or infinity in a JSON value: Python's json admits
+    both, and they pass the schema's bounds."""
+    if isinstance(value, float) and not math.isfinite(value):
+        field = ".".join(str(p) for p in path)
+        raise ValidationError(f"spec field {field}: non-finite number {value!r}")
+    if isinstance(value, (dict, list)):
+        children = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in children:
+            _require_finite(child, path + (key,))
+
+
 def validate_spec(spec: dict) -> None:
     # best_match picks the same error that jsonschema.validate would raise
     exc = jsonschema.exceptions.best_match(_spec_validator().iter_errors(spec))
     if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ValidationError(f"spec field {path}: {exc.message}")
+    _require_finite(spec)
 
 
 def _as_complex(value) -> complex:

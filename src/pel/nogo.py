@@ -25,24 +25,25 @@ A coherent ancilla is a displaced vacuum, so each of the 2^S source branches
 leaves the mesh as D(U alpha) V|f_b>, with V|f_b> on the S-photon basis, and
 the outcome amplitudes factor per mode into displaced-number elements.
 Herald probability, one-photon and multiphoton weight are therefore exact
-for every enumerated heralding pattern.  The cutoff only bounds the detected
-photon total of the enumerated patterns; ``truncation_weight`` is the herald
-mass outside them, 1 - sum of the enumerated herald probabilities.
+for every heralding pattern evaluated.
 
-The search objective evaluates only the ranked subset of the patterns.  The
-mesh conserves photon number, so a pattern d heralds with probability at
-most P(N >= |d|), where N is the total input photon number: the sources'
-Poisson-binomial count plus a Poisson count of mean sum |alpha_j|^2 <=
-num_coherent * amplitude_cap^2.  Patterns whose photon total puts this bound
-below ``min_herald`` (less a 1e-12 margin for rounding) can never be
-eligible and are skipped; ``evaluate_scheme``, the final report and
-``truncation_weight`` still cover every enumerated pattern.
+One rule truncates the patterns.  The mesh conserves photon number, so a
+pattern d heralds with probability at most P(N >= |d|), where N is the total
+input photon number: the sources' Poisson-binomial count plus a Poisson
+count of mean sum |alpha_j|^2 <= num_coherent * amplitude_cap^2.  The engine
+enumerates every pattern up to the largest total whose bound still reaches
+``min_herald`` less a 1e-12 rounding margin, and at least the 1e-12 herald
+floor (``_rank_total``); no pattern above it can ever be eligible.  An
+explicit cutoff only caps this total.  ``truncation_weight`` is the herald
+mass outside the enumerated patterns, 1 - sum of their herald
+probabilities.  ``evaluate_scheme`` computes a pattern above the total as
+its own column.
 """
 
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -72,59 +73,43 @@ from .interferometer import (
 BOUND_SLACK = 1e-6
 
 
-def default_cutoff(num_sources: int, num_coherent: int, amplitude_cap: float) -> int:
-    """Smallest bound on the detected photon total that leaves at most 1e-12
-    of the worst-case coherent photon number beyond it."""
-    if num_coherent == 0:
-        return max(num_sources, 1)
-    amplitude = math.sqrt(num_coherent) * amplitude_cap
-
-    def too_short(extra):
-        return coherent_tail_weight(amplitude, extra) > 1e-12
-
-    # the tail falls with the cutoff: bracket the first short enough one by
-    # doubling, then bisect, so that large caps cost a few dozen tail sums
-    short, enough = 0, 1
-    while too_short(enough):
-        short, enough = enough, 2 * enough
-    while enough - short > 1:
-        middle = (short + enough) // 2
-        if too_short(middle):
-            short = middle
-        else:
-            enough = middle
-    return num_sources + enough
-
-
 #: absolute margin between the rank bound and min_herald, so that rounding in
 #: a computed herald can never lift a pruned pattern over the threshold
 _RANK_MARGIN = 1e-12
 
 
-def _rank_total(space, cutoff: int) -> int:
-    """Largest detected photon total n <= cutoff at which P(N >= n), the
-    module docstring's bound on a pattern's herald, still reaches min_herald
-    less ``_RANK_MARGIN``.  The Poisson part of N takes its largest mean,
-    every ancilla at the amplitude cap."""
-    threshold = space.min_herald - _RANK_MARGIN
-    if threshold <= 0.0:
-        return cutoff
+def _rank_total(space) -> int:
+    """Largest detected photon total n at which P(N >= n), the module
+    docstring's bound on a pattern's herald, still reaches min_herald less
+    ``_RANK_MARGIN``, and at least the herald floor; an explicit cutoff caps
+    it.  The Poisson part of N takes its largest mean, every ancilla at the
+    amplitude cap."""
+    threshold = max(space.min_herald - _RANK_MARGIN, DEFAULT.herald_floor)
     counts = np.array([1.0])
     for p in space.source_efficiencies:
         counts = np.convolve(counts, [1.0 - p, p])
     # the engine admits |alpha| up to amplitude_cap * (1 + 1e-9)
     amplitude = math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)
 
-    def at_least(n):
+    def reaches(n):
         return math.fsum(
             weight * (coherent_tail_weight(amplitude, n - k - 1) if n > k else 1.0)
             for k, weight in enumerate(counts)
-        )
+        ) >= threshold
 
-    total = 0
-    while total < cutoff and at_least(total + 1) >= threshold:
-        total += 1
-    return total
+    # the bound falls with n: bracket the last total that reaches the
+    # threshold by doubling, then bisect, so that large caps cost a few dozen
+    # tail sums
+    reached, short = 0, 1
+    while reaches(short):
+        reached, short = short, 2 * short
+    while short - reached > 1:
+        middle = (reached + short) // 2
+        if reaches(middle):
+            reached = middle
+        else:
+            short = middle
+    return reached if space.cutoff is None else min(reached, space.cutoff)
 
 
 @dataclass(frozen=True)
@@ -134,15 +119,16 @@ class SearchSpace:
 
     source_efficiencies: tuple
     num_coherent: int = 1
-    #: None picks default_cutoff()
+    #: cap on the detected photon total of the enumerated patterns; the
+    #: total used is the rank bound of ``_rank_total`` below this cap
     cutoff: int | None = None
     #: coherent amplitudes are confined to |alpha| <= amplitude_cap
     amplitude_cap: float = 1.0
     #: multiphoton-weight threshold for the constrained regime; None = unconstrained
     constraint: float | None = None
-    #: heralding outcomes below this probability are not ranked; patterns
-    #: whose photon total bounds their herald below it are not even evaluated
-    #: by the search (see ``_rank_total``)
+    #: heralding outcomes below this probability are not ranked, and patterns
+    #: whose photon total bounds their herald below it are not enumerated
+    #: (see ``_rank_total``)
     min_herald: float = 1e-5
     #: per-evaluation cap on ranked heralding outcomes
     max_patterns: int = 200
@@ -206,9 +192,8 @@ class SearchSpace:
 
     @property
     def cutoff_used(self) -> int:
-        if self.cutoff is not None:
-            return self.cutoff
-        return default_cutoff(self.num_sources, self.num_coherent, self.amplitude_cap)
+        """Largest detected photon total of the enumerated patterns."""
+        return _rank_total(self)
 
     @property
     def bound(self) -> float:
@@ -227,9 +212,11 @@ class SearchReport:
 
     ``best_pattern == ()`` means that no heralding pattern was ranked at the
     best parameters: none was eligible, or none met the multiphoton
-    constraint.  X, herald probability and multiphoton weight then read 0;
-    ``truncation_weight`` is the herald mass outside the enumerated patterns
-    at ``best_params`` either way.
+    constraint.  X, herald probability and multiphoton weight then read 0.
+    ``cutoff_used`` is the largest detected photon total enumerated, and
+    ``truncation_weight`` the herald mass outside the enumerated patterns at
+    ``best_params`` either way; without an explicit cutoff it is at most
+    P(N > cutoff_used) < max(min_herald, 1e-12).
     """
 
     best_X: float
@@ -268,26 +255,19 @@ class _SchemeEngine:
         S, M, cutoff = space.num_sources, space.modes, space.cutoff_used
         self.basis = FockBasis(M, S)
         detected = FockBasis(M - 1, S)
-        self.patterns = np.unique(FockBasis(M - 1, cutoff).occupations, axis=0)
+        # every pattern up to the rank bound, and the requested ones, which
+        # are computed exactly whatever their total
+        listed = FockBasis(M - 1, cutoff).occupations
+        if space.patterns is not None:
+            listed = np.vstack([listed, space.patterns])
+        self.patterns = np.unique(listed, axis=0)
         self.pattern_index = {tuple(int(v) for v in row): i
                               for i, row in enumerate(self.patterns)}
-        # the search ranks only the patterns whose photon total may still
-        # reach min_herald, kept in the order of the full list
-        self.rank_total = _rank_total(space, cutoff)
-        self.ranked = np.flatnonzero(self.patterns.sum(axis=1) <= self.rank_total)
-        if space.patterns is None:
-            self.scan_mask = None
-        else:
-            scan_mask = np.zeros(self.patterns.shape[0], dtype=bool)
-            for pattern in space.patterns:
-                index = self.pattern_index.get(pattern)
-                if index is not None:
-                    scan_mask[index] = True
-            if not scan_mask.any():
-                raise ContractViolation(
-                    "none of the requested heralding patterns fits under the cutoff"
-                )
-            self.scan_mask = scan_mask[self.ranked]
+        # the search scans the patterns within the bound, the requested ones only
+        self.scan_mask = self.patterns.sum(axis=1) <= cutoff
+        if space.patterns is not None:
+            requested = set(space.patterns)
+            self.scan_mask &= [row in requested for row in self.pattern_index]
         self.mesh_len = mesh_param_count(M)
 
         branches = list(itertools.product((0, 1), repeat=S))
@@ -315,10 +295,9 @@ class _SchemeEngine:
         # entry d_j of every (j, k) row for each pattern, and a second picks
         # row (j, k'_j) for each detected state.  The survivor's table needs
         # rows m_0 = 0 and 1 even at cutoff 0
-        self.max_count = max(cutoff, 1)
+        self.max_count = max(int(self.patterns.max()), 1)
         row_start = np.arange((M - 1) * (S + 1))[:, None] * (self.max_count + 1)
         self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
-        self.ranked_row_index = self.row_index[:, self.ranked]
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, k_0-major.  At a given k_0 the basis
@@ -345,12 +324,11 @@ class _SchemeEngine:
         alphas = amp[:, 0::2] + 1j * amp[:, 1::2]
         return mesh, alphas
 
-    def outcome_table(self, params, *, ranked=False):
+    def outcome_table(self, params):
         """Per-pattern herald probability, one-photon weight and multiphoton
         weight (unnormalized), each (R, patterns), and the herald mass outside
-        the patterns, (R,), for an (R, parameters) array.  The patterns are
-        all enumerated ones, or with ``ranked`` the subset ``self.ranked``.
-        Each row's result is the same whatever R is."""
+        the patterns, (R,), for an (R, parameters) array.  Each row's result
+        is the same whatever R is."""
         mesh, alphas = self.split_params(params)
         size = np.abs(alphas)
         if np.any(size > self.space.amplitude_cap * (1.0 + 1e-9)):
@@ -366,8 +344,7 @@ class _SchemeEngine:
             betas[:, :, 0], self.max_count, self.space.num_sources
         )
         # take along axis 1 applies one index table to every parameter row
-        row_index = self.ranked_row_index if ranked else self.row_index
-        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(row_index, axis=1)
+        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(self.row_index, axis=1)
         g = rows_of_d.take(self.column_index, axis=1).prod(axis=1)
         psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
         c = np.empty(psi.shape[:3] + g.shape[2:], dtype=complex)
@@ -400,16 +377,19 @@ def _engine(space: SearchSpace) -> _SchemeEngine:
 
 def evaluate_scheme(space: SearchSpace, params, pattern):
     """Single-photon probability X, herald probability, and multiphoton weight
-    of the surviving mode for one parameter vector and heralding outcome."""
+    of the surviving mode for one parameter vector and heralding outcome.
+    A pattern above the enumerated totals is computed as its own column."""
     engine = _engine(space)
     pattern = tuple(int(v) for v in pattern)
     if len(pattern) != space.modes - 1:
         raise ContractViolation(
             f"pattern must give counts for the {space.modes - 1} detected modes"
         )
+    if pattern not in engine.pattern_index:
+        engine = _engine(replace(space, patterns=(pattern,)))
     herald, one, multi, _ = engine.outcome_table(np.asarray(params, dtype=float)[None])
-    index = engine.pattern_index.get(pattern)
-    prob = float(herald[0, index]) if index is not None else 0.0
+    index = engine.pattern_index[pattern]
+    prob = float(herald[0, index])
     if prob < DEFAULT.herald_floor:
         raise HeraldImpossibleError(
             f"outcome {pattern}: probability {prob:.3e} below the herald floor"
@@ -421,15 +401,11 @@ def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
     array.  The score is the best X among the ranked patterns; with none
     ranked it is -2, or -1 minus the least multiphoton ratio when eligible
-    patterns all break the constraint, and the pattern index is -1.  Only
-    the engine's ranked subset is evaluated: no other pattern can reach
-    min_herald."""
+    patterns all break the constraint, and the pattern index is -1."""
     engine = _engine(space)
-    herald, one, multi, _ = engine.outcome_table(params, ranked=True)
-    eligible = herald >= space.min_herald
-    if engine.scan_mask is not None:
-        eligible &= engine.scan_mask
-    if engine.ranked.size > space.max_patterns:
+    herald, one, multi, _ = engine.outcome_table(params)
+    eligible = (herald >= space.min_herald) & engine.scan_mask
+    if engine.patterns.shape[0] > space.max_patterns:
         crowded = eligible.sum(axis=1) > space.max_patterns
         if crowded.any():
             # rank only the eligible patterns, the heaviest heralds first
@@ -449,7 +425,7 @@ def _objective(space: SearchSpace, params):
             eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), fallback
         )
     x_ratio = np.where(valid, x_ratio, -1.0)
-    best = engine.ranked[np.argmax(x_ratio, axis=1)]
+    best = np.argmax(x_ratio, axis=1)
     found = valid.any(axis=1)
     scores = np.where(found, x_ratio.max(axis=1), fallback)
     return scores, np.where(found, best, -1)
@@ -564,6 +540,10 @@ def maximize_X(
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
     engine = _engine(space)
+    if not engine.scan_mask.any():
+        raise ContractViolation(
+            "none of the requested heralding patterns fits under the cutoff"
+        )
     per_restart = _restart_cost(space)
     n_restarts = max(1, budget // per_restart)
     blocks = [range(start, min(start + _LOCKSTEP, n_restarts))

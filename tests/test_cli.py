@@ -244,6 +244,37 @@ def test_main_bad_search_space_exit_code(tmp_path, capsys, monkeypatch, field, v
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"command": "efficiency",
+          "sources": [{"kind": "coherent", "alpha": math.inf}]}, "sources.0.alpha"),
+        ({"command": "simulate",
+          "sources": [{"kind": "isps", "p": 0.5}, {"kind": "isps", "p": 0.5}],
+          "interferometer": {"mesh": [math.inf, 0.0, 0.0, 0.0]}},
+         "interferometer.mesh.0"),
+        ({"command": "efficiency",
+          "sources": [{"kind": "partial_qubit", "p": 0.5, "q": [math.nan, 0.0]}]},
+         "sources.0.q.0"),
+        ({"command": "efficiency", "sources": [{"kind": "isps", "p": 0.5}],
+          "tolerances": {"herald_floor": math.nan}}, "tolerances.herald_floor"),
+    ],
+    ids=["alpha", "mesh", "q", "herald_floor"],
+)
+def test_main_non_finite_spec_exit_code(tmp_path, capsys, monkeypatch, spec, field):
+    # JSON admits NaN and Infinity; a spec carrying either must fail
+    # validation, naming the field, before any command runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main([spec["command"], "--spec", str(path)])
+    assert code == 2
+    assert f"spec field {field}: non-finite" in capsys.readouterr().err
+
+
 def test_main_missing_file(capsys):
     code = main(["simulate", "--spec", "/nonexistent/spec.json"])
     assert code == 3

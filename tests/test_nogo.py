@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pel import (
     apply_interferometer,
     apply_loss,
     condition,
-    default_cutoff,
     evaluate_scheme,
     from_mesh,
     make_basis,
@@ -81,10 +81,17 @@ def test_search_space_rejects_bad_values(field, value):
 
 
 def test_default_cutoff_policy():
-    assert default_cutoff(2, 0, 1.0) == 2
-    with_coherent = default_cutoff(2, 1, 1.0)
-    assert with_coherent > 2 + 8  # the Poisson(1) tail decays slowly
-    assert default_cutoff(2, 1, 0.5) < with_coherent
+    # at min_herald 0 the 1e-12 herald floor sets the bound
+    assert SearchSpace((0.5, 0.5), num_coherent=0, min_herald=0.0).cutoff_used == 2
+    for min_herald in (0.0, 1e-13):
+        assert SearchSpace((0.6, 0.6), min_herald=min_herald).cutoff_used == 16
+    smaller_cap = SearchSpace((0.6, 0.6), min_herald=0.0, amplitude_cap=0.5)
+    assert smaller_cap.cutoff_used < 16
+    # min_herald lowers the bound, and an explicit cutoff only caps it
+    default = SearchSpace((0.6, 0.6)).cutoff_used
+    assert default < 16
+    assert SearchSpace((0.6, 0.6), cutoff=5).cutoff_used == 5
+    assert SearchSpace((0.6, 0.6), cutoff=40).cutoff_used == default
 
 
 def test_pass_through_single_source():
@@ -169,18 +176,23 @@ def test_evaluate_scheme_matches_density_matrix_pipeline(
 def test_heralds_exact_near_the_cutoff(rng):
     # detected totals within 2 of the cutoff leave no room for the surviving
     # mode in a cutoff-6 joint basis; against the dense pipeline at cutoff 18
-    # the engine's heralds must hold to 1e-8 relative (they are tiny)
-    space = small_space(cutoff=6)
-    mesh_len = mesh_param_count(space.modes)
+    # the engine's heralds must hold to 1e-8 relative (they are tiny).  At
+    # min_herald 1e-2 the totals of 6 lie above the enumerated ones and are
+    # computed as columns of their own
+    mesh_len = mesh_param_count(3)
     params = np.concatenate(
         [rng.uniform(-math.pi, math.pi, size=mesh_len), [0.6, -0.5]]
     )
-    slow = _dense_pipeline(space, params, 18)
-    for pattern in [(3, 2), (2, 2), (4, 0), (1, 5), (0, 6)]:
-        _, prob, multi = evaluate_scheme(space, params, pattern)
-        _, prob_ref, multi_ref = slow(pattern)
-        assert prob == pytest.approx(prob_ref, rel=1e-8)
-        assert multi == pytest.approx(multi_ref, rel=1e-8)
+    own_column = small_space(cutoff=6, min_herald=1e-2)
+    assert own_column.cutoff_used < 6
+    slow = _dense_pipeline(own_column, params, 18)
+    for space in (small_space(cutoff=6), own_column):
+        for pattern in [(3, 2), (2, 2), (4, 0), (1, 5), (0, 6)]:
+            _, prob, multi = evaluate_scheme(space, params, pattern)
+            _, prob_ref, multi_ref = slow(pattern)
+            assert prob == pytest.approx(prob_ref, rel=1e-8)
+            assert multi == pytest.approx(multi_ref, rel=1e-8)
+    assert (0, 6) not in pel.nogo._engine(own_column).pattern_index
 
 
 def test_output_phases_do_not_change_observables(rng):
@@ -281,16 +293,18 @@ def test_bernoulli_consequences(rng):
 def test_large_amplitude_cap_fails_loudly():
     # the Poisson(1600) tail beyond a few photons underflows termwise; the
     # cutoff must still cover it, and the pattern basis then exceeds capacity
-    assert default_cutoff(2, 1, 40.0) > 1600
+    space = SearchSpace((0.5, 0.5), amplitude_cap=40.0)
+    assert space.cutoff_used > 1600
     with pytest.raises(CapacityError):
-        maximize_X(SearchSpace((0.5, 0.5), amplitude_cap=40.0), 200, seed=1)
+        maximize_X(space, 200, seed=1)
 
 
 def test_report_carries_truncation_weight():
     space = small_space(cutoff=12)
     report = maximize_X(space, 600, seed=2)
     assert 0.0 <= report.truncation_weight < 1e-6
-    assert report.cutoff_used == 12
+    # the rank bound lies below the cap of 12
+    assert report.cutoff_used == 9
 
 
 def test_report_without_ranked_pattern_carries_truncation():
@@ -361,33 +375,43 @@ def test_explicit_pattern_restriction():
 
 
 #: the 3- and 4-mode acceptance shapes at their highest efficiencies, and the
-#: criterion-9 cell
+#: criterion-9 cell, each with the cutoff that enumerated their patterns
+#: before the rank bound did
 RANKED_SHAPES = {
-    "3-modes": SearchSpace((0.6, 0.6)),
-    "4-modes": SearchSpace((0.8, 0.8, 0.64)),
-    "criterion-9": SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3),
+    "3-modes": (SearchSpace((0.6, 0.6)), 16),
+    "4-modes": (SearchSpace((0.8, 0.8, 0.64)), 17),
+    "criterion-9": (SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3), 9),
 }
 
 
-@pytest.mark.parametrize("space", RANKED_SHAPES.values(), ids=RANKED_SHAPES.keys())
-def test_unranked_patterns_never_reach_min_herald(rng, space):
-    engine = pel.nogo._engine(space)
-    unranked = np.setdiff1d(np.arange(engine.patterns.shape[0]), engine.ranked)
-    assert unranked.size > 0
-    assert engine.patterns[unranked].sum(axis=1).min() == engine.rank_total + 1
-    herald = engine.outcome_table(rows_at_the_cap(rng, space, 64))[0]
+def _scanning_every_pattern(space, cutoff):
+    """``space`` with every pattern up to ``cutoff`` requested: its engine
+    computes each of them, above the rank bound too."""
+    detected = make_basis(space.modes - 1, cutoff).occupations
+    return replace(space, patterns=tuple(tuple(row) for row in detected))
+
+
+@pytest.mark.parametrize("space,cutoff", RANKED_SHAPES.values(), ids=RANKED_SHAPES.keys())
+def test_unranked_patterns_never_reach_min_herald(rng, space, cutoff):
+    full = pel.nogo._engine(_scanning_every_pattern(space, cutoff))
+    unranked = full.patterns.sum(axis=1) > space.cutoff_used
+    assert unranked.any()
+    assert full.patterns[unranked].sum(axis=1).min() == space.cutoff_used + 1
+    assert np.array_equal(pel.nogo._engine(space).patterns, full.patterns[~unranked])
+    herald = full.outcome_table(rows_at_the_cap(rng, space, 64))[0]
     assert herald[:, unranked].max() < space.min_herald
 
 
-def _full_set_objective(space, params):
+def _full_set_objective(space, params, cutoff):
     """Reference for ``_objective``: the ranking rules applied to every
-    enumerated pattern, one row at a time."""
-    engine = pel.nogo._engine(space)
-    herald, one, multi, _ = engine.outcome_table(params)
+    pattern up to ``cutoff``, one row at a time.  Returns the scores and the
+    best patterns."""
+    full = pel.nogo._engine(_scanning_every_pattern(space, cutoff))
+    herald, one, multi, _ = full.outcome_table(params)
     scores, best = [], []
     for h, o, m in zip(herald, one, multi):
         eligible = [
-            i for i, pattern in enumerate(engine.patterns)
+            i for i, pattern in enumerate(full.patterns)
             if h[i] >= space.min_herald
             and (space.patterns is None or tuple(pattern) in space.patterns)
         ]
@@ -398,13 +422,13 @@ def _full_set_objective(space, params):
         if valid:
             top = max(valid, key=lambda i: o[i] / h[i])
             scores.append(o[top] / h[top])
-            best.append(top)
+            best.append(tuple(full.patterns[top]))
         else:
             least = min((m[i] / h[i] for i in eligible), default=None)
             scores.append(-2.0 if least is None or space.constraint is None
                           else -1.0 - least)
-            best.append(-1)
-    return np.array(scores), np.array(best)
+            best.append(None)
+    return np.array(scores), best
 
 
 @pytest.mark.parametrize(
@@ -420,18 +444,49 @@ def _full_set_objective(space, params):
 def test_ranked_objective_matches_the_full_set(rng, options):
     space = SearchSpace((0.6, 0.6), **options)
     engine = pel.nogo._engine(space)
-    assert engine.ranked.size < engine.patterns.shape[0]
+    assert space.cutoff_used < 16
     params = rows_at_the_cap(rng, space, 32)
     params[16:, engine.mesh_len:] *= rng.uniform(0.0, 1.0, (16, 1))
     scores, best = pel.nogo._objective(space, params)
-    expected_scores, expected_best = _full_set_objective(space, params)
-    assert np.array_equal(best, expected_best)
+    expected_scores, expected_best = _full_set_objective(space, params, 16)
+    assert [tuple(engine.patterns[i]) if i >= 0 else None for i in best] == expected_best
     assert np.allclose(scores, expected_scores, rtol=1e-15, atol=0.0)
 
 
 def test_ranked_subset_is_everything_when_nothing_can_be_ruled_out():
-    for space in (SearchSpace((0.6, 0.6), min_herald=1e-13),
-                  SearchSpace((0.6, 0.6), cutoff=5)):
+    for space, cutoff in ((SearchSpace((0.6, 0.6), min_herald=1e-13), 16),
+                          (SearchSpace((0.6, 0.6), cutoff=5), 5)):
         engine = pel.nogo._engine(space)
-        assert engine.rank_total == space.cutoff_used
-        assert np.array_equal(engine.ranked, np.arange(engine.patterns.shape[0]))
+        assert space.cutoff_used == cutoff
+        every = np.unique(make_basis(2, cutoff).occupations, axis=0)
+        assert np.array_equal(engine.patterns, every)
+
+
+def test_patterns_above_the_bound_are_computed_but_never_scanned():
+    space = SearchSpace((0.5, 0.5), cutoff=3, patterns=((4, 0), (0, 1)))
+    engine = pel.nogo._engine(space)
+    assert engine.scan_mask.sum() == 1
+    assert engine.scan_mask[engine.pattern_index[(0, 1)]]
+    params = np.random.default_rng(5).uniform(-0.5, 0.5, space.parameter_count())
+    _, prob, _ = evaluate_scheme(space, params, (4, 0))
+    listed = evaluate_scheme(replace(space, cutoff=4), params, (4, 0))[1]
+    assert prob == pytest.approx(listed, rel=1e-12)
+    with pytest.raises(ContractViolation, match="fits under"):
+        maximize_X(replace(space, patterns=((4, 0),)), 200, seed=1)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [SearchSpace((0.8,) * 4, num_coherent=2), SearchSpace((0.8,) * 5)],
+    ids=["4+2", "5+1"],
+)
+def test_larger_shapes_build_under_the_rank_bound(rng, space):
+    # up to the cutoffs that a coherent tail of 1e-12 alone would set (22 and
+    # 19) their pattern lists exceed the basis capacity; under the rank bound
+    # they do not
+    engine = pel.nogo._engine(space)
+    assert engine.patterns.shape[0] == math.comb(
+        space.cutoff_used + space.modes - 1, space.modes - 1
+    )
+    scores, best = pel.nogo._objective(space, rows_at_the_cap(rng, space, 1))
+    assert np.isfinite(scores).all()

@@ -1,6 +1,7 @@
 """Property tests over extreme amplitudes, cutoffs and search spaces."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,11 +44,14 @@ def test_rank_bound_never_prunes_a_reachable_pattern(
         tuple(efficiencies), num_coherent=num_coherent, cutoff=cutoff,
         amplitude_cap=amplitude_cap, min_herald=min_herald,
     )
-    engine = pel.nogo._SchemeEngine(space)
+    # an engine that computes every pattern up to the cutoff
+    detected = pel.make_basis(space.modes - 1, cutoff).occupations
+    engine = pel.nogo._SchemeEngine(
+        replace(space, patterns=tuple(tuple(row) for row in detected))
+    )
     params = rows_at_the_cap(np.random.default_rng(seed), space, 16)
     # the first row's mesh is the identity
     params[0, : engine.mesh_len] = 0.0
     herald = engine.outcome_table(params)[0]
-    unranked = np.ones(engine.patterns.shape[0], dtype=bool)
-    unranked[engine.ranked] = False
+    unranked = engine.patterns.sum(axis=1) > space.cutoff_used
     assert np.all(herald[:, unranked] < min_herald)
