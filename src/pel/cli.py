@@ -495,6 +495,8 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None, fmt=None):
     seed = seed if seed is not None else spec.get("seed", 0)
     cutoff = cutoff if cutoff is not None else spec.get("cutoff")
     threads = threads if threads is not None else spec.get("threads", os.cpu_count() or 1)
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     tol = _tolerances(spec)
     runner = _RUNNERS[spec["command"]]
     return runner(spec, seed, cutoff, threads, tol)

@@ -16,6 +16,18 @@ displacement tables and the objective.  Rows never mix, so a restart's result
 depends on (space, seed, restart) alone, not on its block or the thread
 count.
 
+The mesh runs once per golden-section line, not once per evaluation
+(``_line_scores``).  A line moves one coordinate.  On an amplitude line the
+mesh output does not move at all.  On a mesh line it moves with one angle or
+phase, and each amplitude of the S-photon basis is a trigonometric
+polynomial of degree <= S in it: a two-mode rotation acts on s <= S photons
+through entries e^{it phi} sum_k a_k e^{ik theta} with |t|, |k| <= s, and
+every other element of the mesh is fixed and linear.  So the line applies
+the mesh at the 2S + 1 nodes x_c + 2 pi j / (2S + 1), takes one DFT, and
+rebuilds the output at each probe x from e^{iq (x - x_c)}, q = -S..S.  The
+scores so found agree with a direct evaluation to rounding; the start point,
+the final scores and every public entry point evaluate directly.
+
 ``verify_commutation`` checks the enabling lemma directly: equal loss on all
 modes commutes with any interferometer.  With unequal loss it does not, and
 ``unequal_loss_counterexample`` shows the test has the power to notice.
@@ -63,6 +75,7 @@ from .fock import (
     trace_distance,
 )
 from .interferometer import (
+    _unit_phases,
     apply_mesh_to_vectors,
     haar_random,
     lift,
@@ -142,8 +155,17 @@ class SearchSpace:
         if not all(0.0 <= p <= 1.0 for p in eff):
             raise ContractViolation(f"source efficiencies {eff} outside [0, 1]")
         object.__setattr__(self, "source_efficiencies", eff)
-        if self.num_coherent < 0:
-            raise ContractViolation("num_coherent must be >= 0")
+        if not (self.num_coherent >= 0 and float(self.num_coherent).is_integer()):
+            raise ContractViolation(
+                f"num_coherent must be a nonnegative integer, got {self.num_coherent!r}"
+            )
+        object.__setattr__(self, "num_coherent", int(self.num_coherent))
+        if self.cutoff is not None:
+            if not (self.cutoff >= 0 and float(self.cutoff).is_integer()):
+                raise ContractViolation(
+                    f"cutoff must be None or a nonnegative integer, got {self.cutoff!r}"
+                )
+            object.__setattr__(self, "cutoff", int(self.cutoff))
         if self.modes < 2:
             raise ContractViolation(
                 "the scheme needs at least two modes (one surviving, one detected)"
@@ -167,16 +189,19 @@ class SearchSpace:
             )
         object.__setattr__(self, "max_patterns", int(self.max_patterns))
         if self.patterns is not None:
-            cleaned = tuple(
-                tuple(int(v) for v in pattern) for pattern in self.patterns
-            )
-            if not cleaned:
+            listed = tuple(tuple(pattern) for pattern in self.patterns)
+            if not listed:
                 raise ContractViolation("patterns, when given, must be nonempty")
-            if any(len(p) != self.modes - 1 or min(p) < 0 for p in cleaned):
+            if any(len(p) != self.modes - 1
+                   or not all(v >= 0 and float(v).is_integer() for v in p)
+                   for p in listed):
                 raise ContractViolation(
-                    f"each pattern needs {self.modes - 1} nonnegative counts"
+                    f"patterns need {self.modes - 1} nonnegative integer counts "
+                    f"each, got {self.patterns!r}"
                 )
-            object.__setattr__(self, "patterns", cleaned)
+            object.__setattr__(
+                self, "patterns", tuple(tuple(int(v) for v in p) for p in listed)
+            )
 
     @property
     def num_sources(self) -> int:
@@ -289,6 +314,17 @@ class _SchemeEngine:
             self.inputs[self.basis.index_of(unit[S + j]), B + j] = 1.0
         self.one_photon_rows = np.array([self.basis.index_of(row) for row in unit])
 
+        # a search line moves one mesh angle or phase, in which every mesh
+        # output amplitude is a trigonometric polynomial of degree <= S:
+        # its values at the 2S + 1 nodes x_c + 2 pi j / (2S + 1) give its
+        # coefficients through one DFT (see ``_line_scores``)
+        nodes = 2 * S + 1
+        orders = np.arange(-S, S + 1)
+        self.line_steps = 2.0 * math.pi * np.arange(nodes) / nodes
+        self.line_orders = orders.astype(float)
+        turns = np.outer(orders, np.arange(nodes)) % nodes
+        self.line_dft = _unit_phases(-2.0 * math.pi * turns / nodes) / nodes
+
         # G[k', d] multiplies one element <d_j|D(beta_j)|k'_j> per detected
         # mode j of the (M, max_count + 1, S + 1) displacement tables of one
         # parameter row.  With those tables transposed, one gather takes
@@ -330,34 +366,73 @@ class _SchemeEngine:
         the patterns, (R,), for an (R, parameters) array.  Each row's result
         is the same whatever R is."""
         mesh, alphas = self.split_params(params)
+        return self.tabulate(self.propagate(mesh), alphas)
+
+    def propagate(self, mesh):
+        """The mesh stage: every input column through the mesh of each row of
+        an (R, mesh parameters) array, as (R, dimension, columns) vectors."""
+        vectors = np.repeat(self.inputs[None], mesh.shape[0], axis=0)
+        apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
+        return vectors
+
+    def tabulate(self, vectors, alphas):
+        """``outcome_table`` from the mesh output of ``propagate`` and the
+        (R, num_coherent) ancilla amplitudes; ``vectors`` is left as it is."""
+        cap = self.space.amplitude_cap * (1.0 + 1e-9)
         size = np.abs(alphas)
-        if np.any(size > self.space.amplitude_cap * (1.0 + 1e-9)):
+        # written so that a NaN amplitude fails it too
+        if not np.all(size <= cap):
             raise ContractViolation(
-                f"|alpha| = {size.max():.4g} exceeds the amplitude cap "
+                f"|alpha| = {size.max():.4g} is not within the amplitude cap "
                 f"{self.space.amplitude_cap}"
             )
-        rows, B = mesh.shape[0], self.num_branches
-        vectors = np.repeat(self.inputs[None], rows, axis=0)
-        apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
+        rows, B = vectors.shape[0], self.num_branches
         betas = np.matmul(vectors[:, self.one_photon_rows, B:], alphas[:, :, None])
         tables = displaced_number_elements(
             betas[:, :, 0], self.max_count, self.space.num_sources
         )
-        # take along axis 1 applies one index table to every parameter row
+        g, factor, c, amps = self._work_arrays(rows)
+        # take along axis 1 applies one index table to every parameter row; G
+        # is the elementwise product of one gathered slice per detected mode
         rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(self.row_index, axis=1)
-        g = rows_of_d.take(self.column_index, axis=1).prod(axis=1)
+        rows_of_d.take(self.column_index[0], axis=1, out=g)
+        for columns in self.column_index[1:]:
+            g *= rows_of_d.take(columns, axis=1, out=factor)
         psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
-        c = np.empty(psi.shape[:3] + g.shape[2:], dtype=complex)
         for k0, width in enumerate(self.prefix):
             np.matmul(psi[:, k0, :, :width], g[:, :width], out=c[:, k0])
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
-        amps = np.matmul(tables[:, 0, :2], c.reshape(rows, c.shape[1], -1))
+        np.matmul(tables[:, 0, :2], c.reshape(rows, c.shape[1], -1), out=amps)
         weights = self.branch_weights
         herald = weights @ _squared_magnitude(c, axis=1)
         vacuum_one = weights @ _squared_magnitude(amps).reshape(rows, 2, B, -1)
         one = vacuum_one[:, 1]
         multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
         return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
+
+    def _work_arrays(self, rows):
+        """G, one gathered factor of it, the branch amplitudes c and their
+        surviving-mode contraction for ``rows`` parameter rows: views of one
+        block, shaped (R, detected states, patterns) twice, (R, S + 1,
+        branches, patterns) and (R, 2, branches * patterns).
+
+        They are an evaluation's largest arrays.  glibc returns the free top
+        of its heap to the system once it exceeds twice the largest block it
+        ever had to map and free; with one block the largest block holds most
+        of the evaluation, so a search does not fault its arrays in again on
+        every evaluation."""
+        S, B = self.space.num_sources, self.num_branches
+        detected, patterns = self.column_index.shape[1], self.patterns.shape[0]
+        shapes = [(rows, detected, patterns)] * 2 + [
+            (rows, S + 1, B, patterns), (rows, 2, B * patterns)
+        ]
+        block = np.empty(sum(math.prod(shape) for shape in shapes), dtype=complex)
+        views, start = [], 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            views.append(block[start:stop].reshape(shape))
+            start = stop
+        return views
 
 
 def _squared_magnitude(values, axis=None):
@@ -379,6 +454,9 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
     """Single-photon probability X, herald probability, and multiphoton weight
     of the surviving mode for one parameter vector and heralding outcome.
     A pattern above the enumerated totals is computed as its own column."""
+    params = np.asarray(params, dtype=float)
+    if not np.all(np.isfinite(params)):
+        raise ContractViolation(f"scheme parameters must be finite, got {params}")
     engine = _engine(space)
     pattern = tuple(int(v) for v in pattern)
     if len(pattern) != space.modes - 1:
@@ -387,7 +465,7 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
         )
     if pattern not in engine.pattern_index:
         engine = _engine(replace(space, patterns=(pattern,)))
-    herald, one, multi, _ = engine.outcome_table(np.asarray(params, dtype=float)[None])
+    herald, one, multi, _ = engine.outcome_table(params[None])
     index = engine.pattern_index[pattern]
     prob = float(herald[0, index])
     if prob < DEFAULT.herald_floor:
@@ -399,11 +477,17 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
 
 def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
-    array.  The score is the best X among the ranked patterns; with none
-    ranked it is -2, or -1 minus the least multiphoton ratio when eligible
-    patterns all break the constraint, and the pattern index is -1."""
+    array: ``_scores`` of the engine's outcome table."""
     engine = _engine(space)
-    herald, one, multi, _ = engine.outcome_table(params)
+    return _scores(space, engine, engine.outcome_table(params))
+
+
+def _scores(space: SearchSpace, engine: _SchemeEngine, table):
+    """Search score and best pattern index of each row of an outcome table.
+    The score is the best X among the ranked patterns; with none ranked it
+    is -2, or -1 minus the least multiphoton ratio when eligible patterns all
+    break the constraint, and the pattern index is -1."""
+    herald, one, multi, _ = table
     eligible = (herald >= space.min_herald) & engine.scan_mask
     if engine.patterns.shape[0] > space.max_patterns:
         crowded = eligible.sum(axis=1) > space.max_patterns
@@ -429,6 +513,45 @@ def _objective(space: SearchSpace, params):
     found = valid.any(axis=1)
     scores = np.where(found, x_ratio.max(axis=1), fallback)
     return scores, np.where(found, best, -1)
+
+
+def _line_scores(space: SearchSpace, params, coord: int):
+    """Scores along one search line: a function taking an (R,) array of
+    values for coordinate ``coord`` of the (R, parameters) array ``params``
+    to the ``_objective`` scores of the rows so moved.
+
+    The mesh runs once per line.  An amplitude moves the ancillas alone, so
+    its line reuses one mesh output.  A mesh angle or phase line samples the
+    mesh output at the engine's 2S + 1 nodes about the current value x_c;
+    their DFT gives the coefficients of the degree-S trigonometric
+    polynomial, and the output at x is one matmul of them against
+    e^{iq (x - x_c)}, q = -S..S.  Rows never mix."""
+    engine = _engine(space)
+    params = np.array(params, dtype=float)
+    mesh, alphas = engine.split_params(params)
+    if coord >= engine.mesh_len:
+        vectors = engine.propagate(mesh)
+
+        def scores(x):
+            trial = params.copy()
+            trial[:, coord] = x
+            _, alphas = engine.split_params(trial)
+            return _scores(space, engine, engine.tabulate(vectors, alphas))[0]
+
+        return scores
+    rows, nodes = mesh.shape[0], engine.line_steps.size
+    center = mesh[:, coord].copy()
+    sampled = np.repeat(mesh[:, None], nodes, axis=1)
+    sampled[:, :, coord] += engine.line_steps
+    samples = engine.propagate(sampled.reshape(rows * nodes, -1))
+    coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))
+
+    def scores(x):
+        phases = _unit_phases((x - center)[:, None, None] * engine.line_orders)
+        vectors = np.matmul(phases, coefficients).reshape((rows,) + samples.shape[1:])
+        return _scores(space, engine, engine.tabulate(vectors, alphas))[0]
+
+    return scores
 
 
 def _golden_max(fun, lo, hi, evals):
@@ -488,14 +611,8 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
         row[: 2 * n_rot] = rng.uniform(-math.pi, math.pi, size=2 * n_rot)
         row[amp_lo:] = rng.uniform(-amp_box, amp_box, size=2 * space.num_coherent)
 
-    evals = 0
-
-    def score(trial):
-        nonlocal evals
-        evals += 1
-        return _objective(space, trial)[0]
-
-    best_score = score(params)
+    best_score = _objective(space, params)[0]
+    evals = 1
     refine_coords = list(range(2 * n_rot)) + list(
         range(amp_lo, amp_lo + 2 * space.num_coherent)
     )
@@ -511,12 +628,14 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
                 span = spans[pass_no]
                 lo, hi = center - span, center + span
 
-            def line(x, coord=coord):
-                trial = params.copy()
-                trial[:, coord] = x
-                return score(trial)
+            line = _line_scores(space, params, coord)
 
-            x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS)
+            def probe(x, line=line):
+                nonlocal evals
+                evals += 1
+                return line(x)
+
+            x_best, f_best = _golden_max(probe, lo, hi, _GOLDEN_EVALS)
             better = f_best > best_score
             best_score = np.where(better, f_best, best_score)
             params[:, coord] = np.where(better, x_best, center)
@@ -539,6 +658,8 @@ def maximize_X(
     """
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
+    if threads < 1:
+        raise ContractViolation(f"threads must be >= 1, got {threads!r}")
     engine = _engine(space)
     if not engine.scan_mask.any():
         raise ContractViolation(

@@ -244,6 +244,18 @@ def test_main_bad_search_space_exit_code(tmp_path, capsys, monkeypatch, field, v
     assert field in capsys.readouterr().err
 
 
+def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(pel.cli, "maximize_X", no_search)
+    path = tmp_path / "spec.json"
+    search = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}
+    path.write_text(json.dumps({"command": "nogo-search", "search": search}))
+    assert main(["nogo-search", "--spec", str(path), "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec,field",
     [

@@ -73,11 +73,15 @@ def test_search_space_validation():
         ("constraint", math.nan),
         ("constraint", math.inf),
         ("constraint", -0.5),
+        ("cutoff", -1),
+        ("cutoff", 2.5),
+        ("num_coherent", 1.5),
+        ("patterns", ((1.7, 0),)),
     ],
 )
 def test_search_space_rejects_bad_values(field, value):
     with pytest.raises(ContractViolation, match=field):
-        SearchSpace((0.5, 0.5), cutoff=6, **{field: value})
+        SearchSpace((0.5, 0.5), **{"cutoff": 6, field: value})
 
 
 def test_default_cutoff_policy():
@@ -228,6 +232,27 @@ def test_amplitude_cap_enforced():
         evaluate_scheme(space, params, (0, 0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_scheme_parameters_are_rejected(value):
+    space = SearchSpace((0.5, 0.5))
+    with pytest.raises(ContractViolation, match="finite"):
+        evaluate_scheme(space, [value] * space.parameter_count(), (0, 0))
+
+
+def test_nan_amplitude_fails_the_cap_check():
+    # no comparison with the cap finds a NaN amplitude too large
+    space = SearchSpace((0.5, 0.5))
+    params = np.zeros((1, space.parameter_count()))
+    params[0, -1] = math.nan
+    with pytest.raises(ContractViolation, match="amplitude cap"):
+        pel.nogo._objective(space, params)
+
+
+def test_maximize_rejects_fewer_than_one_thread():
+    with pytest.raises(ContractViolation, match="threads"):
+        maximize_X(small_space(), 10, seed=1, threads=0)
+
+
 def test_maximize_is_deterministic_and_thread_independent():
     space = small_space(eff=(0.6, 0.4))
     a = maximize_X(space, 1200, seed=7)
@@ -335,14 +360,66 @@ def test_pattern_cap_ranks_only_eligible_patterns():
 
 
 def test_lockstep_block_matches_restarts_run_alone():
-    space = small_space(eff=(0.6, 0.4), constraint=1e-3)
-    block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
-    for restart, in_block in enumerate(block):
-        (alone,) = pel.nogo._run_restarts(space, 5, [restart])
-        assert alone[0] == in_block[0]
-        assert alone[1] == in_block[1]
-        assert np.array_equal(alone[2], in_block[2])
-        assert alone[3] == in_block[3] == pel.nogo._restart_cost(space)
+    spaces = [
+        small_space(eff=(0.6, 0.4), constraint=1e-3),
+        SearchSpace((0.5, 0.6), num_coherent=2, cutoff=6),
+    ]
+    for space in spaces:
+        block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
+        for restart, in_block in enumerate(block):
+            (alone,) = pel.nogo._run_restarts(space, 5, [restart])
+            assert alone[0] == in_block[0]
+            assert alone[1] == in_block[1]
+            assert np.array_equal(alone[2], in_block[2])
+            assert alone[3] == in_block[3] == pel.nogo._restart_cost(space)
+
+
+LINE_SPACES = [
+    SearchSpace((0.3, 0.3)),
+    SearchSpace((0.8, 0.8, 0.64)),
+    SearchSpace((0.5, 0.6), num_coherent=2),
+]
+
+
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_line_scores_match_the_objective(rng, space):
+    # a theta and a phi line, and the real and imaginary part of an ancilla
+    mesh_len = mesh_param_count(space.modes)
+    coords = [0, 1, mesh_len, mesh_len + 1]
+    box = space.amplitude_cap / math.sqrt(2.0)
+    params = rng.uniform(-box, box, (4, space.parameter_count()))
+    params[:, :mesh_len] = rng.uniform(-math.pi, math.pi, (4, mesh_len))
+    for coord in coords:
+        line = pel.nogo._line_scores(space, params, coord)
+        center = params[:, coord]
+        # the centre node, and points off the nodes on either side of it
+        for offset in (0.0, 0.37, -1.2, 1.5):
+            if coord >= mesh_len:
+                x = np.clip(center + offset / 4.0, -box, box)
+            else:
+                x = center + offset
+            trial = params.copy()
+            trial[:, coord] = x
+            expected = pel.nogo._objective(space, trial)[0]
+            np.testing.assert_allclose(line(x), expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("space,calls", [(LINE_SPACES[0], 18), (LINE_SPACES[1], 30)],
+                         ids=["3 modes", "4 modes"])
+def test_search_applies_the_mesh_once_per_line(monkeypatch, space, calls):
+    applied = []
+
+    def counted(vectors, *args, **kwargs):
+        applied.append(vectors.shape[0])
+        return pel.interferometer.apply_mesh_to_vectors(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(pel.nogo, "apply_mesh_to_vectors", counted)
+    rows = 2
+    pel.nogo._run_restarts(space, 3, range(rows))
+    # the start point, one call per golden-section line and the final scoring
+    assert len(applied) == calls
+    nodes = 2 * space.num_sources + 1
+    assert set(applied) == {rows, rows * nodes}
 
 
 def test_maximize_across_blocks_is_thread_independent():
