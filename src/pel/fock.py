@@ -388,26 +388,84 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     return np.where(mean == 0.0, n == 0, amps)
 
 
+#: largest |alpha|^2 whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
+#: float (about 1417): past it a displacement table would underflow to zero
+MAX_DISPLACEMENT_MEAN = -2.0 * math.log(np.finfo(float).tiny)
+
+
+@lru_cache(maxsize=64)
+def _displacement_plan(cutoff: int, photons: int):
+    """Static data of ``displaced_number_elements``, O(cutoff * photons).
+
+    ``steps``, (2, max(cutoff, photons) + 1), scales (alpha, alpha^*) into
+    the factors of the two cumulative products, q over a = 1..cutoff and r
+    over b = 1..photons, with a zero factor past each run.  ``index`` and
+    ``weight``, stacked (cutoff + photons + 2, photons + 1), gather the
+    banded factors A[m, i] and B[i, k] from the flattened (q, r) rows and
+    scale them by sqrt(C(m, i)) and sqrt(C(k, i)); the slots off the band
+    read the zero after q."""
+    binomial = np.vectorize(math.comb, otypes=[float])
+    length = max(cutoff, photons) + 1
+    root = np.sqrt(np.arange(1, length))
+    steps = np.zeros((2, length))
+    steps[0, :cutoff] = 1.0 / root[:cutoff]
+    steps[1, :photons] = -1.0 / root[:photons]
+    m = np.arange(cutoff + 1)[:, None]
+    k = np.arange(photons + 1)
+    i = k[:, None]
+    # A over rows m and columns i = k, then B over rows i and columns k;
+    # C(n, j) = 0 for j > n marks the slots off the band
+    weight = np.sqrt(np.vstack([binomial(m, k), binomial(k, i)]))
+    index = np.vstack([m - k, length + 1 + k - i])
+    index = np.where(weight > 0.0, index, cutoff + 1)
+    for table in (steps, index, weight):
+        table.setflags(write=False)
+    return steps, index, weight
+
+
 def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
     """Displaced-number matrix elements <m|D(alpha)|k> for m = 0..cutoff and
     k = 0..photons, for every amplitude of the array ``alphas``: shape
     ``np.shape(alphas) + (cutoff + 1, photons + 1)``.
 
-    Column 0 is the coherent state; the others follow from D a^dag =
-    (a^dag - alpha^*) D, i.e. sqrt(k) <m|D|k> = sqrt(m) <m-1|D|k-1> -
-    alpha^* <m|D|k-1>.  Row m needs only rows <= m, so truncating the rows
-    at the cutoff is exact, and alpha = 0 gives the identity exactly.
+    D(alpha) = e^{-|alpha|^2/2} e^{alpha a^dag} e^{-alpha^* a}: the right
+    factor lowers |k> to |i>, the left raises |i> to |m>, so
+
+        <m|D(alpha)|k> = sum_{i <= min(m, k)} sqrt(C(m, i) C(k, i)) q_{m-i} r_{k-i},
+        q_a = e^{-|alpha|^2/2} alpha^a / sqrt(a!),  r_b = (-alpha^*)^b / sqrt(b!).
+
+    The table is thus one batched matmul of two banded factors,
+    A[m, i] = sqrt(C(m, i)) q_{m-i} and B[i, k] = sqrt(C(k, i)) r_{k-i} with
+    i <= photons, gathered from q and r, each of which is one cumulative
+    product.  Every element is a finite sum of at most photons + 1 terms, so
+    truncating the rows at the cutoff is exact, and alpha = 0 gives
+    q = r = (1, 0, ...) and the identity exactly.  q starts at
+    e^{-|alpha|^2/2}, a normal float only up to |alpha|^2 =
+    ``MAX_DISPLACEMENT_MEAN``; a larger amplitude raises CapacityError
+    rather than return an underflowed table.
     """
     alphas = np.asarray(alphas, dtype=complex)
-    out = np.empty(alphas.shape + (cutoff + 1, photons + 1), dtype=complex)
-    out[..., 0] = coherent_amplitudes(alphas, cutoff)
-    root = np.sqrt(np.arange(max(cutoff, photons) + 1))
-    conj = alphas.conj()[..., None]
-    for k in range(1, photons + 1):
-        column = -conj * out[..., k - 1]
-        column[..., 1:] += root[1 : cutoff + 1] * out[..., :-1, k - 1]
-        out[..., k] = column / root[k]
-    return out
+    steps, index, weight = _displacement_plan(cutoff, photons)
+    pair = np.empty(alphas.shape + (2, 1), dtype=complex)
+    pair[..., 0, 0] = alphas
+    np.conjugate(alphas, out=pair[..., 1, 0])
+    mean = np.multiply(pair[..., 0, 0], pair[..., 1, 0]).real
+    # written so that a NaN amplitude fails it too
+    largest = mean.max(initial=0.0)
+    if not largest <= MAX_DISPLACEMENT_MEAN:
+        raise CapacityError(
+            f"|alpha|^2 = {largest:.6g} leaves the float range of the "
+            f"displacement tables (at most {MAX_DISPLACEMENT_MEAN:.6g})"
+        )
+    # rows (q, r), each a cumulative product of its first value and its steps
+    runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=complex)
+    np.multiply(pair, steps, out=runs[..., 1:])
+    runs[..., 0, 0] = np.exp(mean * -0.5)
+    runs[..., 1, 0] = 1.0
+    np.cumprod(runs, axis=-1, out=runs)
+    factors = runs.reshape(alphas.shape + (2 * runs.shape[-1],)).take(index, axis=-1)
+    factors *= weight
+    return np.matmul(factors[..., : cutoff + 1, :], factors[..., cutoff + 1 :, :])
 
 
 # --- composite-state operations --------------------------------------------

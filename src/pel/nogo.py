@@ -54,6 +54,7 @@ its own column.
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -62,8 +63,9 @@ import numpy as np
 
 from .channels import LossChannel, apply_loss
 from .config import DEFAULT, Tolerances
-from .errors import ArityError, ContractViolation, HeraldImpossibleError
+from .errors import ArityError, CapacityError, ContractViolation, HeraldImpossibleError
 from .fock import (
+    MAX_DISPLACEMENT_MEAN,
     Coherent,
     DensityMatrix,
     FockBasis,
@@ -273,10 +275,27 @@ class _SchemeEngine:
     is unitary, so the herald probability sum_b w_b sum_{k_0} |c_b(k_0, d)|^2
     is exact; the surviving mode's m_0 = 0 and m_0 = 1 terms contract
     c_b(., d) with <m_0|D(beta_0)|k_0>.
+
+    The displacement tables of all rows and modes are one closed-form
+    batched matmul (``displaced_number_elements``).  psi has one row per (k_0, b)
+    over every detected state; the states that do not fit beside k_0 read
+    an all-zero input column, which the mesh and the line rebuild keep
+    exactly zero, so one (R, (S + 1) B, detected) @ (R, detected, patterns)
+    GEMM gives c for every k_0.  An amplitude cap whose |beta|^2 could pass
+    ``MAX_DISPLACEMENT_MEAN`` is refused here, when the engine is built.
     """
 
     def __init__(self, space: SearchSpace):
         self.space = space
+        # the largest |beta_j|^2 is ||alpha||^2 <= num_coherent * cap^2
+        reach = math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)
+        if not reach**2 <= MAX_DISPLACEMENT_MEAN:
+            raise CapacityError(
+                f"amplitude_cap {space.amplitude_cap} lets |beta|^2 reach "
+                f"{reach**2:.6g}, past the float range of the displacement tables "
+                f"(at most {MAX_DISPLACEMENT_MEAN:.6g})"
+            )
+
         S, M, cutoff = space.num_sources, space.modes, space.cutoff_used
         self.basis = FockBasis(M, S)
         detected = FockBasis(M - 1, S)
@@ -304,10 +323,12 @@ class _SchemeEngine:
         B = len(branches)
         self.num_branches = B
         # mesh inputs: the branch Fock states, then one photon in each coherent
-        # mode, whose images give U[:, S:] on the one-photon rows
+        # mode, whose images give U[:, S:] on the one-photon rows, then a zero
+        # column, which the mesh and the line rebuild keep exactly zero
         unit = np.eye(M, dtype=np.int64)
-        self.inputs = np.zeros((self.basis.dimension, B + space.num_coherent),
-                               dtype=complex)
+        self.ancilla_columns = slice(B, B + space.num_coherent)
+        zero_column = self.ancilla_columns.stop
+        self.inputs = np.zeros((self.basis.dimension, zero_column + 1), dtype=complex)
         for b, fired in enumerate(branches):
             self.inputs[self.basis.index_of(fired + (0,) * space.num_coherent), b] = 1.0
         for j in range(space.num_coherent):
@@ -336,16 +357,18 @@ class _SchemeEngine:
         self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
-        # psi_b(k_0, k') for every branch, k_0-major.  At a given k_0 the basis
-        # holds exactly the detected parts with |k'| <= S - k_0, a prefix of
-        # the graded detected basis; slots past the prefix are never read
-        self.prefix = [detected.block(S - k0).stop for k0 in range(S + 1)]
-        self.psi_index = np.zeros((S + 1, B, detected.dimension), dtype=np.int64)
+        # psi_b(k_0, k') for every branch, as (S + 1) * B rows, k_0-major.  At
+        # a given k_0 the basis holds exactly the detected parts with
+        # |k'| <= S - k_0, a prefix of the graded detected basis; the slots
+        # past it read the zero column, so one GEMM contracts every k_0
+        self.psi_index = np.full((S + 1, B, detected.dimension), zero_column)
         stride = self.inputs.shape[1]
         for k0 in range(S + 1):
-            for i, row in enumerate(detected.occupations[: self.prefix[k0]]):
+            width = detected.block(S - k0).stop
+            for i, row in enumerate(detected.occupations[:width]):
                 state = self.basis.index_of((k0,) + tuple(row))
                 self.psi_index[k0, :, i] = state * stride + np.arange(B)
+        self.psi_index = self.psi_index.reshape((S + 1) * B, detected.dimension)
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)
@@ -387,7 +410,8 @@ class _SchemeEngine:
                 f"{self.space.amplitude_cap}"
             )
         rows, B = vectors.shape[0], self.num_branches
-        betas = np.matmul(vectors[:, self.one_photon_rows, B:], alphas[:, :, None])
+        betas = np.matmul(vectors[:, self.one_photon_rows, self.ancilla_columns],
+                          alphas[:, :, None])
         tables = displaced_number_elements(
             betas[:, :, 0], self.max_count, self.space.num_sources
         )
@@ -399,8 +423,7 @@ class _SchemeEngine:
         for columns in self.column_index[1:]:
             g *= rows_of_d.take(columns, axis=1, out=factor)
         psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
-        for k0, width in enumerate(self.prefix):
-            np.matmul(psi[:, k0, :, :width], g[:, :width], out=c[:, k0])
+        np.matmul(psi, g, out=c.reshape(rows, psi.shape[1], -1))
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
         np.matmul(tables[:, 0, :2], c.reshape(rows, c.shape[1], -1), out=amps)
         weights = self.branch_weights
@@ -414,7 +437,9 @@ class _SchemeEngine:
         """G, one gathered factor of it, the branch amplitudes c and their
         surviving-mode contraction for ``rows`` parameter rows: views of one
         block, shaped (R, detected states, patterns) twice, (R, S + 1,
-        branches, patterns) and (R, 2, branches * patterns).
+        branches, patterns) and (R, 2, branches * patterns).  c is
+        contiguous, so the k_0 GEMM writes it as (R, (S + 1) branches,
+        patterns).
 
         They are an evaluation's largest arrays.  glibc returns the free top
         of its heap to the system once it exceeds twice the largest block it
@@ -669,8 +694,10 @@ def maximize_X(
     n_restarts = max(1, budget // per_restart)
     blocks = [range(start, min(start + _LOCKSTEP, n_restarts))
               for start in range(0, n_restarts, _LOCKSTEP)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # more workers than blocks or CPUs only contend for the interpreter lock
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(lambda b: _run_restarts(space, seed, b), blocks))
     else:
         done = [_run_restarts(space, seed, block) for block in blocks]

@@ -244,6 +244,17 @@ def test_main_bad_search_space_exit_code(tmp_path, capsys, monkeypatch, field, v
     assert field in capsys.readouterr().err
 
 
+def test_main_amplitude_cap_past_the_float_range_exit_code(tmp_path, capsys):
+    # the schema admits any positive cap; the engine refuses one whose
+    # displacement tables would underflow, as a numerical guard
+    path = tmp_path / "spec.json"
+    search = {"source_efficiencies": [0.5], "num_coherent": 1,
+              "amplitude_cap": 38.0, "budget": 10}
+    path.write_text(json.dumps({"command": "nogo-search", "search": search}))
+    assert main(["nogo-search", "--spec", str(path)]) == 3
+    assert "amplitude_cap" in capsys.readouterr().err
+
+
 def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")

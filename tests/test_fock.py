@@ -133,15 +133,36 @@ def test_coherent_tail_keeps_relative_precision():
 def test_displaced_number_elements_against_matrix_exponential():
     from scipy.linalg import expm
 
-    size = 60
+    size = 90
     annihilate = np.diag(np.sqrt(np.arange(1, size)), 1)
-    alphas = [0.3 + 0.2j, -1.1 + 0.7j]
-    tables = pel.displaced_number_elements(alphas + [0.0], 12, 3)
-    for alpha, table in zip(alphas, tables):
-        generator = alpha * annihilate.conj().T - np.conj(alpha) * annihilate
-        assert np.abs(table - expm(generator)[:13, :4]).max() < 1e-12
-    # alpha = 0 gives the identity exactly
-    assert (tables[2] == np.eye(13, 4)).all()
+    alphas = [0.3 + 0.2j, -1.1 + 0.7j, 3.0 * np.exp(0.7j), -3.0, 2.2j]
+    for cutoff, photons in [(12, 3), (30, 5), (1, 3), (0, 0)]:
+        tables = pel.displaced_number_elements(alphas + [0.0], cutoff, photons)
+        assert tables.shape == (len(alphas) + 1, cutoff + 1, photons + 1)
+        for alpha, table in zip(alphas, tables):
+            generator = alpha * annihilate.conj().T - np.conj(alpha) * annihilate
+            exact = expm(generator)[: cutoff + 1, : photons + 1]
+            assert np.abs(table - exact).max() < 1e-12
+        # alpha = 0 gives the identity exactly
+        assert (tables[-1] == np.eye(cutoff + 1, photons + 1)).all()
+
+
+def test_displaced_number_elements_at_large_amplitude():
+    # |beta| = 30 is the largest a 1 + 1 scheme reaches at amplitude_cap 30;
+    # cutoff 1300 holds all but ~1e-30 of every column
+    beta = 30.0 * np.exp(0.4j)
+    table = pel.displaced_number_elements(beta, 1300, 2)
+    coherent = pel.coherent_amplitudes(beta, 1300)
+    assert np.abs(table[:, 0] - coherent).max() < 1e-12
+    gram = table.conj().T @ table
+    assert np.abs(gram - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [38.0, 40.0j, complex(math.nan, 0.0)])
+def test_displaced_number_elements_refuse_an_underflowing_table(alpha):
+    # exp(-|alpha|^2 / 2) leaves the normal floats past |alpha|^2 ~ 1417
+    with pytest.raises(CapacityError, match="float range"):
+        pel.displaced_number_elements([0.5, alpha], 1600, 1)
 
 
 def test_partial_qubit_state_and_positivity_guard():

@@ -324,6 +324,31 @@ def test_large_amplitude_cap_fails_loudly():
         maximize_X(space, 200, seed=1)
 
 
+def test_amplitude_cap_within_the_float_range_builds(rng):
+    # a 1 + 1 scheme at cap 30 reaches |beta| = 30; its tables must keep the
+    # whole herald mass, not underflow to zero
+    space = SearchSpace((0.5,), amplitude_cap=30.0)
+    herald = pel.nogo._SchemeEngine(space).outcome_table(
+        rows_at_the_cap(rng, space, 3)
+    )[0]
+    assert np.all(herald >= 0.0)
+    assert np.all(np.abs(herald.sum(axis=1) - 1.0) < space.min_herald)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [SearchSpace((0.5,), amplitude_cap=38.0),
+     SearchSpace((0.5,), num_coherent=2, amplitude_cap=27.0)],
+    ids=["1+1", "1+2"],
+)
+def test_amplitude_cap_past_the_float_range_fails_loudly(space):
+    # num_coherent * cap^2 past ~1417 lets exp(-|beta|^2 / 2) underflow
+    with pytest.raises(CapacityError, match="amplitude_cap"):
+        pel.nogo._SchemeEngine(space)
+    with pytest.raises(CapacityError, match="amplitude_cap"):
+        maximize_X(space, 10, seed=1)
+
+
 def test_report_carries_truncation_weight():
     space = small_space(cutoff=12)
     report = maximize_X(space, 600, seed=2)
@@ -428,6 +453,115 @@ def test_maximize_across_blocks_is_thread_independent():
     reports = [maximize_X(space, budget, seed=12, threads=t) for t in (1, 2, 4)]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].evaluations == budget
+
+
+def test_thread_pool_never_exceeds_the_blocks_or_the_cpus(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the workers asked for and maps in this thread."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pel.nogo, "ThreadPoolExecutor", SerialPool)
+    space = small_space(eff=(0.5, 0.3))
+    three_blocks = (2 * pel.nogo._LOCKSTEP + 1) * pel.nogo._restart_cost(space)
+    serial = maximize_X(space, three_blocks, seed=12, threads=1)
+    for cpus in (2, 8, None):
+        monkeypatch.setattr(pel.nogo.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert maximize_X(space, three_blocks, seed=12, threads=4) == serial
+    # capped by 2 CPUs, then by 3 blocks; an unknown count runs serially
+    assert started == [2, 3]
+
+
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_psi_padding_reads_exact_zeros(rng, monkeypatch, space):
+    # one GEMM contracts every k_0, so the slots past each prefix must read
+    # exactly 0, from the mesh output and from every line rebuild
+    engine = pel.nogo._engine(space)
+    # on the (k_0, branch) rows, detected state k' fits beside k_0 only
+    # while |k'| <= S - k_0
+    S = space.num_sources
+    detected = make_basis(space.modes - 1, S)
+    past = detected.totals[None, :] > S - np.arange(S + 1)[:, None]
+    past = np.repeat(past, engine.num_branches, axis=0)
+    assert past.any() and not past.all()
+    params = rows_at_the_cap(rng, space, 3)
+    seen = [engine.propagate(engine.split_params(params)[0])]
+    tabulate = engine.tabulate
+
+    def recording(vectors, alphas):
+        seen.append(vectors.copy())
+        return tabulate(vectors, alphas)
+
+    monkeypatch.setattr(engine, "tabulate", recording)
+    for coord in (0, 1, engine.mesh_len - 1, engine.mesh_len):
+        line = pel.nogo._line_scores(space, params, coord)
+        line(params[:, coord] * 0.9)
+    assert len(seen) == 5
+    for vectors in seen:
+        psi = vectors.reshape(vectors.shape[0], -1).take(engine.psi_index, axis=1)
+        assert (psi[:, past] == 0.0).all()
+        assert (psi[:, ~past] != 0.0).any()
+
+
+def _per_k0_outcome_table(space, params):
+    """The outcome table contracted one k_0 and one S-photon basis state at
+    a time, from displacement tables of the matrix exponential: the oracle of
+    the engine's gathers and its single k_0 GEMM."""
+    from scipy.linalg import expm
+
+    engine = pel.nogo._engine(space)
+    S, M, B = space.num_sources, space.modes, engine.num_branches
+    mesh, alphas = engine.split_params(params)
+    vectors = engine.propagate(mesh)
+    size = engine.max_count + S + 40
+    lower = np.diag(np.sqrt(np.arange(1, size)), 1)
+    rows, columns = slice(engine.max_count + 1), slice(S + 1)
+    one_photon = [engine.basis.index_of(row) for row in np.eye(M, dtype=int)]
+    detected = engine.patterns
+    tables = np.empty((params.shape[0], 3, detected.shape[0]))
+    for r, vector in enumerate(vectors):
+        # beta = U[:, S:] alpha, read off the one-photon images of the ancillas
+        betas = vector[one_photon, B : B + space.num_coherent] @ alphas[r]
+        displaced = [
+            expm(beta * lower.conj().T - np.conj(beta) * lower)[rows, columns]
+            for beta in betas
+        ]
+        c = np.zeros((B, S + 1, detected.shape[0]), dtype=complex)
+        for state, (k0, *rest) in enumerate(engine.basis.occupations):
+            column = np.ones(detected.shape[0], dtype=complex)
+            for j, k in enumerate(rest):
+                column *= displaced[j + 1][detected[:, j], k]
+            c[:, k0] += vector[state, :B, None] * column
+        survivor = np.einsum("mk,bkd->mbd", displaced[0][:2], c)
+        weights = engine.branch_weights
+        herald = weights @ (np.abs(c) ** 2).sum(axis=1)
+        vacuum, one = weights @ (np.abs(survivor) ** 2)
+        tables[r] = herald, one, np.maximum(herald - vacuum - one, 0.0)
+    return tables
+
+
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_outcome_table_matches_a_per_k0_contraction(rng, space):
+    params = np.vstack([
+        rows_at_the_cap(rng, space, 3),
+        rng.uniform(-0.5, 0.5, (1, space.parameter_count())),
+    ])
+    herald, one, multi, _ = pel.nogo._engine(space).outcome_table(params)
+    reference = _per_k0_outcome_table(space, params)
+    for computed, expected in zip((herald, one, multi), reference.swapaxes(0, 1)):
+        assert np.abs(computed - expected).max() < 1e-13
 
 
 def test_outcome_table_rows_match_single_rows(rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import pel  # noqa: E402
 from conftest import rows_at_the_cap  # noqa: E402
@@ -55,3 +55,21 @@ def test_rank_bound_never_prunes_a_reachable_pattern(
     herald = engine.outcome_table(params)[0]
     unranked = engine.patterns.sum(axis=1) > space.cutoff_used
     assert np.all(herald[:, unranked] < min_herald)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.floats(0.0, 4.0),
+    phase=st.floats(-math.pi, math.pi),
+    photons=st.integers(0, 5),
+    room=st.integers(0, 100),
+)
+def test_displacement_table_columns_are_orthonormal(size, phase, photons, room):
+    # column k of the table is D(alpha)|k> cut at the cutoff; once the
+    # coherent tail beyond cutoff - photons is negligible, so is what the
+    # cutoff drops of every column
+    alpha = size * complex(math.cos(phase), math.sin(phase))
+    assume(coherent_tail_weight(alpha, room) < 1e-24)
+    table = pel.displaced_number_elements(alpha, room + photons, photons)
+    gram = table.conj().T @ table
+    assert np.abs(gram - np.eye(photons + 1)).max() < 1e-12
