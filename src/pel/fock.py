@@ -443,10 +443,16 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
     e^{-|alpha|^2/2}, a normal float only up to |alpha|^2 =
     ``MAX_DISPLACEMENT_MEAN``; a larger amplitude raises CapacityError
     rather than return an underflowed table.
+
+    The table has the dtype of the amplitudes: real amplitudes give a real
+    table, complex ones a complex table.  With alpha = |alpha| e^{i phi},
+    D(alpha) = e^{i phi n} D(|alpha|) e^{-i phi n}, so a caller may take the
+    table at |alpha| and carry the phases e^{i(m - k) phi} itself.
     """
-    alphas = np.asarray(alphas, dtype=complex)
+    alphas = np.asarray(alphas)
+    alphas = alphas.astype(np.result_type(alphas, float), copy=False)
     steps, index, weight = _displacement_plan(cutoff, photons)
-    pair = np.empty(alphas.shape + (2, 1), dtype=complex)
+    pair = np.empty(alphas.shape + (2, 1), dtype=alphas.dtype)
     pair[..., 0, 0] = alphas
     np.conjugate(alphas, out=pair[..., 1, 0])
     mean = np.multiply(pair[..., 0, 0], pair[..., 1, 0]).real
@@ -458,7 +464,7 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
             f"displacement tables (at most {MAX_DISPLACEMENT_MEAN:.6g})"
         )
     # rows (q, r), each a cumulative product of its first value and its steps
-    runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=complex)
+    runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=alphas.dtype)
     np.multiply(pair, steps, out=runs[..., 1:])
     runs[..., 0, 0] = np.exp(mean * -0.5)
     runs[..., 1, 0] = 1.0

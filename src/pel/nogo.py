@@ -37,7 +37,12 @@ A coherent ancilla is a displaced vacuum, so each of the 2^S source branches
 leaves the mesh as D(U alpha) V|f_b>, with V|f_b> on the S-photon basis, and
 the outcome amplitudes factor per mode into displaced-number elements.
 Herald probability, one-photon and multiphoton weight are therefore exact
-for every heralding pattern evaluated.
+for every heralding pattern evaluated.  The phases of the displacements
+factor out, D(beta) = e^{i phi n} D(|beta|) e^{-i phi n} with phi = arg
+beta: the left factor gives each outcome one phase, which no probability
+sees, and the right one gives each basis state of the mesh output one
+phase.  So the displacement tables and every contraction after that phase
+run in real arithmetic.
 
 One rule truncates the patterns.  The mesh conserves photon number, so a
 pattern d heralds with probability at most P(N >= |d|), where N is the total
@@ -276,12 +281,18 @@ class _SchemeEngine:
     is exact; the surviving mode's m_0 = 0 and m_0 = 1 terms contract
     c_b(., d) with <m_0|D(beta_0)|k_0>.
 
-    The displacement tables of all rows and modes are one closed-form
-    batched matmul (``displaced_number_elements``).  psi has one row per (k_0, b)
-    over every detected state; the states that do not fit beside k_0 read
-    an all-zero input column, which the mesh and the line rebuild keep
-    exactly zero, so one (R, (S + 1) B, detected) @ (R, detected, patterns)
-    GEMM gives c for every k_0.  An amplitude cap whose |beta|^2 could pass
+    With phi_j = arg beta_j, <m|D(beta_j)|k> = e^{i(m - k) phi_j}
+    <m|D(|beta_j|)|k>.  The e^{i m phi_j} of the outcome (m_0, d) multiplies
+    all of its amplitudes alike and leaves every |amplitude|^2 as it is, so
+    it is dropped; e^{-i k phi_j} makes one phase e^{-i sum_j k_j phi_j} per
+    basis state, applied to the mesh output.  The displacement tables of all
+    rows and modes are then one closed-form, real batched matmul at |beta|
+    (``displaced_number_elements``), and so is G.  psi has one row per
+    (k_0, real or imaginary part, b) over every detected state; the states
+    that do not fit beside k_0 read an all-zero input column, which the mesh
+    and the line rebuild keep exactly zero, so one real (R, 2 (S + 1) B,
+    detected) @ (R, detected, patterns) GEMM gives the real and imaginary
+    parts of c for every k_0.  An amplitude cap whose |beta|^2 could pass
     ``MAX_DISPLACEMENT_MEAN`` is refused here, when the engine is built.
     """
 
@@ -357,18 +368,26 @@ class _SchemeEngine:
         self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
-        # psi_b(k_0, k') for every branch, as (S + 1) * B rows, k_0-major.  At
-        # a given k_0 the basis holds exactly the detected parts with
-        # |k'| <= S - k_0, a prefix of the graded detected basis; the slots
-        # past it read the zero column, so one GEMM contracts every k_0
-        self.psi_index = np.full((S + 1, B, detected.dimension), zero_column)
+        # psi_b(k_0, k') for every branch, as 2 (S + 1) B real rows, in the
+        # order (k_0, real or imaginary part, b) over the float64 view of the
+        # mesh output.  At a given k_0 the basis holds exactly the detected
+        # parts with |k'| <= S - k_0, a prefix of the graded detected basis;
+        # the slots past it read the zero column, so one GEMM contracts
+        # every k_0
+        psi_index = np.full((S + 1, B, detected.dimension), zero_column)
         stride = self.inputs.shape[1]
         for k0 in range(S + 1):
             width = detected.block(S - k0).stop
             for i, row in enumerate(detected.occupations[:width]):
                 state = self.basis.index_of((k0,) + tuple(row))
-                self.psi_index[k0, :, i] = state * stride + np.arange(B)
-        self.psi_index = self.psi_index.reshape((S + 1) * B, detected.dimension)
+                psi_index[k0, :, i] = state * stride + np.arange(B)
+        self.psi_index = (2 * psi_index[:, None] + np.arange(2)[:, None, None]).reshape(
+            2 * (S + 1) * B, detected.dimension
+        )
+        # the branch weight of each psi row, so that one matmul weighs and
+        # sums the squared parts of c; its first 2B entries weigh the
+        # (part, b) rows of the survivor's amplitudes the same way
+        self.row_weights = np.tile(self.branch_weights, 2 * (S + 1))
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)
@@ -409,12 +428,14 @@ class _SchemeEngine:
                 f"|alpha| = {size.max():.4g} is not within the amplitude cap "
                 f"{self.space.amplitude_cap}"
             )
-        rows, B = vectors.shape[0], self.num_branches
+        rows, S, B = vectors.shape[0], self.space.num_sources, self.num_branches
         betas = np.matmul(vectors[:, self.one_photon_rows, self.ancilla_columns],
                           alphas[:, :, None])
-        tables = displaced_number_elements(
-            betas[:, :, 0], self.max_count, self.space.num_sources
-        )
+        # tables at |beta|, and the phase e^{-i sum_j k_j arg beta_j} of each
+        # basis state on the mesh output (see the class docstring)
+        tables = displaced_number_elements(np.abs(betas[:, :, 0]), self.max_count, S)
+        turns = np.matmul(self.basis.occupations, np.arctan2(-betas.imag, betas.real))
+        phased = vectors * _unit_phases(turns)
         g, factor, c, amps = self._work_arrays(rows)
         # take along axis 1 applies one index table to every parameter row; G
         # is the elementwise product of one gathered slice per detected mode
@@ -422,24 +443,24 @@ class _SchemeEngine:
         rows_of_d.take(self.column_index[0], axis=1, out=g)
         for columns in self.column_index[1:]:
             g *= rows_of_d.take(columns, axis=1, out=factor)
-        psi = vectors.reshape(rows, -1).take(self.psi_index, axis=1)
+        psi = phased.view(np.float64).reshape(rows, -1).take(self.psi_index, axis=1)
         np.matmul(psi, g, out=c.reshape(rows, psi.shape[1], -1))
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
-        np.matmul(tables[:, 0, :2], c.reshape(rows, c.shape[1], -1), out=amps)
-        weights = self.branch_weights
-        herald = weights @ _squared_magnitude(c, axis=1)
-        vacuum_one = weights @ _squared_magnitude(amps).reshape(rows, 2, B, -1)
+        np.matmul(tables[:, 0, :2], c.reshape(rows, S + 1, -1), out=amps)
+        weights = self.row_weights
+        herald = weights @ np.square(c, out=c).reshape(rows, weights.size, -1)
+        vacuum_one = weights[: 2 * B] @ np.square(amps, out=amps).reshape(rows, 2, 2 * B, -1)
         one = vacuum_one[:, 1]
         multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
         return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
 
     def _work_arrays(self, rows):
         """G, one gathered factor of it, the branch amplitudes c and their
-        surviving-mode contraction for ``rows`` parameter rows: views of one
-        block, shaped (R, detected states, patterns) twice, (R, S + 1,
-        branches, patterns) and (R, 2, branches * patterns).  c is
-        contiguous, so the k_0 GEMM writes it as (R, (S + 1) branches,
-        patterns).
+        surviving-mode contraction for ``rows`` parameter rows: real views of
+        one block, shaped (R, detected states, patterns) twice, (R, S + 1,
+        2, branches, patterns) with the real and imaginary parts on the
+        middle axis, and (R, 2, 2 * branches * patterns).  c is contiguous,
+        so the k_0 GEMM writes it as (R, 2 (S + 1) branches, patterns).
 
         They are an evaluation's largest arrays.  glibc returns the free top
         of its heap to the system once it exceeds twice the largest block it
@@ -449,25 +470,15 @@ class _SchemeEngine:
         S, B = self.space.num_sources, self.num_branches
         detected, patterns = self.column_index.shape[1], self.patterns.shape[0]
         shapes = [(rows, detected, patterns)] * 2 + [
-            (rows, S + 1, B, patterns), (rows, 2, B * patterns)
+            (rows, S + 1, 2, B, patterns), (rows, 2, 2 * B * patterns)
         ]
-        block = np.empty(sum(math.prod(shape) for shape in shapes), dtype=complex)
+        block = np.empty(sum(math.prod(shape) for shape in shapes))
         views, start = [], 0
         for shape in shapes:
             stop = start + math.prod(shape)
             views.append(block[start:stop].reshape(shape))
             start = stop
         return views
-
-
-def _squared_magnitude(values, axis=None):
-    """|values|^2, summed over ``axis`` when given.  Squares the real and
-    imaginary parts in the memory of ``values``, which it overwrites."""
-    parts = values.view(np.float64)
-    np.multiply(parts, parts, out=parts)
-    if axis is not None:
-        parts = parts.sum(axis=axis)
-    return parts[..., ::2] + parts[..., 1::2]
 
 
 @lru_cache(maxsize=32)

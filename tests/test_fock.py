@@ -145,6 +145,14 @@ def test_displaced_number_elements_against_matrix_exponential():
             assert np.abs(table - exact).max() < 1e-12
         # alpha = 0 gives the identity exactly
         assert (tables[-1] == np.eye(cutoff + 1, photons + 1)).all()
+        # real amplitudes give a real table
+        reals = [0.3, -1.1, 3.0, -3.0, 0.0]
+        tables = pel.displaced_number_elements(np.array(reals), cutoff, photons)
+        assert tables.dtype == np.float64
+        for alpha, table in zip(reals, tables):
+            exact = expm(alpha * (annihilate.T - annihilate))[: cutoff + 1, : photons + 1]
+            assert np.abs(table - exact).max() < 1e-12
+        assert (tables[-1] == np.eye(cutoff + 1, photons + 1)).all()
 
 
 def test_displaced_number_elements_at_large_amplitude():

@@ -489,12 +489,12 @@ def test_psi_padding_reads_exact_zeros(rng, monkeypatch, space):
     # one GEMM contracts every k_0, so the slots past each prefix must read
     # exactly 0, from the mesh output and from every line rebuild
     engine = pel.nogo._engine(space)
-    # on the (k_0, branch) rows, detected state k' fits beside k_0 only
-    # while |k'| <= S - k_0
+    # on the (k_0, real or imaginary part, branch) rows, detected state k'
+    # fits beside k_0 only while |k'| <= S - k_0
     S = space.num_sources
     detected = make_basis(space.modes - 1, S)
     past = detected.totals[None, :] > S - np.arange(S + 1)[:, None]
-    past = np.repeat(past, engine.num_branches, axis=0)
+    past = np.repeat(past, 2 * engine.num_branches, axis=0)
     assert past.any() and not past.all()
     params = rows_at_the_cap(rng, space, 3)
     seen = [engine.propagate(engine.split_params(params)[0])]
@@ -510,7 +510,9 @@ def test_psi_padding_reads_exact_zeros(rng, monkeypatch, space):
         line(params[:, coord] * 0.9)
     assert len(seen) == 5
     for vectors in seen:
-        psi = vectors.reshape(vectors.shape[0], -1).take(engine.psi_index, axis=1)
+        psi = vectors.view(np.float64).reshape(vectors.shape[0], -1).take(
+            engine.psi_index, axis=1
+        )
         assert (psi[:, past] == 0.0).all()
         assert (psi[:, ~past] != 0.0).any()
 
@@ -554,11 +556,32 @@ def _per_k0_outcome_table(space, params):
 
 @pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
 def test_outcome_table_matches_a_per_k0_contraction(rng, space):
+    # the engine takes the tables at |beta| and moves the phases arg beta
+    # onto the mesh output; the oracle uses the tables at beta itself.  Of
+    # the last two rows, one has beta = 0 in every mode, and one a real mesh
+    # and real negative ancillas, so that some beta lies on the negative
+    # real axis, where the angle is +-pi
+    engine = pel.nogo._engine(space)
+    n_rot = space.modes * (space.modes - 1) // 2
+    vacuum, real = rows_at_the_cap(rng, space, 2)
+    vacuum[engine.mesh_len:] = 0.0
+    # every rotation phase and output phase 0 makes the mesh real
+    real[1 : 2 * n_rot : 2] = 0.0
+    real[2 * n_rot :] = 0.0
+    real[engine.mesh_len :: 2] = -space.amplitude_cap
     params = np.vstack([
         rows_at_the_cap(rng, space, 3),
         rng.uniform(-0.5, 0.5, (1, space.parameter_count())),
+        vacuum,
+        real,
     ])
-    herald, one, multi, _ = pel.nogo._engine(space).outcome_table(params)
+    mesh, alphas = engine.split_params(params[-2:])
+    vectors = engine.propagate(mesh)
+    betas = np.einsum("rjk,rk->rj",
+                      vectors[:, engine.one_photon_rows, engine.ancilla_columns], alphas)
+    assert (betas[0] == 0.0).all()
+    assert (betas[1].imag == 0.0).all() and (betas[1].real < 0.0).any()
+    herald, one, multi, _ = engine.outcome_table(params)
     reference = _per_k0_outcome_table(space, params)
     for computed, expected in zip((herald, one, multi), reference.swapaxes(0, 1)):
         assert np.abs(computed - expected).max() < 1e-13
