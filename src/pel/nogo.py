@@ -47,12 +47,16 @@ run in real arithmetic.
 One rule truncates the patterns.  The mesh conserves photon number, so a
 pattern d heralds with probability at most P(N >= |d|), where N is the total
 input photon number: the sources' Poisson-binomial count plus a Poisson
-count of mean sum |alpha_j|^2 <= num_coherent * amplitude_cap^2.  The engine
-enumerates every pattern up to the largest total whose bound still reaches
-``min_herald`` less a 1e-12 rounding margin, and at least the 1e-12 herald
-floor (``_rank_total``); no pattern above it can ever be eligible.  An
-explicit cutoff only caps this total.  ``truncation_weight`` is the herald
-mass outside the enumerated patterns, 1 - sum of their herald
+count of mean ||alpha||^2 = sum |alpha_j|^2 <= num_coherent *
+amplitude_cap^2.  A total reaches the threshold when its bound still
+reaches ``min_herald`` less a 1e-12 rounding margin, and at least the 1e-12
+herald floor (``_rank_bound``); no pattern above a total that does not can
+ever be eligible.  The engine enumerates every pattern up to the largest
+total reached at the cap (``_rank_total``); an explicit cutoff only caps
+this total.  Each search call applies the same rule again at the largest
+||alpha||^2 among its rows, and tabulates only the scanned patterns within
+the total so reached (``_SchemeEngine.reachable``).  ``truncation_weight``
+is the herald mass outside the enumerated patterns, 1 - sum of their herald
 probabilities.  ``evaluate_scheme`` computes a pattern above the total as
 its own column.
 """
@@ -60,9 +64,11 @@ its own column.
 import itertools
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,34 +104,51 @@ BOUND_SLACK = 1e-6
 _RANK_MARGIN = 1e-12
 
 
-def _rank_total(space) -> int:
-    """Largest detected photon total n at which P(N >= n), the module
-    docstring's bound on a pattern's herald, still reaches min_herald less
-    ``_RANK_MARGIN``, and at least the herald floor; an explicit cutoff caps
-    it.  The Poisson part of N takes its largest mean, every ancilla at the
-    amplitude cap."""
+#: ``_SchemeEngine.reach_table`` holds at most this many photon totals, and
+#: finds the threshold mean of each in this many bisection steps
+_REACH_TOTALS = 16
+_REACH_STEPS = 10
+
+
+def _rank_bound(space):
+    """The module docstring's bound on a pattern's herald, as a function
+    ``reaches(n, mean)``: whether P(N >= n), with a Poisson part of the given
+    mean, still reaches min_herald less ``_RANK_MARGIN``, and at least the
+    herald floor.  It falls with n and rises with the mean."""
     threshold = max(space.min_herald - _RANK_MARGIN, DEFAULT.herald_floor)
     counts = np.array([1.0])
     for p in space.source_efficiencies:
         counts = np.convolve(counts, [1.0 - p, p])
-    # the engine admits |alpha| up to amplitude_cap * (1 + 1e-9)
-    amplitude = math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)
 
-    def reaches(n):
+    def reaches(n, mean):
+        amplitude = math.sqrt(mean)
         return math.fsum(
             weight * (coherent_tail_weight(amplitude, n - k - 1) if n > k else 1.0)
             for k, weight in enumerate(counts)
         ) >= threshold
 
+    return reaches
+
+
+def _cap_mean(space) -> float:
+    """The largest Poisson mean ||alpha||^2 of the space: the engine admits
+    |alpha_j| up to amplitude_cap * (1 + 1e-9)."""
+    return (math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)) ** 2
+
+
+def _rank_total(space) -> int:
+    """Largest detected photon total n that ``_rank_bound`` reaches with
+    every ancilla at the amplitude cap; an explicit cutoff caps it."""
+    reaches, mean = _rank_bound(space), _cap_mean(space)
     # the bound falls with n: bracket the last total that reaches the
     # threshold by doubling, then bisect, so that large caps cost a few dozen
     # tail sums
     reached, short = 0, 1
-    while reaches(short):
+    while reaches(short, mean):
         reached, short = short, 2 * short
     while short - reached > 1:
         middle = (reached + short) // 2
-        if reaches(middle):
+        if reaches(middle, mean):
             reached = middle
         else:
             short = middle
@@ -263,6 +286,14 @@ class SearchReport:
     truncation_weight: float
 
 
+class _Columns(NamedTuple):
+    """A set of the engine's patterns, in its pattern order: their indices
+    and the columns of the displacement-row gather that tabulates them."""
+
+    index: np.ndarray
+    row_index: np.ndarray
+
+
 class _SchemeEngine:
     """Index tables for evaluating schemes of one SearchSpace on the S-photon
     basis.
@@ -294,20 +325,28 @@ class _SchemeEngine:
     detected) @ (R, detected, patterns) GEMM gives the real and imaginary
     parts of c for every k_0.  An amplitude cap whose |beta|^2 could pass
     ``MAX_DISPLACEMENT_MEAN`` is refused here, when the engine is built.
+
+    ``tabulate`` works on a set of pattern columns (``_Columns``): ``every``
+    pattern for ``outcome_table``, or for a search call the scanned ones
+    within the total that its amplitudes can reach (``reachable``).  A short
+    rising list of totals n and threshold means mu*_n (``reach_table``) turns
+    that total into one bisection of the call's largest ||alpha||^2.  The
+    columns keep the pattern order of ``every``.
     """
 
     def __init__(self, space: SearchSpace):
         self.space = space
         # the largest |beta_j|^2 is ||alpha||^2 <= num_coherent * cap^2
-        reach = math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)
-        if not reach**2 <= MAX_DISPLACEMENT_MEAN:
+        reach = _cap_mean(space)
+        if not reach <= MAX_DISPLACEMENT_MEAN:
             raise CapacityError(
                 f"amplitude_cap {space.amplitude_cap} lets |beta|^2 reach "
-                f"{reach**2:.6g}, past the float range of the displacement tables "
+                f"{reach:.6g}, past the float range of the displacement tables "
                 f"(at most {MAX_DISPLACEMENT_MEAN:.6g})"
             )
 
-        S, M, cutoff = space.num_sources, space.modes, space.cutoff_used
+        S, M = space.num_sources, space.modes
+        self.cutoff_used = cutoff = space.cutoff_used
         self.basis = FockBasis(M, S)
         detected = FockBasis(M - 1, S)
         # every pattern up to the rank bound, and the requested ones, which
@@ -319,7 +358,8 @@ class _SchemeEngine:
         self.pattern_index = {tuple(int(v) for v in row): i
                               for i, row in enumerate(self.patterns)}
         # the search scans the patterns within the bound, the requested ones only
-        self.scan_mask = self.patterns.sum(axis=1) <= cutoff
+        self.totals = self.patterns.sum(axis=1)
+        self.scan_mask = self.totals <= cutoff
         if space.patterns is not None:
             requested = set(space.patterns)
             self.scan_mask &= [row in requested for row in self.pattern_index]
@@ -365,7 +405,11 @@ class _SchemeEngine:
         # rows m_0 = 0 and 1 even at cutoff 0
         self.max_count = max(int(self.patterns.max()), 1)
         row_start = np.arange((M - 1) * (S + 1))[:, None] * (self.max_count + 1)
-        self.row_index = row_start + np.repeat(self.patterns.T, S + 1, axis=0)
+        self.every = _Columns(
+            np.arange(self.patterns.shape[0]),
+            row_start + np.repeat(self.patterns.T, S + 1, axis=0),
+        )
+        self._last = (None, None)
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, as 2 (S + 1) B real rows, in the
@@ -402,13 +446,67 @@ class _SchemeEngine:
         alphas = amp[:, 0::2] + 1j * amp[:, 1::2]
         return mesh, alphas
 
+    @cached_property
+    def reach_table(self):
+        """Photon totals n and their threshold means mu*_n, two rising
+        lists: below mu*_n ``_rank_bound`` cannot reach n, and mu*_n never
+        exceeds the least mean at which it does.  The totals are those up to
+        ``cutoff_used`` that the sources alone do not reach, at most
+        ``_REACH_TOTALS`` of them spread evenly, so that a large amplitude cap
+        costs a bounded number of tail sums.  Each bisects [mu* of the total
+        before, cap mean] in ``_REACH_STEPS`` steps and keeps the end that
+        falls short."""
+        reaches, top = _rank_bound(self.space), _cap_mean(self.space)
+        # the sources give at most S photons
+        first = next(n for n in itertools.count() if not reaches(n, 0.0))
+        totals = list(range(first, self.cutoff_used + 1))
+        if len(totals) > _REACH_TOTALS:
+            spread = np.linspace(first, self.cutoff_used, _REACH_TOTALS)
+            totals = np.unique(spread.round().astype(int)).tolist()
+        means, short = [], 0.0
+        for n in totals:
+            reached = top
+            for _ in range(_REACH_STEPS):
+                middle = 0.5 * (short + reached)
+                if reaches(n, middle):
+                    reached = middle
+                else:
+                    short = middle
+            means.append(short)
+        return totals, means
+
+    def columns_within(self, total) -> _Columns:
+        """The scanned patterns whose detected total is at most ``total``,
+        in the engine's pattern order.  The engine keeps those of the last
+        total asked for: about nine in ten of a search's calls reach the
+        same total as the call before."""
+        last, columns = self._last
+        if last != total:
+            index = np.flatnonzero(self.scan_mask & (self.totals <= total))
+            columns = _Columns(index, self.every.row_index.take(index, axis=1))
+            self._last = (total, columns)
+        return columns
+
+    def reachable(self, alphas) -> _Columns:
+        """``columns_within`` a total that ``_rank_bound`` cannot pass at the
+        largest ||alpha||^2 among the (R, num_coherent) amplitudes: no column
+        left out can be eligible in any of the rows.  It is one less than
+        the first total of ``reach_table`` whose mu*_n lies above that mean,
+        or ``cutoff_used`` when none does."""
+        # a few rows of a few amplitudes: Python sums beat numpy's reductions
+        mean = max(map(sum, np.square(alphas.view(np.float64)).tolist()))
+        totals, means = self.reach_table
+        short = bisect_right(means, mean)
+        total = totals[short] - 1 if short < len(totals) else self.cutoff_used
+        return self.columns_within(total)
+
     def outcome_table(self, params):
         """Per-pattern herald probability, one-photon weight and multiphoton
         weight (unnormalized), each (R, patterns), and the herald mass outside
         the patterns, (R,), for an (R, parameters) array.  Each row's result
         is the same whatever R is."""
         mesh, alphas = self.split_params(params)
-        return self.tabulate(self.propagate(mesh), alphas)
+        return self.tabulate(self.propagate(mesh), alphas, self.every)
 
     def propagate(self, mesh):
         """The mesh stage: every input column through the mesh of each row of
@@ -417,9 +515,11 @@ class _SchemeEngine:
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
         return vectors
 
-    def tabulate(self, vectors, alphas):
-        """``outcome_table`` from the mesh output of ``propagate`` and the
-        (R, num_coherent) ancilla amplitudes; ``vectors`` is left as it is."""
+    def tabulate(self, vectors, alphas, columns):
+        """``outcome_table`` over the patterns of ``columns`` (``every``, or
+        those of ``columns_within``) from the mesh output of ``propagate`` and
+        the (R, num_coherent) ancilla amplitudes; ``vectors`` is left as it
+        is."""
         cap = self.space.amplitude_cap * (1.0 + 1e-9)
         size = np.abs(alphas)
         # written so that a NaN amplitude fails it too
@@ -436,13 +536,15 @@ class _SchemeEngine:
         tables = displaced_number_elements(np.abs(betas[:, :, 0]), self.max_count, S)
         turns = np.matmul(self.basis.occupations, np.arctan2(-betas.imag, betas.real))
         phased = vectors * _unit_phases(turns)
-        g, factor, c, amps = self._work_arrays(rows)
+        g, factor, c, amps = self._work_arrays(rows, columns.index.size)
         # take along axis 1 applies one index table to every parameter row; G
         # is the elementwise product of one gathered slice per detected mode
-        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(self.row_index, axis=1)
+        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(
+            columns.row_index, axis=1
+        )
         rows_of_d.take(self.column_index[0], axis=1, out=g)
-        for columns in self.column_index[1:]:
-            g *= rows_of_d.take(columns, axis=1, out=factor)
+        for mode_columns in self.column_index[1:]:
+            g *= rows_of_d.take(mode_columns, axis=1, out=factor)
         psi = phased.view(np.float64).reshape(rows, -1).take(self.psi_index, axis=1)
         np.matmul(psi, g, out=c.reshape(rows, psi.shape[1], -1))
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
@@ -454,21 +556,22 @@ class _SchemeEngine:
         multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
         return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
 
-    def _work_arrays(self, rows):
+    def _work_arrays(self, rows, patterns):
         """G, one gathered factor of it, the branch amplitudes c and their
-        surviving-mode contraction for ``rows`` parameter rows: real views of
-        one block, shaped (R, detected states, patterns) twice, (R, S + 1,
-        2, branches, patterns) with the real and imaginary parts on the
-        middle axis, and (R, 2, 2 * branches * patterns).  c is contiguous,
-        so the k_0 GEMM writes it as (R, 2 (S + 1) branches, patterns).
+        surviving-mode contraction for ``rows`` parameter rows and
+        ``patterns`` columns: real views of one block, shaped (R, detected
+        states, patterns) twice, (R, S + 1, 2, branches, patterns) with the
+        real and imaginary parts on the middle axis, and (R, 2, 2 * branches
+        * patterns).  c is contiguous, so the k_0 GEMM writes it as (R, 2 (S +
+        1) branches, patterns).
 
         They are an evaluation's largest arrays.  glibc returns the free top
         of its heap to the system once it exceeds twice the largest block it
         ever had to map and free; with one block the largest block holds most
         of the evaluation, so a search does not fault its arrays in again on
-        every evaluation."""
+        every evaluation.  The block's size follows the call's columns."""
         S, B = self.space.num_sources, self.num_branches
-        detected, patterns = self.column_index.shape[1], self.patterns.shape[0]
+        detected = self.column_index.shape[1]
         shapes = [(rows, detected, patterns)] * 2 + [
             (rows, S + 1, 2, B, patterns), (rows, 2, 2 * B * patterns)
         ]
@@ -513,19 +616,25 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
 
 def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
-    array: ``_scores`` of the engine's outcome table."""
+    array: ``_scores`` of the outcome table over the columns its amplitudes
+    can herald."""
     engine = _engine(space)
-    return _scores(space, engine, engine.outcome_table(params))
+    mesh, alphas = engine.split_params(params)
+    columns = engine.reachable(alphas)
+    table = engine.tabulate(engine.propagate(mesh), alphas, columns)
+    return _scores(space, columns, table)
 
 
-def _scores(space: SearchSpace, engine: _SchemeEngine, table):
-    """Search score and best pattern index of each row of an outcome table.
-    The score is the best X among the ranked patterns; with none ranked it
-    is -2, or -1 minus the least multiphoton ratio when eligible patterns all
-    break the constraint, and the pattern index is -1."""
+def _scores(space: SearchSpace, columns: _Columns, table):
+    """Search score and best pattern index of each row of an outcome table
+    over scanned ``columns``.  The score is the best X among the ranked
+    patterns; with none ranked it is -2, or -1 minus the least multiphoton
+    ratio when eligible patterns all break the constraint, and the pattern
+    index is -1.  The columns keep the engine's pattern order, so ties go to
+    the same pattern as over every scanned column."""
     herald, one, multi, _ = table
-    eligible = (herald >= space.min_herald) & engine.scan_mask
-    if engine.patterns.shape[0] > space.max_patterns:
+    eligible = herald >= space.min_herald
+    if columns.index.size > space.max_patterns:
         crowded = eligible.sum(axis=1) > space.max_patterns
         if crowded.any():
             # rank only the eligible patterns, the heaviest heralds first
@@ -548,7 +657,7 @@ def _scores(space: SearchSpace, engine: _SchemeEngine, table):
     best = np.argmax(x_ratio, axis=1)
     found = valid.any(axis=1)
     scores = np.where(found, x_ratio.max(axis=1), fallback)
-    return scores, np.where(found, best, -1)
+    return scores, np.where(found, columns.index[best], -1)
 
 
 def _line_scores(space: SearchSpace, params, coord: int):
@@ -561,7 +670,9 @@ def _line_scores(space: SearchSpace, params, coord: int):
     mesh output at the engine's 2S + 1 nodes about the current value x_c;
     their DFT gives the coefficients of the degree-S trigonometric
     polynomial, and the output at x is one matmul of them against
-    e^{iq (x - x_c)}, q = -S..S.  Rows never mix."""
+    e^{iq (x - x_c)}, q = -S..S.  Each probe tabulates the columns its
+    amplitudes can herald (``_SchemeEngine.reachable``), which on a mesh line
+    are the same for the whole line.  Rows never mix."""
     engine = _engine(space)
     params = np.array(params, dtype=float)
     mesh, alphas = engine.split_params(params)
@@ -572,7 +683,8 @@ def _line_scores(space: SearchSpace, params, coord: int):
             trial = params.copy()
             trial[:, coord] = x
             _, alphas = engine.split_params(trial)
-            return _scores(space, engine, engine.tabulate(vectors, alphas))[0]
+            columns = engine.reachable(alphas)
+            return _scores(space, columns, engine.tabulate(vectors, alphas, columns))[0]
 
         return scores
     rows, nodes = mesh.shape[0], engine.line_steps.size
@@ -581,11 +693,12 @@ def _line_scores(space: SearchSpace, params, coord: int):
     sampled[:, :, coord] += engine.line_steps
     samples = engine.propagate(sampled.reshape(rows * nodes, -1))
     coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))
+    columns = engine.reachable(alphas)
 
     def scores(x):
         phases = _unit_phases((x - center)[:, None, None] * engine.line_orders)
         vectors = np.matmul(phases, coefficients).reshape((rows,) + samples.shape[1:])
-        return _scores(space, engine, engine.tabulate(vectors, alphas))[0]
+        return _scores(space, columns, engine.tabulate(vectors, alphas, columns))[0]
 
     return scores
 
@@ -736,7 +849,7 @@ def maximize_X(
         bound=space.bound,
         violated=bool(best_x > space.bound + BOUND_SLACK),
         evaluations=total_evals,
-        cutoff_used=space.cutoff_used,
+        cutoff_used=engine.cutoff_used,
         truncation_weight=float(tail[0]),
     )
 

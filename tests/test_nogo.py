@@ -500,9 +500,9 @@ def test_psi_padding_reads_exact_zeros(rng, monkeypatch, space):
     seen = [engine.propagate(engine.split_params(params)[0])]
     tabulate = engine.tabulate
 
-    def recording(vectors, alphas):
+    def recording(vectors, alphas, columns):
         seen.append(vectors.copy())
-        return tabulate(vectors, alphas)
+        return tabulate(vectors, alphas, columns)
 
     monkeypatch.setattr(engine, "tabulate", recording)
     for coord in (0, 1, engine.mesh_len - 1, engine.mesh_len):
@@ -724,3 +724,92 @@ def test_larger_shapes_build_under_the_rank_bound(rng, space):
     )
     scores, best = pel.nogo._objective(space, rows_at_the_cap(rng, space, 1))
     assert np.isfinite(scores).all()
+
+
+def _every_column_objective(space, params):
+    """``_objective`` through every scanned column of the engine, whatever
+    the amplitudes: the reference for the columns of each call."""
+    engine = pel.nogo._engine(space)
+    mesh, alphas = engine.split_params(params)
+    scanned = engine.columns_within(engine.cutoff_used)
+    table = engine.tabulate(engine.propagate(mesh), alphas, scanned)
+    return pel.nogo._scores(space, scanned, table)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"constraint": 1e-3},
+        {"patterns": ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (9, 0), (5, 5))},
+        {"max_patterns": 3},
+    ],
+    ids=["free", "constrained", "patterns", "crowded"],
+)
+def test_per_probe_columns_match_the_full_set(rng, options):
+    space = SearchSpace((0.6, 0.6), **options)
+    engine = pel.nogo._engine(space)
+    at_cap = rows_at_the_cap(rng, space, 16)
+    toward_zero = rows_at_the_cap(rng, space, 16)
+    toward_zero[:, engine.mesh_len:] *= np.linspace(0.0, 0.6, 16)[:, None]
+    sizes = []
+    for params in (at_cap, toward_zero, *toward_zero[:, None]):
+        sizes.append(engine.reachable(engine.split_params(params)[1]).index.size)
+        scores, best = pel.nogo._objective(space, params)
+        every_scores, every_best = _every_column_objective(space, params)
+        assert np.array_equal(scores, every_scores)
+        assert np.array_equal(best, every_best)
+        expected_scores, expected_best = _full_set_objective(space, params, 16)
+        assert [tuple(engine.patterns[i]) if i >= 0 else None for i in best] == expected_best
+        assert np.allclose(scores, expected_scores, rtol=1e-15, atol=0.0)
+    # the rows at the cap take every scanned column, the others fewer
+    assert sizes[0] == engine.scan_mask.sum()
+    assert min(sizes) < sizes[0]
+
+
+def test_identity_mesh_ties_go_to_the_full_set_pattern(rng):
+    # with no mesh the survivor is source 0 whatever is detected, so every
+    # eligible pattern gives X = p_0 up to rounding; among those ties the
+    # fewer columns must report the pattern that every column reports
+    space = SearchSpace((0.6, 0.4))
+    engine = pel.nogo._engine(space)
+    params = rows_at_the_cap(rng, space, 8)
+    params[:, : engine.mesh_len] = 0.0
+    params[:, engine.mesh_len:] *= np.linspace(0.1, 0.8, 8)[:, None]
+    herald, one, _, _ = engine.outcome_table(params)
+    eligible = herald >= space.min_herald
+    assert (eligible.sum(axis=1) > 1).all()
+    assert np.abs(one[eligible] / herald[eligible] - 0.6).max() < 1e-15
+    for row in params[:, None]:
+        assert engine.reachable(engine.split_params(row)[1]).index.size < engine.patterns.shape[0]
+        scores, best = pel.nogo._objective(space, row)
+        every_scores, every_best = _every_column_objective(space, row)
+        assert best == every_best and scores == every_scores
+
+
+def test_report_reads_cutoff_used_from_the_engine(monkeypatch):
+    space = small_space(cutoff=12)
+    engine = pel.nogo._engine(space)
+
+    def refused(space):
+        raise AssertionError("the rank total was computed again")
+
+    monkeypatch.setattr(pel.nogo, "_rank_total", refused)
+    assert maximize_X(space, 200, seed=2).cutoff_used == engine.cutoff_used == 9
+
+
+def test_coarse_reach_table_stays_conservative():
+    # at cap 10 the rank bound reaches 146 photons; the table keeps 16
+    # totals, so a mean between two of them is credited with every total
+    # below the next, never fewer than it reaches
+    space = SearchSpace((0.5,), amplitude_cap=10.0)
+    engine = pel.nogo._engine(space)
+    totals, means = engine.reach_table
+    assert len(totals) == pel.nogo._REACH_TOTALS and totals[-1] == engine.cutoff_used
+    reaches = pel.nogo._rank_bound(space)
+    for mean in (0.0, 0.3, 7.0, 40.0, 99.0, 100.0):
+        alphas = np.array([[math.sqrt(mean)]], dtype=complex)
+        tabulated = engine.totals[engine.reachable(alphas).index].max()
+        reached = max(n for n in range(engine.cutoff_used + 1) if reaches(n, mean))
+        assert reached <= tabulated
+        assert tabulated < engine.cutoff_used or mean >= means[-1]

@@ -73,3 +73,51 @@ def test_displacement_table_columns_are_orthonormal(size, phase, photons, room):
     table = pel.displaced_number_elements(alpha, room + photons, photons)
     gram = table.conj().T @ table
     assert np.abs(gram - np.eye(photons + 1)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    efficiencies=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    num_coherent=st.integers(1, 2),
+    amplitude_cap=st.floats(0.05, 2.0),
+    min_herald=st.floats(1e-10, 0.5),
+    cutoff=st.integers(1, 8),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_probe_columns_never_prune_a_reachable_pattern(
+    efficiencies, num_coherent, amplitude_cap, min_herald, cutoff, share, seed
+):
+    space = SearchSpace(
+        tuple(efficiencies), num_coherent=num_coherent, cutoff=cutoff,
+        amplitude_cap=amplitude_cap, min_herald=min_herald,
+    )
+    engine = pel.nogo._SchemeEngine(space)
+    # every ancilla of row r at |alpha_j|^2 = share * u_r * cap^2, u_0 = 1:
+    # the largest Poisson mean is share * K * cap^2, in [0, K cap^2]
+    rng = np.random.default_rng(seed)
+    params = rows_at_the_cap(rng, space, 8)
+    scale = np.sqrt(share * rng.uniform(0.0, 1.0, 8))
+    scale[0] = math.sqrt(share)
+    params[:, engine.mesh_len:] *= scale[:, None]
+    # the second row's mesh is the identity
+    params[1, : engine.mesh_len] = 0.0
+    alphas = engine.split_params(params)[1]
+    mean = float(np.square(np.abs(alphas)).sum(axis=1).max())
+    assert mean == pytest.approx(share * num_coherent * amplitude_cap**2, rel=1e-12)
+    columns = engine.reachable(alphas)
+    total = engine.totals[columns.index].max()
+    # the stored means never exceed the least mean that reaches each total,
+    # and every total reached at the largest mean is tabulated
+    reaches = pel.nogo._rank_bound(space)
+    assert all(not reaches(n, m) for n, m in zip(*engine.reach_table))
+    assert all(n <= total for n in range(engine.cutoff_used + 1) if reaches(n, mean))
+    # an engine that computes every pattern up to the cutoff
+    detected = pel.make_basis(space.modes - 1, cutoff).occupations
+    full = pel.nogo._SchemeEngine(
+        replace(space, patterns=tuple(tuple(row) for row in detected))
+    )
+    herald = full.outcome_table(params)[0]
+    kept = {tuple(engine.patterns[i]) for i in columns.index}
+    left_out = [i for i, row in enumerate(full.patterns) if tuple(row) not in kept]
+    assert np.all(herald[:, left_out] < min_herald)
