@@ -6,19 +6,22 @@ available as
 * a Kraus map (``apply_loss``), the workhorse;
 * a Bernoulli redistribution of the photon-number diagonal
   (``bernoulli_diagonal``), a direct-summation cross-check;
-* a fixed-step integration of the damping master equation
+* a fixed-step RK4 integration of the damping master equation
   (``apply_loss_lindblad``), kept permanently as an independent oracle for
-  the Kraus implementation;
+  the Kraus implementation.  The equation is linear and time-independent,
+  so every step applies one d^2 x d^2 matrix, which is built once and raised
+  to the step count;
 * a restricted inverse (``invert_loss``), the same Kraus kernel run at
   transmissivity 1/p.
 
 ``apply_loss`` and ``invert_loss`` run one table-driven kernel: per mode
 and loss count l it moves each matrix element whose row and column hold
 n, n' >= l photons in that mode down by l photons on both sides, weighted
-by (1-p)^l sqrt(C(n, l) C(n', l)) p^((n+n')/2 - l).  The Lindblad integrator
-reuses the kernel's l = 1 index table.  The weights are polynomials in p
-and satisfy E_p o E_q = E_pq as a polynomial identity, so E_(1/p), whose
-(1-1/p)^l factors alternate in sign, inverts E_p.  The truncated inverse is
+by (1-p)^l sqrt(C(n, l) C(n', l)) p^((n+n')/2 - l).  The Lindblad
+generator takes its jump terms from the kernel's l = 1 index table.  The
+weights are polynomials in p and satisfy E_p o E_q = E_pq as a polynomial
+identity, so E_(1/p), whose (1-1/p)^l factors alternate in sign, inverts
+E_p.  The truncated inverse is
 exact for states supported inside the cutoff: a loss channel with p > 0
 cannot map weight from above photon number n to below it without leaving a
 trace in between (each Kraus term lowers the photon number by exactly its
@@ -51,16 +54,28 @@ class LossChannel:
         if not 0.0 < self.p <= 1.0:
             raise ContractViolation(f"transmissivity p={self.p} outside (0, 1]")
         if self.modes is not None:
-            object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+            object.__setattr__(self, "modes", _acted_modes(self.modes))
 
     def acted_modes(self, total_modes: int) -> tuple:
-        if self.modes is None:
-            return tuple(range(total_modes))
-        if any(m < 0 or m >= total_modes for m in self.modes):
-            raise ContractViolation(
-                f"channel modes {self.modes} outside range 0..{total_modes - 1}"
-            )
-        return self.modes
+        return _acted_modes(self.modes, total_modes)
+
+
+def _acted_modes(modes, total_modes: int | None = None) -> tuple:
+    """The modes a loss acts on: every one of ``total_modes`` for None, else
+    ``modes`` as integers, each named once and, when ``total_modes`` is
+    given, within range."""
+    if modes is None:
+        return tuple(range(total_modes))
+    if not all(float(m).is_integer() for m in modes):
+        raise ContractViolation(f"channel modes {modes} must be integers")
+    modes = tuple(int(m) for m in modes)
+    if len(set(modes)) < len(modes):
+        raise ContractViolation(f"channel modes {modes} name a mode twice")
+    if total_modes is not None and any(m < 0 or m >= total_modes for m in modes):
+        raise ContractViolation(
+            f"channel modes {modes} outside range 0..{total_modes - 1}"
+        )
+    return modes
 
 
 @dataclass(frozen=True)
@@ -172,17 +187,6 @@ def bernoulli_diagonal(diag: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _lindblad_rhs(rho: np.ndarray, jumps: list, decay: np.ndarray, kappa: float) -> np.ndarray:
-    source = rho.reshape(-1)
-    out = np.zeros_like(source)
-    # a rho a^dag per acted mode
-    for src, tgt, weight in jumps:
-        out[tgt] += weight * source.take(src)
-    # -(N rho + rho N)/2 with N the summed number operator over acted modes
-    out = out.reshape(rho.shape) - decay * rho
-    return kappa * out
-
-
 def apply_loss_lindblad(
     rho: DensityMatrix,
     params: LindbladParams,
@@ -195,9 +199,18 @@ def apply_loss_lindblad(
     Exists as the independent oracle for ``apply_loss``; at
     p = exp(-kappa*t0) the two must agree to 1e-7 entrywise.  A step count too
     small for the 1e-8 error target triggers a warning rather than an error.
+
+    The generator L acts on the row-major vec(rho) as a d^2 x d^2 matrix, d
+    the basis dimension, so one RK4 step of size h is the fixed matrix
+    T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and the whole integration
+    is T^steps by repeated squaring.  Its cost grows as d^6 and only as the
+    log of the step count.  Up to d = 10, the largest basis the package's
+    tests, demos and benchmark pass, that is 20 to 300 times faster than
+    taking the steps one by one; at d = 20 and p = 0.9, with few steps, it
+    is slower.
     """
     basis = rho.basis
-    acted = tuple(range(basis.modes)) if modes is None else tuple(modes)
+    acted = _acted_modes(modes, basis.modes)
     kt = params.kappa * params.t0
     if kt == 0.0:
         return rho
@@ -208,23 +221,25 @@ def apply_loss_lindblad(
             f"above 1e-8; increase steps",
             stacklevel=2,
         )
-    jumps = []
-    # the l = 1 rung of each acted mode's loss ladder gives a rho a^dag; at
-    # cutoff 0 there is no such rung and nothing decays
+    size = basis.dimension**2
+    generator = np.zeros((size, size))
+    # a rho a^dag per acted mode, from the l = 1 rung of its loss ladder; at
+    # cutoff 0 there is no such rung and nothing decays, so T = I exactly
     if basis.cutoff > 0:
         for mode in acted:
             src, tgt, root, _ = _loss_ladder(basis, mode)[1]
-            jumps.append((src, tgt, np.outer(root, root).ravel()))
+            generator[tgt, src] += np.outer(root, root).ravel()
+    # -(N rho + rho N)/2 with N the summed number operator over acted modes
     nvec = basis.occupations[:, list(acted)].sum(axis=1)
-    decay = 0.5 * (nvec[:, None] + nvec[None, :])
-    h = params.t0 / params.steps
-    state = rho.elements.astype(complex)
-    for _ in range(params.steps):
-        k1 = _lindblad_rhs(state, jumps, decay, params.kappa)
-        k2 = _lindblad_rhs(state + 0.5 * h * k1, jumps, decay, params.kappa)
-        k3 = _lindblad_rhs(state + 0.5 * h * k2, jumps, decay, params.kappa)
-        k4 = _lindblad_rhs(state + h * k3, jumps, decay, params.kappa)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    generator[np.diag_indices(size)] -= 0.5 * (nvec[:, None] + nvec[None, :]).ravel()
+    step = (kt / params.steps) * generator
+    identity = np.eye(size)
+    # the RK4 step matrix in Horner form
+    propagator = identity + step / 4.0
+    for order in (3.0, 2.0, 1.0):
+        propagator = identity + (step / order) @ propagator
+    state = np.linalg.matrix_power(propagator, params.steps) @ rho.elements.reshape(-1)
+    state = state.reshape(rho.elements.shape)
     state = (state + state.conj().T) / 2.0
     return DensityMatrix(
         basis, state, normalized=rho.normalized, tail=rho.tail, tol=tol

@@ -192,7 +192,6 @@ SCHEMA = {
                 "amplitude_cap": {"type": "number", "exclusiveMinimum": 0},
                 "cutoff": {"type": "integer", "minimum": 1},
                 "min_herald": {"type": "number", "exclusiveMinimum": 0},
-                "max_patterns": {"type": "integer", "minimum": 1},
                 "patterns": {
                     "type": "array",
                     "minItems": 1,
@@ -392,7 +391,7 @@ def _search_spaces(spec, cutoff):
         "num_coherent": block.get("num_coherent", 1),
         "constraint": block.get("constraint"),
     }
-    for key in ("amplitude_cap", "min_herald", "max_patterns"):
+    for key in ("amplitude_cap", "min_herald"):
         if key in block:
             common[key] = block[key]
     if "patterns" in block:
@@ -489,7 +488,7 @@ _RUNNERS = {
 }
 
 
-def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None, fmt=None):
+def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
     """Validate and execute a spec document; returns (document, exit_code)."""
     validate_spec(spec)
     seed = seed if seed is not None else spec.get("seed", 0)
@@ -536,6 +535,7 @@ def _emit_json(obj) -> str:
 
 _CSV_HEADER = ["p_max", "constraint", "best_X", "bound", "herald_prob",
                "multiphoton_weight", "violated"]
+_SIMULATE_CSV_HEADER = ["mode", "single_photon_probability", "multiphoton_weight"]
 
 
 def _csv_cell(value) -> str:
@@ -583,6 +583,10 @@ def emit(document: dict, fmt: str = "json") -> str:
                 _csv_cell(document.get("passed", document.get("all_passed"))),
             ]
         )
+    elif "per_mode" in document:
+        writer.writerow(_SIMULATE_CSV_HEADER)
+        for marginal in document["per_mode"]:
+            writer.writerow([_csv_cell(marginal[k]) for k in _SIMULATE_CSV_HEADER])
     else:
         writer.writerow(["herald_probability", "single_photon_probability",
                          "multiphoton_weight"])

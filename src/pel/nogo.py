@@ -169,12 +169,11 @@ class SearchSpace:
     amplitude_cap: float = 1.0
     #: multiphoton-weight threshold for the constrained regime; None = unconstrained
     constraint: float | None = None
-    #: heralding outcomes below this probability are not ranked, and patterns
-    #: whose photon total bounds their herald below it are not enumerated
-    #: (see ``_rank_total``)
+    #: the one eligibility rule: every scanned pattern whose herald reaches
+    #: this probability is ranked, and no other is; patterns whose photon
+    #: total bounds their herald below it are not enumerated (see
+    #: ``_rank_total``)
     min_herald: float = 1e-5
-    #: per-evaluation cap on ranked heralding outcomes
-    max_patterns: int = 200
     #: explicit outcomes to scan (counts per detected mode); None = all
     patterns: tuple | None = None
 
@@ -213,11 +212,6 @@ class SearchSpace:
                 f"constraint must be None or nonnegative and finite, "
                 f"got {self.constraint!r}"
             )
-        if not (self.max_patterns >= 1 and float(self.max_patterns).is_integer()):
-            raise ContractViolation(
-                f"max_patterns must be a positive integer, got {self.max_patterns!r}"
-            )
-        object.__setattr__(self, "max_patterns", int(self.max_patterns))
         if self.patterns is not None:
             listed = tuple(tuple(pattern) for pattern in self.patterns)
             if not listed:
@@ -627,22 +621,15 @@ def _objective(space: SearchSpace, params):
 
 def _scores(space: SearchSpace, columns: _Columns, table):
     """Search score and best pattern index of each row of an outcome table
-    over scanned ``columns``.  The score is the best X among the ranked
-    patterns; with none ranked it is -2, or -1 minus the least multiphoton
-    ratio when eligible patterns all break the constraint, and the pattern
-    index is -1.  The columns keep the engine's pattern order, so ties go to
-    the same pattern as over every scanned column."""
+    over scanned ``columns``.  One rule makes a pattern eligible: its herald
+    reaches ``min_herald``.  Every eligible pattern is ranked, and the score
+    is the best X among those that meet the constraint; with none eligible
+    it is -2, or -1 minus the least multiphoton ratio when eligible patterns
+    all break the constraint, and the pattern index is -1.  The columns keep
+    the engine's pattern order, so ties go to the same pattern as over every
+    scanned column."""
     herald, one, multi, _ = table
     eligible = herald >= space.min_herald
-    if columns.index.size > space.max_patterns:
-        crowded = eligible.sum(axis=1) > space.max_patterns
-        if crowded.any():
-            # rank only the eligible patterns, the heaviest heralds first
-            heaviest = np.where(eligible[crowded], -herald[crowded], np.inf)
-            order = np.argsort(heaviest, axis=1, kind="stable")
-            kept = np.zeros_like(heaviest, dtype=bool)
-            np.put_along_axis(kept, order[:, : space.max_patterns], True, axis=1)
-            eligible[crowded] &= kept
     x_ratio = one / np.maximum(herald, 1e-300)
     valid = eligible
     fallback = np.full(herald.shape[0], -2.0)

@@ -33,6 +33,30 @@ def test_channel_validates_transmissivity():
         LossChannel(1.5)
 
 
+@pytest.mark.parametrize(
+    "modes,message",
+    [((0, 0), "twice"), ((1.5,), "integers"), ((-1,), "outside"), ((5,), "outside")],
+)
+def test_loss_and_lindblad_share_the_mode_check(rng, modes, message):
+    # a repeated mode would apply p twice; the channel refuses it when built
+    rho = random_density(rng, make_basis(2, 2))
+    with pytest.raises(ContractViolation, match=message):
+        apply_loss(rho, LossChannel(0.5, modes=modes))
+    with pytest.raises(ContractViolation, match=message):
+        apply_loss_lindblad(
+            rho, LindbladParams.for_transmissivity(0.5, cutoff=2), modes=modes
+        )
+
+
+def test_lindblad_on_one_mode_matches_kraus(rng):
+    rho = random_density(rng, make_basis(2, 3))
+    kraus = apply_loss(rho, LossChannel(0.7, modes=(1,)))
+    lind = apply_loss_lindblad(
+        rho, LindbladParams.for_transmissivity(0.7, cutoff=3), modes=(1,)
+    )
+    assert np.abs(kraus.elements - lind.elements).max() < 1e-7
+
+
 def test_single_photon_through_loss():
     rho = apply_loss(make_state(Isps(1.0), make_basis(1, 3)), LossChannel(0.6))
     assert np.allclose(rho.diagonal(), [0.4, 0.6, 0.0, 0.0], atol=1e-14)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -96,6 +98,23 @@ def test_simulate_without_measurement_reports_marginals():
     document, code = run_spec(spec)
     assert code == 0
     assert document["per_mode"][0]["single_photon_probability"] == pytest.approx(0.7)
+
+
+def test_simulate_without_measurement_csv_has_one_row_per_mode():
+    spec = {
+        "command": "simulate",
+        "sources": [{"kind": "isps", "p": 0.7}, {"kind": "fock", "n": 1},
+                    {"kind": "isps", "p": 0.4}],
+        "interferometer": {"haar": {"seed": 4}},
+        "cutoff": 3,
+    }
+    document, _ = run_spec(spec)
+    rows = list(csv.reader(io.StringIO(emit(document, "csv"))))
+    assert rows[0] == ["mode", "single_photon_probability", "multiphoton_weight"]
+    assert [[int(row[0]), float(row[1]), float(row[2])] for row in rows[1:]] == [
+        [m["mode"], m["single_photon_probability"], m["multiphoton_weight"]]
+        for m in json.loads(emit(document, "json"))["per_mode"]
+    ]
 
 
 def test_verify_commutation_spec():
@@ -242,6 +261,15 @@ def test_main_bad_search_space_exit_code(tmp_path, capsys, monkeypatch, field, v
     code = main(["nogo-search", "--spec", str(path)])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_main_max_patterns_is_an_unknown_search_field(tmp_path, capsys):
+    # min_herald is the one eligibility rule; a ranking cap is not a field
+    path = tmp_path / "spec.json"
+    search = {"source_efficiencies": [0.5, 0.5], "budget": 50, "max_patterns": 3}
+    path.write_text(json.dumps({"command": "nogo-search", "search": search}))
+    assert main(["nogo-search", "--spec", str(path)]) == 2
+    assert "'max_patterns' was unexpected" in capsys.readouterr().err
 
 
 def test_main_amplitude_cap_past_the_float_range_exit_code(tmp_path, capsys):

@@ -68,8 +68,6 @@ def test_search_space_validation():
         ("min_herald", math.nan),
         ("min_herald", -1e-3),
         ("min_herald", 1.5),
-        ("max_patterns", 0),
-        ("max_patterns", 2.5),
         ("constraint", math.nan),
         ("constraint", math.inf),
         ("constraint", -0.5),
@@ -369,21 +367,6 @@ def test_report_without_ranked_pattern_carries_truncation():
     assert report.truncation_weight > 0.0
 
 
-def test_pattern_cap_ranks_only_eligible_patterns():
-    # the cap keeps the heaviest heralds among the scanned patterns; ranking
-    # among all patterns would keep (0, 0), (1, 0) and (0, 1) and rank none
-    scanned = ((0, 3), (3, 0), (2, 2), (1, 3), (3, 1))
-    space = SearchSpace((0.5, 0.5), cutoff=6, max_patterns=3, patterns=scanned)
-    assert maximize_X(space, 1, seed=4).best_pattern in scanned
-    params = np.random.default_rng(3).uniform(-0.5, 0.5, space.parameter_count())
-    outcomes = {p: evaluate_scheme(space, params, p) for p in scanned}
-    heaviest = sorted(scanned, key=lambda p: outcomes[p][1])[-3:]
-    expected = max(heaviest, key=lambda p: outcomes[p][0])
-    scores, best = pel.nogo._objective(space, params[None])
-    assert tuple(pel.nogo._engine(space).patterns[best[0]]) == expected
-    assert scores[0] == pytest.approx(outcomes[expected][0], rel=1e-12)
-
-
 def test_lockstep_block_matches_restarts_run_alone():
     spaces = [
         small_space(eff=(0.6, 0.4), constraint=1e-3),
@@ -649,8 +632,6 @@ def _full_set_objective(space, params, cutoff):
             if h[i] >= space.min_herald
             and (space.patterns is None or tuple(pattern) in space.patterns)
         ]
-        # sorted is stable: equal heralds keep the list order
-        eligible = sorted(sorted(eligible, key=lambda i: -h[i])[: space.max_patterns])
         valid = [i for i in eligible
                  if space.constraint is None or m[i] / h[i] <= space.constraint]
         if valid:
@@ -671,9 +652,8 @@ def _full_set_objective(space, params, cutoff):
         {},
         {"constraint": 1e-3},
         {"patterns": ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (9, 0), (5, 5))},
-        {"max_patterns": 3},
     ],
-    ids=["free", "constrained", "patterns", "crowded"],
+    ids=["free", "constrained", "patterns"],
 )
 def test_ranked_objective_matches_the_full_set(rng, options):
     space = SearchSpace((0.6, 0.6), **options)
@@ -726,6 +706,25 @@ def test_larger_shapes_build_under_the_rank_bound(rng, space):
     assert np.isfinite(scores).all()
 
 
+@pytest.mark.parametrize(
+    "space",
+    [SearchSpace((0.8,) * 4, num_coherent=2), SearchSpace((0.8,) * 5)],
+    ids=["4+2", "5+1"],
+)
+def test_every_eligible_pattern_is_ranked_on_crowded_rows(rng, space):
+    # at the amplitude cap these shapes herald hundreds of patterns above
+    # min_herald per row; the best X among all of them is the score
+    engine = pel.nogo._engine(space)
+    params = rows_at_the_cap(rng, space, 8)
+    herald, one, _, _ = engine.outcome_table(params)
+    eligible = herald >= space.min_herald
+    assert (eligible.sum(axis=1) > 200).all()
+    x_ratio = np.where(eligible, one / herald, -1.0)
+    scores, best = pel.nogo._objective(space, params)
+    assert np.array_equal(best, x_ratio.argmax(axis=1))
+    assert np.allclose(scores, x_ratio.max(axis=1), rtol=1e-12, atol=0.0)
+
+
 def _every_column_objective(space, params):
     """``_objective`` through every scanned column of the engine, whatever
     the amplitudes: the reference for the columns of each call."""
@@ -742,9 +741,8 @@ def _every_column_objective(space, params):
         {},
         {"constraint": 1e-3},
         {"patterns": ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (9, 0), (5, 5))},
-        {"max_patterns": 3},
     ],
-    ids=["free", "constrained", "patterns", "crowded"],
+    ids=["free", "constrained", "patterns"],
 )
 def test_per_probe_columns_match_the_full_set(rng, options):
     space = SearchSpace((0.6, 0.6), **options)
