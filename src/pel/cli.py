@@ -563,15 +563,17 @@ def emit(document: dict, fmt: str = "json") -> str:
             writer.writerow([_csv_cell(report[k]) for k in _CSV_HEADER])
     elif "value" in document:
         writer.writerow(["value", "bracket_lo", "bracket_hi", "attained", "cutoff_used"])
-        writer.writerow(
-            [
-                _csv_cell(document["value"]),
-                _csv_cell(document["bracket"][0]),
-                _csv_cell(document["bracket"][1]),
-                _csv_cell(document["attained"]),
-                _csv_cell(document["cutoff_used"]),
-            ]
-        )
+        # one row per source, in source order; a single source has no per_mode
+        for result in document.get("per_mode", [document]):
+            writer.writerow(
+                [
+                    _csv_cell(result["value"]),
+                    _csv_cell(result["bracket"][0]),
+                    _csv_cell(result["bracket"][1]),
+                    _csv_cell(result["attained"]),
+                    _csv_cell(document["cutoff_used"]),
+                ]
+            )
     elif "check" in document:
         result_key = "max_deviation" if "max_deviation" in document else "all_passed"
         writer.writerow(["check", "trials", result_key, "passed"])

@@ -43,4 +43,9 @@ class ContractViolation(PelError):
 
 
 class MonotonicityError(PelError):
-    """The feasibility bisection observed verdicts inconsistent with monotonicity."""
+    """Feasibility verdicts contradict the solved efficiency (CLI exit code 3).
+
+    Either the bisection saw an infeasible p above a feasible one, or the
+    feasibility probe at an exactly solved efficiency says infeasible; the
+    exact path has no fallback, so a wrong root cannot pass as a value.
+    """

@@ -117,6 +117,39 @@ def test_simulate_without_measurement_csv_has_one_row_per_mode():
     ]
 
 
+def test_efficiency_csv_has_one_row_per_source():
+    spec = {
+        "command": "efficiency",
+        "sources": [{"kind": "isps", "p": 0.7}, {"kind": "isps", "p": 0.4},
+                    {"kind": "coherent", "alpha": 0.5}],
+        "cutoff": 8,
+    }
+    document, _ = run_spec(spec)
+    rows = list(csv.reader(io.StringIO(emit(document, "csv"))))
+    assert rows[0] == ["value", "bracket_lo", "bracket_hi", "attained", "cutoff_used"]
+    parsed = json.loads(emit(document, "json"))
+    assert [
+        [float(row[0]), float(row[1]), float(row[2]), row[3], int(row[4])]
+        for row in rows[1:]
+    ] == [
+        [m["value"], m["bracket"][0], m["bracket"][1],
+         "true" if m["attained"] else "false", parsed["cutoff_used"]]
+        for m in parsed["per_mode"]
+    ]
+    assert [row[3] for row in rows[1:]] == ["true", "true", "false"]
+
+
+def test_single_source_efficiency_csv_is_the_document_row():
+    spec = {"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}]}
+    document, _ = run_spec(spec)
+    rows = list(csv.reader(io.StringIO(emit(document, "csv"))))
+    assert len(rows) == 2
+    assert [float(rows[1][0]), float(rows[1][1]), float(rows[1][2])] == [
+        document["value"], *document["bracket"]
+    ]
+    assert rows[1][3:] == ["true", str(document["cutoff_used"])]
+
+
 def test_verify_commutation_spec():
     spec = {
         "command": "verify",

@@ -10,6 +10,7 @@ from pel import (
     Isps,
     LossChannel,
     PartialQubit,
+    DensityMatrix,
     apply_loss,
     generalized_efficiency,
     is_feasible,
@@ -18,7 +19,10 @@ from pel import (
     multimode_efficiency,
     qubit_efficiency_formula,
 )
-from pel.errors import ContractViolation, PositivityError
+from pel import efficiency
+from pel.config import DEFAULT
+from pel.efficiency import conditioning_floor
+from pel.errors import ContractViolation, MonotonicityError, PositivityError
 
 from conftest import random_density
 
@@ -158,3 +162,135 @@ def test_requires_single_mode_normalized_state(rng):
     rho = make_state(Isps(0.5), make_basis(1, 3))
     with pytest.raises(ContractViolation, match="tolerance"):
         generalized_efficiency(rho, 1e-9)
+
+
+def _bisection(rho):
+    """The kept bisection at its finest bracket: the oracle for the exact path."""
+    return efficiency._bisect(rho, 1e-8, DEFAULT)
+
+
+def test_exact_efficiency_matches_bisection(rng):
+    basis = make_basis(1, 8)
+    states = []
+    for support in (1, 2, 3, 4):
+        for _ in range(3):
+            rho = random_density(rng, basis, support=support)
+            states += [rho] + [apply_loss(rho, LossChannel(q)) for q in (0.5, 0.8)]
+    for support in (1, 2, 3, 4):
+        weights = np.zeros(basis.dimension)
+        weights[: support + 1] = rng.dirichlet(np.ones(support + 1))
+        states.append(DensityMatrix(basis, np.diag(weights)))
+    # E_q(|n><n|): at p = q, n eigenvalues of A vanish together, and without
+    # the shift rounding spreads that root by about eps^(1/n)
+    bernoulli = {
+        (n, q): apply_loss(make_state(Fock(n), basis), LossChannel(q))
+        for n in (1, 2, 3, 4, 5, 6)
+        for q in (0.22, 0.3, 0.46, 0.77)
+    }
+    qubits = {}
+    for p in (0.2, 0.5, 0.8):
+        for frac in (0.0, 0.5, 0.9):
+            q = frac * math.sqrt(p * (1.0 - p)) * np.exp(0.4j)
+            qubits[(p, q)] = make_state(PartialQubit(p, q), basis)
+    for rho in states + list(bernoulli.values()) + list(qubits.values()):
+        exact = generalized_efficiency(rho)
+        oracle = _bisection(rho)
+        assert exact.attained and oracle.attained
+        assert exact.bracket == (exact.value, exact.value)
+        assert abs(exact.value - oracle.value) <= 1e-7
+        assert is_feasible(rho, exact.value)
+    for (n, q), rho in bernoulli.items():
+        assert abs(generalized_efficiency(rho).value - q) <= 1e-8
+    for (p, q), rho in qubits.items():
+        formula = qubit_efficiency_formula(p, q)
+        assert abs(generalized_efficiency(rho).value - formula) <= 1e-7
+
+
+def test_exact_efficiency_probes_once(monkeypatch, rng):
+    calls = []
+    probe = efficiency._probe
+
+    def counting(*args):
+        calls.append(args[1])
+        return probe(*args)
+
+    monkeypatch.setattr(efficiency, "_probe", counting)
+    rho = apply_loss(random_density(rng, make_basis(1, 8), support=4), LossChannel(0.6))
+    result = generalized_efficiency(rho)
+    assert calls == [result.value]
+
+
+def test_singular_support_block_has_unit_efficiency():
+    basis = make_basis(1, 6)
+    phi = np.zeros(basis.dimension, dtype=complex)
+    phi[1] = phi[2] = 1.0 / math.sqrt(2.0)
+    mixture = 0.5 * np.outer(phi, phi.conj())
+    mixture[0, 0] += 0.5
+    for rho in (
+        make_state(Fock(1), basis),
+        make_state(Fock(2), basis),
+        make_state(PartialQubit(0.5, 0.5), basis),
+        DensityMatrix(basis, mixture),
+    ):
+        result = generalized_efficiency(rho)
+        assert result.attained
+        assert 1.0 - 1e-8 <= result.value <= 1.0
+        assert result.bracket == (result.value, result.value)
+        assert not is_feasible(rho, 1.0 - 1e-6)
+
+
+def test_lossy_pure_state_is_not_read_as_singular():
+    basis = make_basis(1, 8)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    pure = DensityMatrix(basis, np.outer(psi, psi.conj()))
+    lossy = apply_loss(pure, LossChannel(0.95))
+    assert np.linalg.eigvalsh(lossy.elements)[0] < 1e-13
+    assert abs(generalized_efficiency(lossy).value - 0.95) <= 1e-8
+
+
+def test_eigenvalue_inside_the_slack_reads_unit_efficiency():
+    basis = make_basis(1, 3)
+    elements = np.diag([-7e-10, 1.0 + 7e-10, 0.0, 0.0])
+    result = generalized_efficiency(DensityMatrix(basis, elements))
+    assert result.value == 1.0
+    assert result.bracket == (1.0, 1.0)
+    assert result.witness_eigenvalue == pytest.approx(-7e-10, rel=1e-6)
+    outside = DensityMatrix(basis, np.diag([-2e-9, 1.0 + 2e-9, 0.0, 0.0]))
+    with pytest.raises(PositivityError):
+        generalized_efficiency(outside)
+
+
+def test_efficiency_below_the_floor_stays_unattained():
+    basis = make_basis(1, 6)
+    # vacuum has no root at all; 1e-10 has its smallest eigenvalue inside
+    # the feasibility slack
+    for spec in (Isps(5e-4), Isps(1e-10), Coherent(0.0)):
+        rho = make_state(spec, basis)
+        assert rho.tail == 0.0
+        floor = conditioning_floor(rho)
+        result = generalized_efficiency(rho)
+        assert not result.attained
+        assert result.value == floor
+        assert result.bracket == (floor, floor)
+        assert result == _bisection(rho)
+
+
+def test_indefinite_tail_free_matrix_is_not_a_state():
+    basis = make_basis(1, 3)
+    elements = np.diag([0.6, 0.3, 0.1, 0.0]).astype(complex)
+    elements[0, 1] = elements[1, 0] = 0.45
+    rho = DensityMatrix(basis, elements)
+    assert np.linalg.eigvalsh(elements)[0] < -1e-3
+    with pytest.raises(PositivityError, match="p = 1"):
+        generalized_efficiency(rho)
+
+
+def test_infeasible_exact_value_raises(monkeypatch):
+    rho = make_state(Isps(0.6), make_basis(1, 4))
+    monkeypatch.setattr(
+        efficiency, "_largest_root", lambda *args: 0.5
+    )
+    with pytest.raises(MonotonicityError, match="0.5"):
+        generalized_efficiency(rho)
