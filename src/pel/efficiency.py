@@ -21,23 +21,27 @@ degree S - m, and diag((1 - y)^m) A(y) is similar to the preimage, so
 has degree S and is singular exactly where the preimage has the eigenvalue
 -s.  E is the largest p < 1 where that happens: the most negative real
 eigenvalue z = 1/y of the block companion of z^S P(1/z), made monic by
-whitening with sigma + s I.  The shift s is half the feasibility slack.  It
-keeps the roots simple: at s = 0 a state whose preimage at E is singular in
-several directions (a lossy Fock state |n>, n >= 2) has a root of det A
-whose partial multiplicities reach n, and rounding spreads it by about
-eps^(1/n), 1e-5 at n = 4.  The shifted root lies below the slack-free E by
-about s over the slope of the crossing eigenvalue (5e-10 for an ISPS), and
-one feasibility probe at it, which allows the whole slack, confirms it.  If
-that probe says infeasible the solve is wrong: MonotonicityError, with no
-fallback.  Three branches close the exact path.  An eigenvalue of sigma
-below the slack is a PositivityError, and one down to -s or below (still
-within the slack) reads E = 1.  A root below the conditioning floor, or
-none (the vacuum), reports the floor as an unattained infimum.  A singular
-sigma (a pure state) has E = 1, since E_p(tau) has full rank on its support
-for any p < 1, and the solve gives it 1 - s/slope.  It gets no branch of
-its own: a smallest eigenvalue near rounding level does not mark one, since
-a lossy pure state E_0.95(|psi><psi|) of support 8 can have 6e-15 there
-and E = 0.95.
+whitening with sigma + s I.
+
+The shift s is half the feasibility slack.  It keeps the roots simple: at
+s = 0 a state whose preimage at E is singular in several directions (a
+lossy Fock state |n>, n >= 2) has a root of det A whose partial
+multiplicities reach n, and rounding spreads it by about eps^(1/n); the
+root moved by up to 6e-5 at n = 4.  The shifted root lies below the
+slack-free E by about s over the slope of the crossing eigenvalue
+(p * 5e-10 for an ISPS of weight p).  One feasibility probe at it, which
+allows the whole slack, confirms it.  If that probe says infeasible the
+solve is wrong: MonotonicityError, with no fallback.
+
+Three branches close the exact path.  An eigenvalue of sigma below the
+slack is a PositivityError, and one down to -s or below (still within the
+slack) reads E = 1.  A root below the conditioning floor, or none (the
+vacuum), reports the floor as an unattained infimum.  A singular sigma (a
+pure state) has E = 1, since E_p(tau) has full rank on its support for any
+p < 1, and the solve gives it 1 - s/slope.  It gets no branch of its own: a
+smallest eigenvalue near rounding level does not mark one, since a lossy
+pure state E_0.95(|psi><psi|) of support 8 can have 6e-15 there and
+E = 0.95.
 
 States that carry a recorded truncation tail (coherent-state inputs and
 their descendants) are bisected over p instead, with an extra allowance
@@ -52,8 +56,8 @@ also serves the tests as the oracle for the exact path.
 """
 
 import math
-from functools import lru_cache
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
