@@ -165,7 +165,6 @@ SCHEMA = {
             "properties": {
                 "tail": {"type": "number", "exclusiveMinimum": 0},
                 "herald_floor": {"type": "number", "exclusiveMinimum": 0},
-                "psd": {"type": "number", "exclusiveMinimum": 0},
                 "feasibility": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -289,6 +288,12 @@ def _build_unitary(block: dict | None, modes: int, seed: int) -> ModeUnitary:
 
 
 def _tolerances(spec: dict) -> Tolerances:
+    if "tolerances" in spec and spec["command"] in ("nogo-search", "verify"):
+        # the search and the checks run at the defaults; a block they would
+        # ignore is refused rather than echoed as if it had been applied
+        raise ValidationError(
+            f"spec field tolerances: {spec['command']} reads no tolerance"
+        )
     overrides = spec.get("tolerances", {})
     tol = DEFAULT
     for key, value in overrides.items():
@@ -454,7 +459,7 @@ def _run_verify(spec, seed, cutoff, threads, tol):
     trials = block.get("trials", 100)
     check = block["check"]
     if check == "commutation":
-        deviation = verify_commutation(seed, trials, tol=tol)
+        deviation = verify_commutation(seed, trials)
         counterexample = unequal_loss_counterexample()
         passed = deviation < 1e-9 and counterexample > 1e-3
         document = {

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 class Tolerances:
     #: absolute entrywise Hermiticity slack (scaled by the matrix magnitude)
     hermiticity: float = 1e-12
-    #: minimum-eigenvalue slack for state validity checks, as a fraction of trace
-    psd: float = 1e-10
     #: truncation tail weight above which state construction refuses
     tail: float = 1e-10
     #: heralding outcomes rarer than this are treated as impossible
@@ -24,8 +22,8 @@ class Tolerances:
     support: float = 1e-13
     #: maximum amplification p^(-support) allowed when inverting loss
     conditioning: float = 1e12
-    #: minimum-eigenvalue slack used by the loss-feasibility test
-    #: (deliberately looser than ``psd`` so verdicts do not flap)
+    #: minimum-eigenvalue slack used by the loss-feasibility test, as a
+    #: fraction of trace
     feasibility: float = 1e-9
 
 

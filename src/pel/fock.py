@@ -212,9 +212,6 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.elements)[0])
 
-    def is_positive(self, tol: Tolerances = DEFAULT) -> bool:
-        return self.min_eigenvalue() >= -tol.psd * max(abs(self.trace), 1e-300)
-
     def __repr__(self):
         return (
             f"DensityMatrix({self.basis!r}, trace={self.trace:.6g}, "

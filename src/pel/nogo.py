@@ -53,12 +53,14 @@ reaches ``min_herald`` less a 1e-12 rounding margin, and at least the 1e-12
 herald floor (``_rank_bound``); no pattern above a total that does not can
 ever be eligible.  The engine enumerates every pattern up to the largest
 total reached at the cap (``_rank_total``); an explicit cutoff only caps
-this total.  Each search call applies the same rule again at the largest
-||alpha||^2 among its rows, and tabulates only the scanned patterns within
-the total so reached (``_SchemeEngine.reachable``).  ``truncation_weight``
-is the herald mass outside the enumerated patterns, 1 - sum of their herald
-probabilities.  ``evaluate_scheme`` computes a pattern above the total as
-its own column.
+this total.  It holds them in graded order, by photon total and then
+lexicographic, with the scanned patterns first, so that the scanned patterns
+within any total are a prefix.  Each search call applies the same rule again
+at the largest ||alpha||^2 among its rows, and tabulates only the prefix of
+scanned patterns within the total so reached (``_SchemeEngine.reachable``).
+``truncation_weight`` is the herald mass outside the enumerated patterns,
+1 - sum of their herald probabilities.  ``evaluate_scheme`` computes a
+pattern above the total as its own column.
 """
 
 import itertools
@@ -68,7 +70,6 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -280,14 +281,6 @@ class SearchReport:
     truncation_weight: float
 
 
-class _Columns(NamedTuple):
-    """A set of the engine's patterns, in its pattern order: their indices
-    and the columns of the displacement-row gather that tabulates them."""
-
-    index: np.ndarray
-    row_index: np.ndarray
-
-
 class _SchemeEngine:
     """Index tables for evaluating schemes of one SearchSpace on the S-photon
     basis.
@@ -320,12 +313,17 @@ class _SchemeEngine:
     parts of c for every k_0.  An amplitude cap whose |beta|^2 could pass
     ``MAX_DISPLACEMENT_MEAN`` is refused here, when the engine is built.
 
-    ``tabulate`` works on a set of pattern columns (``_Columns``): ``every``
-    pattern for ``outcome_table``, or for a search call the scanned ones
-    within the total that its amplitudes can reach (``reachable``).  A short
-    rising list of totals n and threshold means mu*_n (``reach_table``) turns
-    that total into one bisection of the call's largest ||alpha||^2.  The
-    columns keep the pattern order of ``every``.
+    The patterns are in the graded order of FockBasis(M - 1, cutoff_used):
+    by photon total, then lexicographic.  With requested patterns the
+    ``scanned`` ones come first, then the other enumerated ones, then any
+    requested above the bound, so the scanned patterns within any total are
+    always a prefix.  ``tabulate`` reads the first ``count`` patterns: all of
+    them for ``outcome_table``, and for a search call the scanned ones within
+    the total that its amplitudes can reach (``reachable``).  A short rising
+    list of threshold means and pattern counts (``reach_table``) turns that
+    count into one bisection of the call's largest ||alpha||^2.  Once built,
+    the engine holds no state that depends on its calls; ``reach_table`` is
+    computed on first use.
     """
 
     def __init__(self, space: SearchSpace):
@@ -344,19 +342,21 @@ class _SchemeEngine:
         self.basis = FockBasis(M, S)
         detected = FockBasis(M - 1, S)
         # every pattern up to the rank bound, and the requested ones, which
-        # are computed exactly whatever their total
-        listed = FockBasis(M - 1, cutoff).occupations
-        if space.patterns is not None:
-            listed = np.vstack([listed, space.patterns])
-        self.patterns = np.unique(listed, axis=0)
-        self.pattern_index = {tuple(int(v) for v in row): i
-                              for i, row in enumerate(self.patterns)}
-        # the search scans the patterns within the bound, the requested ones only
-        self.totals = self.patterns.sum(axis=1)
-        self.scan_mask = self.totals <= cutoff
-        if space.patterns is not None:
-            requested = set(space.patterns)
-            self.scan_mask &= [row in requested for row in self.pattern_index]
+        # are computed exactly whatever their total.  The search scans the
+        # requested patterns within the bound (all of them when none are
+        # requested); those come first, then the other enumerated ones, then
+        # the requested ones above the bound, each group in graded order
+        enumerated = [tuple(row) for row in FockBasis(M - 1, cutoff).occupations.tolist()]
+        requested = set(enumerated if space.patterns is None else space.patterns)
+        self.patterns = np.array(sorted(
+            requested.union(enumerated),
+            key=lambda row: (sum(row) > cutoff, row not in requested, sum(row), row),
+        ))
+        self.pattern_index = {
+            row: i for i, row in enumerate(map(tuple, self.patterns.tolist()))
+        }
+        #: the scanned patterns are the first ``scanned``
+        self.scanned = sum(sum(row) <= cutoff for row in requested)
         self.mesh_len = mesh_param_count(M)
 
         branches = list(itertools.product((0, 1), repeat=S))
@@ -395,15 +395,14 @@ class _SchemeEngine:
         # mode j of the (M, max_count + 1, S + 1) displacement tables of one
         # parameter row.  With those tables transposed, one gather takes
         # entry d_j of every (j, k) row for each pattern, and a second picks
-        # row (j, k'_j) for each detected state.  The survivor's table needs
-        # rows m_0 = 0 and 1 even at cutoff 0
+        # row (j, k'_j) for each detected state.  The first gather's index
+        # has one row per pattern, so that a call's patterns read a
+        # contiguous prefix of it.  The survivor's table needs rows m_0 = 0
+        # and 1 even at cutoff 0
         self.max_count = max(int(self.patterns.max()), 1)
-        row_start = np.arange((M - 1) * (S + 1))[:, None] * (self.max_count + 1)
-        self.every = _Columns(
-            np.arange(self.patterns.shape[0]),
-            row_start + np.repeat(self.patterns.T, S + 1, axis=0),
+        self.row_index = np.arange((M - 1) * (S + 1)) * (self.max_count + 1) + np.repeat(
+            self.patterns, S + 1, axis=1
         )
-        self._last = (None, None)
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, as 2 (S + 1) B real rows, in the
@@ -442,10 +441,13 @@ class _SchemeEngine:
 
     @cached_property
     def reach_table(self):
-        """Photon totals n and their threshold means mu*_n, two rising
-        lists: below mu*_n ``_rank_bound`` cannot reach n, and mu*_n never
-        exceeds the least mean at which it does.  The totals are those up to
-        ``cutoff_used`` that the sources alone do not reach, at most
+        """Threshold means mu*_n of a few photon totals n, and pattern
+        counts, two rising lists: below mu*_n ``_rank_bound`` cannot reach
+        n, and mu*_n never exceeds the least mean at which it does.  Count i
+        is that of the scanned patterns of totals below the n of mean i, at
+        least one, so that no call tabulates an empty set; the last count,
+        one past the means, is every scanned pattern.  The totals are those
+        up to ``cutoff_used`` that the sources alone do not reach, at most
         ``_REACH_TOTALS`` of them spread evenly, so that a large amplitude cap
         costs a bounded number of tail sums.  Each bisects [mu* of the total
         before, cap mean] in ``_REACH_STEPS`` steps and keeps the end that
@@ -467,32 +469,20 @@ class _SchemeEngine:
                 else:
                     short = middle
             means.append(short)
-        return totals, means
+        # the scanned patterns are graded, so those below a total are a prefix
+        below = np.searchsorted(self.patterns[: self.scanned].sum(axis=1), totals)
+        return means, np.maximum(below, 1).tolist() + [self.scanned]
 
-    def columns_within(self, total) -> _Columns:
-        """The scanned patterns whose detected total is at most ``total``,
-        in the engine's pattern order.  The engine keeps those of the last
-        total asked for: about nine in ten of a search's calls reach the
-        same total as the call before."""
-        last, columns = self._last
-        if last != total:
-            index = np.flatnonzero(self.scan_mask & (self.totals <= total))
-            columns = _Columns(index, self.every.row_index.take(index, axis=1))
-            self._last = (total, columns)
-        return columns
-
-    def reachable(self, alphas) -> _Columns:
-        """``columns_within`` a total that ``_rank_bound`` cannot pass at the
-        largest ||alpha||^2 among the (R, num_coherent) amplitudes: no column
-        left out can be eligible in any of the rows.  It is one less than
-        the first total of ``reach_table`` whose mu*_n lies above that mean,
-        or ``cutoff_used`` when none does."""
+    def reachable(self, alphas) -> int:
+        """How many patterns a search call on the (R, num_coherent)
+        amplitudes tabulates: the scanned ones within a total that
+        ``_rank_bound`` cannot pass at the largest ||alpha||^2 among its rows,
+        so that no pattern left out can be eligible in any of them.  The
+        count is that of the first mean of ``reach_table`` above this one."""
         # a few rows of a few amplitudes: Python sums beat numpy's reductions
         mean = max(map(sum, np.square(alphas.view(np.float64)).tolist()))
-        totals, means = self.reach_table
-        short = bisect_right(means, mean)
-        total = totals[short] - 1 if short < len(totals) else self.cutoff_used
-        return self.columns_within(total)
+        means, counts = self.reach_table
+        return counts[bisect_right(means, mean)]
 
     def outcome_table(self, params):
         """Per-pattern herald probability, one-photon weight and multiphoton
@@ -500,7 +490,7 @@ class _SchemeEngine:
         the patterns, (R,), for an (R, parameters) array.  Each row's result
         is the same whatever R is."""
         mesh, alphas = self.split_params(params)
-        return self.tabulate(self.propagate(mesh), alphas, self.every)
+        return self.tabulate(self.propagate(mesh), alphas, self.patterns.shape[0])
 
     def propagate(self, mesh):
         """The mesh stage: every input column through the mesh of each row of
@@ -509,11 +499,10 @@ class _SchemeEngine:
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
         return vectors
 
-    def tabulate(self, vectors, alphas, columns):
-        """``outcome_table`` over the patterns of ``columns`` (``every``, or
-        those of ``columns_within``) from the mesh output of ``propagate`` and
-        the (R, num_coherent) ancilla amplitudes; ``vectors`` is left as it
-        is."""
+    def tabulate(self, vectors, alphas, count):
+        """``outcome_table`` over the first ``count`` patterns, from the mesh
+        output of ``propagate`` and the (R, num_coherent) ancilla amplitudes;
+        ``vectors`` is left as it is."""
         cap = self.space.amplitude_cap * (1.0 + 1e-9)
         size = np.abs(alphas)
         # written so that a NaN amplitude fails it too
@@ -530,11 +519,13 @@ class _SchemeEngine:
         tables = displaced_number_elements(np.abs(betas[:, :, 0]), self.max_count, S)
         turns = np.matmul(self.basis.occupations, np.arctan2(-betas.imag, betas.real))
         phased = vectors * _unit_phases(turns)
-        g, factor, c, amps = self._work_arrays(rows, columns.index.size)
-        # take along axis 1 applies one index table to every parameter row; G
-        # is the elementwise product of one gathered slice per detected mode
-        rows_of_d = tables[:, 1:].swapaxes(2, 3).reshape(rows, -1).take(
-            columns.row_index, axis=1
+        g, factor, c, amps = self._work_arrays(rows, count)
+        # take along axis 1 applies one index table to every parameter row,
+        # here as (R, patterns, rows of d), turned to (R, rows of d, patterns);
+        # G is the elementwise product of one gathered slice per detected mode
+        rows_of_d = np.ascontiguousarray(
+            tables[:, 1:].swapaxes(2, 3).reshape(rows, -1)
+            .take(self.row_index[:count], axis=1).swapaxes(1, 2)
         )
         rows_of_d.take(self.column_index[0], axis=1, out=g)
         for mode_columns in self.column_index[1:]:
@@ -563,7 +554,7 @@ class _SchemeEngine:
         of its heap to the system once it exceeds twice the largest block it
         ever had to map and free; with one block the largest block holds most
         of the evaluation, so a search does not fault its arrays in again on
-        every evaluation.  The block's size follows the call's columns."""
+        every evaluation.  The block's size follows the call's pattern count."""
         S, B = self.space.num_sources, self.num_branches
         detected = self.column_index.shape[1]
         shapes = [(rows, detected, patterns)] * 2 + [
@@ -610,24 +601,23 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
 
 def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
-    array: ``_scores`` of the outcome table over the columns its amplitudes
+    array: ``_scores`` of the outcome table over the patterns its amplitudes
     can herald."""
     engine = _engine(space)
     mesh, alphas = engine.split_params(params)
-    columns = engine.reachable(alphas)
-    table = engine.tabulate(engine.propagate(mesh), alphas, columns)
-    return _scores(space, columns, table)
+    table = engine.tabulate(engine.propagate(mesh), alphas, engine.reachable(alphas))
+    return _scores(space, table)
 
 
-def _scores(space: SearchSpace, columns: _Columns, table):
+def _scores(space: SearchSpace, table):
     """Search score and best pattern index of each row of an outcome table
-    over scanned ``columns``.  One rule makes a pattern eligible: its herald
-    reaches ``min_herald``.  Every eligible pattern is ranked, and the score
-    is the best X among those that meet the constraint; with none eligible
-    it is -2, or -1 minus the least multiphoton ratio when eligible patterns
-    all break the constraint, and the pattern index is -1.  The columns keep
-    the engine's pattern order, so ties go to the same pattern as over every
-    scanned column."""
+    over a prefix of the scanned patterns.  One rule makes a pattern
+    eligible: its herald reaches ``min_herald``.  Every eligible pattern is
+    ranked, and the score is the best X among those that meet the
+    constraint; with none eligible it is -2, or -1 minus the least
+    multiphoton ratio when eligible patterns all break the constraint, and
+    the pattern index is -1.  A column's index is its pattern's index, so
+    ties go to the same pattern as over every scanned pattern."""
     herald, one, multi, _ = table
     eligible = herald >= space.min_herald
     x_ratio = one / np.maximum(herald, 1e-300)
@@ -644,7 +634,7 @@ def _scores(space: SearchSpace, columns: _Columns, table):
     best = np.argmax(x_ratio, axis=1)
     found = valid.any(axis=1)
     scores = np.where(found, x_ratio.max(axis=1), fallback)
-    return scores, np.where(found, columns.index[best], -1)
+    return scores, np.where(found, best, -1)
 
 
 def _line_scores(space: SearchSpace, params, coord: int):
@@ -657,7 +647,7 @@ def _line_scores(space: SearchSpace, params, coord: int):
     mesh output at the engine's 2S + 1 nodes about the current value x_c;
     their DFT gives the coefficients of the degree-S trigonometric
     polynomial, and the output at x is one matmul of them against
-    e^{iq (x - x_c)}, q = -S..S.  Each probe tabulates the columns its
+    e^{iq (x - x_c)}, q = -S..S.  Each probe tabulates the patterns its
     amplitudes can herald (``_SchemeEngine.reachable``), which on a mesh line
     are the same for the whole line.  Rows never mix."""
     engine = _engine(space)
@@ -670,8 +660,7 @@ def _line_scores(space: SearchSpace, params, coord: int):
             trial = params.copy()
             trial[:, coord] = x
             _, alphas = engine.split_params(trial)
-            columns = engine.reachable(alphas)
-            return _scores(space, columns, engine.tabulate(vectors, alphas, columns))[0]
+            return _scores(space, engine.tabulate(vectors, alphas, engine.reachable(alphas)))[0]
 
         return scores
     rows, nodes = mesh.shape[0], engine.line_steps.size
@@ -680,12 +669,12 @@ def _line_scores(space: SearchSpace, params, coord: int):
     sampled[:, :, coord] += engine.line_steps
     samples = engine.propagate(sampled.reshape(rows * nodes, -1))
     coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))
-    columns = engine.reachable(alphas)
+    count = engine.reachable(alphas)
 
     def scores(x):
         phases = _unit_phases((x - center)[:, None, None] * engine.line_orders)
         vectors = np.matmul(phases, coefficients).reshape((rows,) + samples.shape[1:])
-        return _scores(space, columns, engine.tabulate(vectors, alphas, columns))[0]
+        return _scores(space, engine.tabulate(vectors, alphas, count))[0]
 
     return scores
 
@@ -735,8 +724,8 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
     """Random starts plus coordinate refinement for the given restart
     indices, advanced in lockstep: every restart follows the same schedule
     of ``_restart_cost`` evaluations, one row each.  Returns one
-    (score, pattern index or None, params, evaluations) per restart, each
-    deterministic in (space, seed, restart) alone."""
+    (score, pattern index or None, params) per restart, each deterministic
+    in (space, seed, restart) alone."""
     engine = _engine(space)
     n_rot = space.modes * (space.modes - 1) // 2
     amp_box = space.amplitude_cap / math.sqrt(2.0)
@@ -748,7 +737,6 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
         row[amp_lo:] = rng.uniform(-amp_box, amp_box, size=2 * space.num_coherent)
 
     best_score = _objective(space, params)[0]
-    evals = 1
     refine_coords = list(range(2 * n_rot)) + list(
         range(amp_lo, amp_lo + 2 * space.num_coherent)
     )
@@ -765,19 +753,13 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
                 lo, hi = center - span, center + span
 
             line = _line_scores(space, params, coord)
-
-            def probe(x, line=line):
-                nonlocal evals
-                evals += 1
-                return line(x)
-
-            x_best, f_best = _golden_max(probe, lo, hi, _GOLDEN_EVALS)
+            x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS)
             better = f_best > best_score
             best_score = np.where(better, f_best, best_score)
             params[:, coord] = np.where(better, x_best, center)
     final_scores, final_patterns = _objective(space, params)
     return [
-        (float(score_r), int(pattern_r) if pattern_r >= 0 else None, row, evals)
+        (float(score_r), int(pattern_r) if pattern_r >= 0 else None, row)
         for score_r, pattern_r, row in zip(final_scores, final_patterns, params)
     ]
 
@@ -797,7 +779,7 @@ def maximize_X(
     if threads < 1:
         raise ContractViolation(f"threads must be >= 1, got {threads!r}")
     engine = _engine(space)
-    if not engine.scan_mask.any():
+    if not engine.scanned:
         raise ContractViolation(
             "none of the requested heralding patterns fits under the cutoff"
         )
@@ -813,10 +795,8 @@ def maximize_X(
     else:
         done = [_run_restarts(space, seed, block) for block in blocks]
     results = [result for block in done for result in block]
-    best_score, best_pattern, best_params, _ = results[0]
-    total_evals = 0
-    for score_r, pattern_r, params_r, evals_r in results:
-        total_evals += evals_r
+    best_score, best_pattern, best_params = results[0]
+    for score_r, pattern_r, params_r in results:
         if score_r > best_score or (score_r == best_score and best_pattern is None):
             best_score, best_pattern, best_params = score_r, pattern_r, params_r
     herald, one, multi, tail = engine.outcome_table(best_params[None])
@@ -835,7 +815,7 @@ def maximize_X(
         multiphoton_weight=multi_weight,
         bound=space.bound,
         violated=bool(best_x > space.bound + BOUND_SLACK),
-        evaluations=total_evals,
+        evaluations=n_restarts * per_restart,
         cutoff_used=engine.cutoff_used,
         truncation_weight=float(tail[0]),
     )

@@ -305,6 +305,43 @@ def test_main_max_patterns_is_an_unknown_search_field(tmp_path, capsys):
     assert "'max_patterns' was unexpected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"command": "nogo-search",
+         "search": {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}},
+        {"command": "verify", "verify": {"check": "commutation", "trials": 2}},
+    ],
+    ids=["nogo-search", "verify"],
+)
+def test_main_tolerances_block_rejected_where_nothing_reads_it(
+    tmp_path, capsys, monkeypatch, spec
+):
+    # the search and the checks run at the default tolerances, so a block
+    # that would change nothing fails validation instead of being echoed
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "maximize_X", no_run)
+    monkeypatch.setattr(pel.cli, "verify_commutation", no_run)
+    path = tmp_path / "spec.json"
+    tolerances = {"herald_floor": 0.5, "tail": 1e-3, "feasibility": 0.1}
+    path.write_text(json.dumps({**spec, "tolerances": tolerances}))
+    assert main([spec["command"], "--spec", str(path)]) == 2
+    assert "spec field tolerances" in capsys.readouterr().err
+
+
+def test_main_psd_is_an_unknown_tolerance(tmp_path, capsys):
+    # nothing reads a PSD slack, so a spec naming one fails like any
+    # unknown field
+    path = tmp_path / "spec.json"
+    spec = {"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}],
+            "tolerances": {"psd": 0.5}}
+    path.write_text(json.dumps(spec))
+    assert main(["efficiency", "--spec", str(path)]) == 2
+    assert "'psd' was unexpected" in capsys.readouterr().err
+
+
 def test_main_amplitude_cap_past_the_float_range_exit_code(tmp_path, capsys):
     # the schema admits any positive cap; the engine refuses one whose
     # displacement tables would underflow, as a numerical guard

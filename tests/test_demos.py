@@ -1,5 +1,8 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script runs to completion against the current API, and every
+function that the benchmark traces still exists."""
 
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -22,3 +25,16 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_functions_exist():
+    # perfbench/run.py --trace 1 wraps each (layer, function) of TRACED by
+    # name; a deleted or renamed function would fail only there
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for layer, function in tracing.TRACED:
+        module = importlib.import_module(f"pel.{layer}")
+        assert callable(getattr(module, function, None)), f"pel.{layer}.{function}"

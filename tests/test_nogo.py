@@ -367,7 +367,22 @@ def test_report_without_ranked_pattern_carries_truncation():
     assert report.truncation_weight > 0.0
 
 
-def test_lockstep_block_matches_restarts_run_alone():
+def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
+    # the reports count _restart_cost evaluations per restart: the start
+    # point and the probes of every line, one row each
+    probes = []
+    line_scores = pel.nogo._line_scores
+
+    def counting(space, params, coord):
+        line = line_scores(space, params, coord)
+
+        def scores(x):
+            probes.append(len(x))
+            return line(x)
+
+        return scores
+
+    monkeypatch.setattr(pel.nogo, "_line_scores", counting)
     spaces = [
         small_space(eff=(0.6, 0.4), constraint=1e-3),
         SearchSpace((0.5, 0.6), num_coherent=2, cutoff=6),
@@ -375,11 +390,13 @@ def test_lockstep_block_matches_restarts_run_alone():
     for space in spaces:
         block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
         for restart, in_block in enumerate(block):
+            probes.clear()
             (alone,) = pel.nogo._run_restarts(space, 5, [restart])
+            assert 1 + len(probes) == pel.nogo._restart_cost(space)
+            assert set(probes) == {1}
             assert alone[0] == in_block[0]
             assert alone[1] == in_block[1]
             assert np.array_equal(alone[2], in_block[2])
-            assert alone[3] == in_block[3] == pel.nogo._restart_cost(space)
 
 
 LINE_SPACES = [
@@ -672,15 +689,18 @@ def test_ranked_subset_is_everything_when_nothing_can_be_ruled_out():
                           (SearchSpace((0.6, 0.6), cutoff=5), 5)):
         engine = pel.nogo._engine(space)
         assert space.cutoff_used == cutoff
-        every = np.unique(make_basis(2, cutoff).occupations, axis=0)
-        assert np.array_equal(engine.patterns, every)
+        # in graded order: by photon total, then lexicographic
+        assert np.array_equal(engine.patterns, make_basis(2, cutoff).occupations)
+        assert engine.scanned == engine.patterns.shape[0]
 
 
 def test_patterns_above_the_bound_are_computed_but_never_scanned():
     space = SearchSpace((0.5, 0.5), cutoff=3, patterns=((4, 0), (0, 1)))
     engine = pel.nogo._engine(space)
-    assert engine.scan_mask.sum() == 1
-    assert engine.scan_mask[engine.pattern_index[(0, 1)]]
+    # the one scanned pattern comes first, the one above the bound last
+    assert engine.scanned == 1
+    assert engine.pattern_index[(0, 1)] == 0
+    assert engine.pattern_index[(4, 0)] == engine.patterns.shape[0] - 1
     params = np.random.default_rng(5).uniform(-0.5, 0.5, space.parameter_count())
     _, prob, _ = evaluate_scheme(space, params, (4, 0))
     listed = evaluate_scheme(replace(space, cutoff=4), params, (4, 0))[1]
@@ -726,13 +746,12 @@ def test_every_eligible_pattern_is_ranked_on_crowded_rows(rng, space):
 
 
 def _every_column_objective(space, params):
-    """``_objective`` through every scanned column of the engine, whatever
-    the amplitudes: the reference for the columns of each call."""
+    """``_objective`` through every scanned pattern of the engine, whatever
+    the amplitudes: the reference for the pattern count of each call."""
     engine = pel.nogo._engine(space)
     mesh, alphas = engine.split_params(params)
-    scanned = engine.columns_within(engine.cutoff_used)
-    table = engine.tabulate(engine.propagate(mesh), alphas, scanned)
-    return pel.nogo._scores(space, scanned, table)
+    table = engine.tabulate(engine.propagate(mesh), alphas, engine.scanned)
+    return pel.nogo._scores(space, table)
 
 
 @pytest.mark.parametrize(
@@ -752,7 +771,7 @@ def test_per_probe_columns_match_the_full_set(rng, options):
     toward_zero[:, engine.mesh_len:] *= np.linspace(0.0, 0.6, 16)[:, None]
     sizes = []
     for params in (at_cap, toward_zero, *toward_zero[:, None]):
-        sizes.append(engine.reachable(engine.split_params(params)[1]).index.size)
+        sizes.append(engine.reachable(engine.split_params(params)[1]))
         scores, best = pel.nogo._objective(space, params)
         every_scores, every_best = _every_column_objective(space, params)
         assert np.array_equal(scores, every_scores)
@@ -760,8 +779,8 @@ def test_per_probe_columns_match_the_full_set(rng, options):
         expected_scores, expected_best = _full_set_objective(space, params, 16)
         assert [tuple(engine.patterns[i]) if i >= 0 else None for i in best] == expected_best
         assert np.allclose(scores, expected_scores, rtol=1e-15, atol=0.0)
-    # the rows at the cap take every scanned column, the others fewer
-    assert sizes[0] == engine.scan_mask.sum()
+    # the rows at the cap take every scanned pattern, the others fewer
+    assert sizes[0] == engine.scanned
     assert min(sizes) < sizes[0]
 
 
@@ -779,7 +798,7 @@ def test_identity_mesh_ties_go_to_the_full_set_pattern(rng):
     assert (eligible.sum(axis=1) > 1).all()
     assert np.abs(one[eligible] / herald[eligible] - 0.6).max() < 1e-15
     for row in params[:, None]:
-        assert engine.reachable(engine.split_params(row)[1]).index.size < engine.patterns.shape[0]
+        assert engine.reachable(engine.split_params(row)[1]) < engine.patterns.shape[0]
         scores, best = pel.nogo._objective(space, row)
         every_scores, every_best = _every_column_objective(space, row)
         assert best == every_best and scores == every_scores
@@ -802,12 +821,64 @@ def test_coarse_reach_table_stays_conservative():
     # below the next, never fewer than it reaches
     space = SearchSpace((0.5,), amplitude_cap=10.0)
     engine = pel.nogo._engine(space)
-    totals, means = engine.reach_table
-    assert len(totals) == pel.nogo._REACH_TOTALS and totals[-1] == engine.cutoff_used
+    means, counts = engine.reach_table
+    assert len(means) == pel.nogo._REACH_TOTALS and len(counts) == len(means) + 1
+    # the last mean is that of the largest total, and above it every
+    # scanned pattern is tabulated
+    assert engine.patterns[counts[-2]].sum() == engine.cutoff_used
+    assert counts[-1] == engine.scanned == engine.patterns.shape[0]
     reaches = pel.nogo._rank_bound(space)
     for mean in (0.0, 0.3, 7.0, 40.0, 99.0, 100.0):
         alphas = np.array([[math.sqrt(mean)]], dtype=complex)
-        tabulated = engine.totals[engine.reachable(alphas).index].max()
+        tabulated = engine.patterns[engine.reachable(alphas) - 1].sum()
         reached = max(n for n in range(engine.cutoff_used + 1) if reaches(n, mean))
         assert reached <= tabulated
         assert tabulated < engine.cutoff_used or mean >= means[-1]
+
+
+def test_scanned_patterns_within_each_total_are_a_prefix(rng):
+    # graded order: by photon total, then lexicographic
+    space = SearchSpace((0.6, 0.4))
+    cutoff = space.cutoff_used
+    assert np.array_equal(pel.nogo._engine(space).patterns,
+                          make_basis(2, cutoff).occupations)
+    # with requested patterns: the scanned ones, then the other enumerated
+    # ones, then those above the bound, each group graded
+    requested = ((2, 1), (0, cutoff + 2), (1, 5), (cutoff + 1, 0), (0, 0), (1, 0))
+    listed = replace(space, patterns=requested)
+    engine = pel.nogo._engine(listed)
+    order = [tuple(row) for row in engine.patterns.tolist()]
+    assert engine.scanned == 4
+    assert order[:4] == [(0, 0), (1, 0), (2, 1), (1, 5)]
+    assert order[4:-2] == [tuple(row) for row in make_basis(2, cutoff).occupations.tolist()
+                           if tuple(row) not in requested]
+    assert order[-2:] == [(cutoff + 1, 0), (0, cutoff + 2)]
+    # each call's count holds every scanned pattern within the total that
+    # its largest ||alpha||^2 reaches, and nothing past the scanned ones
+    reaches = pel.nogo._rank_bound(listed)
+    params = rows_at_the_cap(rng, listed, 12)
+    params[:, engine.mesh_len:] *= np.linspace(0.0, 1.0, 12)[:, None]
+    counts = set()
+    for row in params[:, None]:
+        alphas = engine.split_params(row)[1]
+        count = engine.reachable(alphas)
+        mean = float(np.square(np.abs(alphas)).sum())
+        reached = max(n for n in range(cutoff + 1) if reaches(n, mean))
+        assert all(sum(order[i]) > reached for i in range(count, engine.scanned))
+        assert 1 <= count <= engine.scanned
+        counts.add(count)
+    assert len(counts) > 1
+
+
+def test_calls_below_every_scanned_total_rank_no_pattern(rng):
+    # the one requested pattern needs 8 photons, which small amplitudes
+    # cannot herald: such a call tabulates it alone, and never ranks it
+    space = SearchSpace((0.6, 0.6), patterns=((4, 4),))
+    engine = pel.nogo._engine(space)
+    params = rows_at_the_cap(rng, space, 4)
+    params[:, engine.mesh_len:] *= 0.01
+    assert engine.reachable(engine.split_params(params)[1]) == 1
+    scores, best = pel.nogo._objective(space, params)
+    assert (scores == -2.0).all() and (best == -1).all()
+    budget = 3 * pel.nogo._restart_cost(space)
+    assert maximize_X(space, budget, seed=1).evaluations == budget

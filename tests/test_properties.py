@@ -105,12 +105,14 @@ def test_per_probe_columns_never_prune_a_reachable_pattern(
     alphas = engine.split_params(params)[1]
     mean = float(np.square(np.abs(alphas)).sum(axis=1).max())
     assert mean == pytest.approx(share * num_coherent * amplitude_cap**2, rel=1e-12)
-    columns = engine.reachable(alphas)
-    total = engine.totals[columns.index].max()
-    # the stored means never exceed the least mean that reaches each total,
-    # and every total reached at the largest mean is tabulated
+    count = engine.reachable(alphas)
+    total = engine.patterns[count - 1].sum()
+    # the stored means never exceed the least mean that reaches the total
+    # of the first pattern left out below them, and every total reached at
+    # the largest mean is tabulated
     reaches = pel.nogo._rank_bound(space)
-    assert all(not reaches(n, m) for n, m in zip(*engine.reach_table))
+    means, counts = engine.reach_table
+    assert all(not reaches(engine.patterns[c].sum(), m) for c, m in zip(counts, means))
     assert all(n <= total for n in range(engine.cutoff_used + 1) if reaches(n, mean))
     # an engine that computes every pattern up to the cutoff
     detected = pel.make_basis(space.modes - 1, cutoff).occupations
@@ -118,6 +120,6 @@ def test_per_probe_columns_never_prune_a_reachable_pattern(
         replace(space, patterns=tuple(tuple(row) for row in detected))
     )
     herald = full.outcome_table(params)[0]
-    kept = {tuple(engine.patterns[i]) for i in columns.index}
+    kept = {tuple(row) for row in engine.patterns[:count]}
     left_out = [i for i, row in enumerate(full.patterns) if tuple(row) not in kept]
     assert np.all(herald[:, left_out] < min_herald)
