@@ -17,7 +17,6 @@ from .channels import (
     invert_loss,
     kraus_operators,
 )
-from .config import DEFAULT, Tolerances
 from .efficiency import (
     EfficiencyResult,
     generalized_efficiency,

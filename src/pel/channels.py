@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import CONDITIONING
 from .errors import ConditioningError, ContractViolation
 from .fock import DensityMatrix, FockBasis
 
@@ -165,15 +165,13 @@ def _loss_mode(elements: np.ndarray, basis: FockBasis, mode: int, p: float) -> n
     return out.reshape(elements.shape)
 
 
-def apply_loss(rho: DensityMatrix, ch: LossChannel, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def apply_loss(rho: DensityMatrix, ch: LossChannel) -> DensityMatrix:
     """Apply the loss channel mode by mode (single-mode channels on distinct
     modes commute, so the order is irrelevant)."""
     elements = rho.elements
     for mode in ch.acted_modes(rho.basis.modes):
         elements = _loss_mode(elements, rho.basis, mode, ch.p)
-    return DensityMatrix(
-        rho.basis, elements, normalized=rho.normalized, tail=rho.tail, tol=tol
-    )
+    return DensityMatrix(rho.basis, elements, normalized=rho.normalized, tail=rho.tail)
 
 
 def bernoulli_diagonal(diag: np.ndarray, p: float) -> np.ndarray:
@@ -191,8 +189,6 @@ def apply_loss_lindblad(
     rho: DensityMatrix,
     params: LindbladParams,
     modes: tuple | None = None,
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> DensityMatrix:
     """Integrate the damping master equation with classical fixed-step RK4.
 
@@ -241,14 +237,10 @@ def apply_loss_lindblad(
     state = np.linalg.matrix_power(propagator, params.steps) @ rho.elements.reshape(-1)
     state = state.reshape(rho.elements.shape)
     state = (state + state.conj().T) / 2.0
-    return DensityMatrix(
-        basis, state, normalized=rho.normalized, tail=rho.tail, tol=tol
-    )
+    return DensityMatrix(basis, state, normalized=rho.normalized, tail=rho.tail)
 
 
-def invert_loss(
-    rho: DensityMatrix, ch: LossChannel, *, tol: Tolerances = DEFAULT
-) -> np.ndarray:
+def invert_loss(rho: DensityMatrix, ch: LossChannel) -> np.ndarray:
     """Unique trace-preserving Hermitian preimage of ``rho`` under the channel.
 
     Computed by the loss kernel itself at transmissivity 1/p on each acted
@@ -257,17 +249,17 @@ def invert_loss(
     semidefinite.  Elements above the state's numerical support are treated
     as exact zeros so float dust is not amplified.
 
-    Raises ConditioningError when p^(-support) exceeds the configured
-    amplification bound: beyond it the inverted values carry no trustworthy
-    sign information.
+    Raises ConditioningError when p^(-support) exceeds the amplification
+    bound ``config.CONDITIONING``: beyond it the inverted values carry no
+    trustworthy sign information.
     """
     p = ch.p
-    support = rho.numerical_support(tol)
-    if support > 0 and p ** (-support) > tol.conditioning * (1.0 + 1e-9):
+    support = rho.numerical_support()
+    if support > 0 and p ** (-support) > CONDITIONING * (1.0 + 1e-9):
         raise ConditioningError(
             f"inverting loss p={p:.6g} on a support-{support} state amplifies by "
             f"p^-{support} = {p**-support:.3e}, beyond the trusted bound "
-            f"{tol.conditioning:.1e}"
+            f"{CONDITIONING:.1e}"
         )
     elements = rho.elements.copy()
     junk = rho.basis.totals > support

@@ -26,7 +26,7 @@ from functools import lru_cache
 import jsonschema
 
 from . import __version__
-from .config import DEFAULT, Tolerances
+from .config import FEASIBILITY, HERALD_FLOOR, TAIL
 from .efficiency import generalized_efficiency
 from .errors import PelError, ValidationError
 from .errors import ContractViolation
@@ -287,21 +287,32 @@ def _build_unitary(block: dict | None, modes: int, seed: int) -> ModeUnitary:
         raise ValidationError(f"interferometer.matrix: {exc}") from None
 
 
-def _tolerances(spec: dict) -> Tolerances:
-    if "tolerances" in spec and spec["command"] in ("nogo-search", "verify"):
-        # the search and the checks run at the defaults; a block they would
-        # ignore is refused rather than echoed as if it had been applied
-        raise ValidationError(
-            f"spec field tolerances: {spec['command']} reads no tolerance"
-        )
-    overrides = spec.get("tolerances", {})
-    tol = DEFAULT
-    for key, value in overrides.items():
-        tol = type(tol)(**{**tol.__dict__, key: float(value)})
-    return tol
+#: the fields of a spec's ``tolerances`` block that each command reads; each
+#: is a keyword of the command's runner
+_TOLERANCES_READ = {
+    "efficiency": ("tail", "feasibility"),
+    "simulate": ("tail", "herald_floor"),
+}
 
 
-def _run_efficiency(spec, seed, cutoff, threads, tol):
+def _tolerances(spec: dict) -> dict:
+    """The runner keywords set by the spec's ``tolerances`` block.  A field
+    the command never reads is refused rather than echoed as if it had been
+    applied; the search and the checks read none."""
+    command = spec["command"]
+    if "tolerances" in spec and command not in _TOLERANCES_READ:
+        raise ValidationError(f"spec field tolerances: {command} reads no tolerance")
+    block = spec.get("tolerances", {})
+    for key in block:
+        if key not in _TOLERANCES_READ[command]:
+            raise ValidationError(
+                f"spec field tolerances.{key}: {command} reads only "
+                f"{', '.join(_TOLERANCES_READ[command])}"
+            )
+    return {key: float(value) for key, value in block.items()}
+
+
+def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASIBILITY):
     sources = spec.get("sources") or []
     if not sources:
         raise ValidationError("sources: at least one source is required for efficiency")
@@ -309,8 +320,8 @@ def _run_efficiency(spec, seed, cutoff, threads, tol):
     basis = FockBasis(1, cutoff)
     results = []
     for entry in sources:
-        state = make_state(_build_source(entry), basis, tol=tol)
-        results.append(generalized_efficiency(state, tol=tol))
+        state = make_state(_build_source(entry), basis, tail_tol=tail)
+        results.append(generalized_efficiency(state, feasibility=feasibility))
     best = max(range(len(results)), key=lambda i: results[i].value)
     top = results[best]
     document = {
@@ -334,26 +345,26 @@ def _run_efficiency(spec, seed, cutoff, threads, tol):
     return document, 0
 
 
-def _run_simulate(spec, seed, cutoff, threads, tol):
+def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD_FLOOR):
     sources = spec.get("sources") or []
     if not sources:
         raise ValidationError("sources: at least one source is required for simulate")
     cutoff = cutoff if cutoff is not None else 6
     modes = len(sources)
     single = FockBasis(1, cutoff)
-    states = [make_state(_build_source(e), single, tol=tol) for e in sources]
+    states = [make_state(_build_source(e), single, tail_tol=tail) for e in sources]
     joint = FockBasis(modes, cutoff)
-    rho = tensor_all(states, joint, tol=tol) if modes > 1 else states[0]
+    rho = tensor_all(states, joint, tail_tol=tail) if modes > 1 else states[0]
     unitary = _build_unitary(spec.get("interferometer"), modes, seed)
-    rho = apply_interferometer(rho, unitary, tol=tol)
+    rho = apply_interferometer(rho, unitary)
     measurement = spec.get("measurement")
     if measurement is not None:
         pattern = MeasurementPattern(
             {int(k): v for k, v in measurement["detect"].items()}
         )
-        survivor, prob = condition(rho, pattern, tol=tol)
+        survivor, prob = condition(rho, pattern, herald_floor=herald_floor)
         if survivor.basis.modes > 1:
-            marginal = partial_trace(survivor, [0], tol=tol)
+            marginal = partial_trace(survivor, [0])
         else:
             marginal = survivor
         document = {
@@ -369,7 +380,7 @@ def _run_simulate(spec, seed, cutoff, threads, tol):
         return document, 0
     per_mode = []
     for m in range(modes):
-        marginal = partial_trace(rho, [m], tol=tol) if modes > 1 else rho
+        marginal = partial_trace(rho, [m]) if modes > 1 else rho
         per_mode.append(
             {
                 "mode": m,
@@ -420,7 +431,7 @@ def _search_spaces(spec, cutoff):
         raise ValidationError(f"search: {exc}") from None
 
 
-def _run_nogo(spec, seed, cutoff, threads, tol):
+def _run_nogo(spec, seed, cutoff, threads):
     spaces = _search_spaces(spec, cutoff)
     budget = (spec.get("search") or {}).get("budget", 20000)
     reports = []
@@ -452,7 +463,7 @@ def _run_nogo(spec, seed, cutoff, threads, tol):
     return document, code
 
 
-def _run_verify(spec, seed, cutoff, threads, tol):
+def _run_verify(spec, seed, cutoff, threads):
     block = spec.get("verify")
     if block is None:
         raise ValidationError("verify: a verify block naming the check is required")
@@ -501,9 +512,9 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
     threads = threads if threads is not None else spec.get("threads", os.cpu_count() or 1)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    tol = _tolerances(spec)
+    tolerances = _tolerances(spec)
     runner = _RUNNERS[spec["command"]]
-    return runner(spec, seed, cutoff, threads, tol)
+    return runner(spec, seed, cutoff, threads, **tolerances)
 
 
 # --- deterministic emission ---------------------------------------------------

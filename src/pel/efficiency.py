@@ -62,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import LossChannel, invert_loss
-from .config import DEFAULT, Tolerances
+from .config import CONDITIONING, FEASIBILITY
 from .errors import ConditioningError, ContractViolation, MonotonicityError, PositivityError
 from .fock import DensityMatrix, min_eigenvalue
 
@@ -97,46 +97,47 @@ def truncation_allowance(tail: float, p: float, support: int) -> float:
     return tail * ((2.0 - p) / p) ** support
 
 
-def _probe(rho: DensityMatrix, p: float, support: int, tol: Tolerances):
-    """Feasibility verdict and witness eigenvalue at transmissivity p."""
+def _probe(rho: DensityMatrix, p: float, support: int, feasibility: float):
+    """Feasibility verdict and witness eigenvalue at transmissivity p, with
+    the slack ``feasibility`` times the trace."""
     try:
-        preimage = invert_loss(rho, LossChannel(p), tol=tol)
+        preimage = invert_loss(rho, LossChannel(p))
     except ConditioningError:
         if rho.tail > 0.0:
             # amplification beyond the trusted range: infeasibility of a
             # truncation-carrying state cannot be certified here
             return True, None
         raise
-    witness = min_eigenvalue(preimage, tol=tol)
-    threshold = tol.feasibility * max(abs(rho.trace), 1e-300)
+    witness = min_eigenvalue(preimage)
+    threshold = feasibility * max(abs(rho.trace), 1e-300)
     threshold += truncation_allowance(rho.tail, p, support)
     return witness >= -threshold, witness
 
 
-def is_feasible(rho: DensityMatrix, p: float, *, tol: Tolerances = DEFAULT) -> bool:
+def is_feasible(rho: DensityMatrix, p: float) -> bool:
     """True iff some PSD state maps onto ``rho`` under loss of transmissivity p
     (within tolerance and, for truncated inputs, the truncation allowance)."""
     if rho.basis.modes != 1:
         raise ContractViolation("is_feasible expects a single-mode state")
-    return _probe(rho, p, rho.numerical_support(tol), tol)[0]
+    return _probe(rho, p, rho.numerical_support(), FEASIBILITY)[0]
 
 
-def conditioning_floor(rho: DensityMatrix, *, tol: Tolerances = DEFAULT) -> float:
+def conditioning_floor(rho: DensityMatrix) -> float:
     """Smallest transmissivity a feasibility probe may test for this state;
     a smaller efficiency is reported as this floor, not attained."""
     if rho.tail > 0.0:
         return 1e-3
-    support = rho.numerical_support(tol)
+    support = rho.numerical_support()
     if support < 1:
         return 1e-3
-    return max(1e-3, tol.conditioning ** (-1.0 / support))
+    return max(1e-3, CONDITIONING ** (-1.0 / support))
 
 
 def generalized_efficiency(
     rho: DensityMatrix,
     tol_bisect: float = 1e-6,
     *,
-    tol: Tolerances = DEFAULT,
+    feasibility: float = FEASIBILITY,
 ) -> EfficiencyResult:
     """Minimal feasible transmissivity of a single-mode state.
 
@@ -144,7 +145,9 @@ def generalized_efficiency(
     for states that carry a truncation tail.  When feasibility already holds
     at the probe floor the result carries ``attained=False`` ("infimum not
     attained"): coherent states are feasible at every probed p and their
-    true efficiency is the unattained infimum 0.
+    true efficiency is the unattained infimum 0.  A probe calls p feasible
+    when the preimage's smallest eigenvalue is at least -``feasibility``
+    times the trace (default: ``config.FEASIBILITY``).
     """
     if rho.basis.modes != 1:
         raise ContractViolation("generalized_efficiency expects a single-mode state")
@@ -153,8 +156,8 @@ def generalized_efficiency(
     if tol_bisect < 1e-8:
         raise ContractViolation(f"bisection tolerance {tol_bisect} below 1e-8")
     if rho.tail > 0.0:
-        return _bisect(rho, tol_bisect, tol)
-    return _exact(rho, tol)
+        return _bisect(rho, tol_bisect, feasibility)
+    return _exact(rho, feasibility)
 
 
 #: an eigenvalue of the companion counts as real when its imaginary part is
@@ -164,11 +167,11 @@ def generalized_efficiency(
 _REAL = math.sqrt(np.finfo(float).eps)
 
 
-def _exact(rho: DensityMatrix, tol: Tolerances) -> EfficiencyResult:
+def _exact(rho: DensityMatrix, feasibility: float) -> EfficiencyResult:
     """Efficiency of a tail-free state from one polynomial eigenproblem."""
-    support = rho.numerical_support(tol)
-    floor = conditioning_floor(rho, tol=tol)
-    slack = tol.feasibility * max(abs(rho.trace), 1e-300)
+    support = rho.numerical_support()
+    floor = conditioning_floor(rho)
+    slack = feasibility * max(abs(rho.trace), 1e-300)
     sigma = rho.elements[: support + 1, : support + 1]
     lam, vectors = np.linalg.eigh(sigma)
     if lam[0] < -slack:
@@ -184,7 +187,7 @@ def _exact(rho: DensityMatrix, tol: Tolerances) -> EfficiencyResult:
     attained = value > floor
     if not attained:
         value = floor
-    ok, witness = _probe(rho, value, support, tol)
+    ok, witness = _probe(rho, value, support, feasibility)
     if not ok:
         raise MonotonicityError(
             f"the exact efficiency {value:.9g} is infeasible under the "
@@ -253,15 +256,17 @@ def _largest_root(sigma, lam, vectors, shift: float) -> float:
     return z_star / (z_star - 1.0)
 
 
-def _bisect(rho: DensityMatrix, tol_bisect: float, tol: Tolerances) -> EfficiencyResult:
+def _bisect(
+    rho: DensityMatrix, tol_bisect: float, feasibility: float
+) -> EfficiencyResult:
     """Bisection for the minimal feasible transmissivity: the path for states
     with a truncation tail, and the tests' oracle for the exact path."""
-    support = rho.numerical_support(tol)
-    floor = conditioning_floor(rho, tol=tol)
+    support = rho.numerical_support()
+    floor = conditioning_floor(rho)
     probes = []
 
     def probe(p):
-        ok, witness = _probe(rho, p, support, tol)
+        ok, witness = _probe(rho, p, support, feasibility)
         probes.append((p, ok))
         return ok, witness
 
@@ -305,19 +310,12 @@ def _bisect(rho: DensityMatrix, tol_bisect: float, tol: Tolerances) -> Efficienc
     )
 
 
-def multimode_efficiency(
-    states,
-    tol_bisect: float = 1e-6,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> float:
+def multimode_efficiency(states, tol_bisect: float = 1e-6) -> float:
     """Efficiency of a product of single-mode states: the per-mode maximum."""
     states = list(states)
     if not states:
         raise ContractViolation("multimode_efficiency needs at least one state")
-    return max(
-        generalized_efficiency(s, tol_bisect, tol=tol).value for s in states
-    )
+    return max(generalized_efficiency(s, tol_bisect).value for s in states)
 
 
 def qubit_efficiency_formula(p: float, q: complex) -> float:

@@ -19,7 +19,7 @@ class ArityError(PelError):
 
 
 class CapacityError(PelError):
-    """A requested object exceeds the configured dimension or photon budget."""
+    """A requested object exceeds the dimension limit or photon budget."""
 
 
 class PositivityError(PelError):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import HERMITICITY, SUPPORT, TAIL, UNIT_TRACE
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -26,7 +26,7 @@ from .errors import (
     TruncationError,
 )
 
-#: refuse to build bases larger than this unless the caller raises the limit
+#: refuse to build bases larger than this
 MAX_DIMENSION = 20_000
 
 
@@ -56,16 +56,16 @@ class FockBasis:
             inside a block are contiguous
     """
 
-    def __init__(self, modes: int, cutoff: int, max_dimension: int = MAX_DIMENSION):
+    def __init__(self, modes: int, cutoff: int):
         if modes < 1:
             raise ValueError(f"modes must be >= 1, got {modes}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         dim = math.comb(cutoff + modes, modes)
-        if dim > max_dimension:
+        if dim > MAX_DIMENSION:
             raise CapacityError(
                 f"basis dimension {dim} for {modes} modes at cutoff {cutoff} "
-                f"exceeds the configured maximum {max_dimension}"
+                f"exceeds the maximum {MAX_DIMENSION}"
             )
         occs = []
         block_slices = []
@@ -120,9 +120,9 @@ class FockBasis:
         return f"FockBasis(modes={self.modes}, cutoff={self.cutoff}, dim={self.dimension})"
 
 
-def make_basis(modes: int, cutoff: int, max_dimension: int = MAX_DIMENSION) -> FockBasis:
+def make_basis(modes: int, cutoff: int) -> FockBasis:
     """Construct a graded FockBasis (see class docstring)."""
-    return FockBasis(modes, cutoff, max_dimension=max_dimension)
+    return FockBasis(modes, cutoff)
 
 
 class DensityMatrix:
@@ -146,7 +146,6 @@ class DensityMatrix:
         *,
         normalized: bool = True,
         tail: float = 0.0,
-        tol: Tolerances = DEFAULT,
     ):
         elements = np.asarray(elements, dtype=complex)
         dim = basis.dimension
@@ -159,14 +158,14 @@ class DensityMatrix:
             raise ContractViolation("matrix has non-finite elements")
         scale = max(1.0, float(np.abs(elements).max())) if dim else 1.0
         herm_defect = float(np.abs(elements - elements.conj().T).max())
-        if herm_defect > tol.hermiticity * scale:
+        if herm_defect > HERMITICITY * scale:
             raise ContractViolation(
                 f"matrix is not Hermitian: max |E - E^dag| = {herm_defect:.3e}"
             )
         elements = (elements + elements.conj().T) / 2.0
         trace = float(elements.trace().real)
         # recorded truncation weight is exactly the trace that may be missing
-        if normalized and abs(trace - 1.0) > tol.unit_trace + tail:
+        if normalized and abs(trace - 1.0) > UNIT_TRACE + tail:
             raise ContractViolation(
                 f"normalized state must have unit trace, got {trace!r}"
             )
@@ -195,22 +194,19 @@ class DensityMatrix:
             [diag[sl].sum() for sl in self.basis.block_slices]
         )
 
-    def numerical_support(self, tol: Tolerances = DEFAULT) -> int:
+    def numerical_support(self) -> int:
         """Largest total photon number carrying non-negligible weight.
 
         An index counts as occupied when any element in its row exceeds
-        ``tol.support`` relative to the largest element of the matrix.
+        ``config.SUPPORT`` relative to the largest element of the matrix.
         """
         absval = np.abs(self.elements)
         if absval.size == 0:
             return 0
-        thresh = tol.support * max(1.0, float(absval.max()))
+        thresh = SUPPORT * max(1.0, float(absval.max()))
         row_max = absval.max(axis=1)
         occupied = self.basis.totals[row_max > thresh]
         return int(occupied.max()) if occupied.size else 0
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
 
     def __repr__(self):
         return (
@@ -287,21 +283,18 @@ def make_state(
     spec: SourceSpec,
     basis: FockBasis,
     *,
-    tail_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
+    tail_tol: float = TAIL,
 ) -> DensityMatrix:
     """Build a normalized single-mode state from a source specification.
 
     Coherent states are truncated at the basis cutoff, renormalized, and the
     discarded tail weight is recorded on the result; construction refuses when
-    that tail exceeds ``tail_tol`` (default: ``tol.tail``).
+    that tail exceeds ``tail_tol`` (default: ``config.TAIL``).
     """
     if basis.modes != 1:
         raise ContractViolation(
             f"make_state requires a single-mode basis, got {basis.modes} modes"
         )
-    if tail_tol is None:
-        tail_tol = tol.tail
     dim = basis.dimension
     elements = np.zeros((dim, dim), dtype=complex)
 
@@ -313,7 +306,7 @@ def make_state(
         elements[0, 0] = 1.0 - spec.p
         if basis.cutoff >= 1:
             elements[1, 1] = spec.p
-        return DensityMatrix(basis, elements, tol=tol)
+        return DensityMatrix(basis, elements)
 
     if isinstance(spec, Fock):
         if spec.n < 0:
@@ -323,7 +316,7 @@ def make_state(
                 f"Fock state n={spec.n} exceeds basis cutoff {basis.cutoff}"
             )
         elements[spec.n, spec.n] = 1.0
-        return DensityMatrix(basis, elements, tol=tol)
+        return DensityMatrix(basis, elements)
 
     if isinstance(spec, PartialQubit):
         if not 0.0 <= spec.p <= 1.0:
@@ -340,7 +333,7 @@ def make_state(
             elements[1, 1] = spec.p
             elements[0, 1] = spec.q
             elements[1, 0] = np.conj(spec.q)
-        return DensityMatrix(basis, elements, tol=tol)
+        return DensityMatrix(basis, elements)
 
     if isinstance(spec, Coherent):
         alpha = complex(spec.alpha)
@@ -354,7 +347,7 @@ def make_state(
         amps = coherent_amplitudes(alpha, basis.cutoff)
         kept = float(np.vdot(amps, amps).real)
         elements = np.outer(amps, amps.conj()) / kept
-        return DensityMatrix(basis, elements, tail=tail, tol=tol)
+        return DensityMatrix(basis, elements, tail=tail)
 
     raise ContractViolation(f"unknown source specification {spec!r}")
 
@@ -478,16 +471,15 @@ def tensor(
     b: DensityMatrix,
     joint: FockBasis,
     *,
-    tail_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
+    tail_tol: float = TAIL,
 ) -> DensityMatrix:
     """Tensor product embedded into a graded joint basis.
 
     Occupation pairs whose combined total exceeds the joint cutoff are
     truncated away.  The discarded weight is recorded on the result; if it
-    exceeds ``tail_tol`` the operation refuses rather than silently
-    renormalizing, because conditional-probability accounting downstream
-    would be corrupted.
+    exceeds ``tail_tol`` (default: ``config.TAIL``) the operation refuses
+    rather than silently renormalizing, because conditional-probability
+    accounting downstream would be corrupted.
     """
     if joint.modes != a.basis.modes + b.basis.modes:
         raise ContractViolation(
@@ -499,8 +491,6 @@ def tensor(
             f"joint cutoff {joint.cutoff} below factor cutoffs "
             f"({a.basis.cutoff}, {b.basis.cutoff})"
         )
-    if tail_tol is None:
-        tail_tol = tol.tail
     da, db = a.basis.dimension, b.basis.dimension
     ia = np.repeat(np.arange(da), db)
     ib = np.tile(np.arange(db), da)
@@ -525,7 +515,6 @@ def tensor(
         elements,
         normalized=a.normalized and b.normalized,
         tail=a.tail + b.tail + discarded,
-        tol=tol,
     )
 
 
@@ -533,8 +522,7 @@ def tensor_all(
     states,
     joint: FockBasis,
     *,
-    tail_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
+    tail_tol: float = TAIL,
 ) -> DensityMatrix:
     """Left-fold of ``tensor`` over a sequence of states."""
     states = list(states)
@@ -545,7 +533,7 @@ def tensor_all(
     for nxt in states[1:]:
         modes += nxt.basis.modes
         target = joint if modes == joint.modes else FockBasis(modes, joint.cutoff)
-        acc = tensor(acc, nxt, target, tail_tol=tail_tol, tol=tol)
+        acc = tensor(acc, nxt, target, tail_tol=tail_tol)
     if acc.basis.modes != joint.modes:
         raise ContractViolation(
             f"states supply {acc.basis.modes} modes, joint basis expects {joint.modes}"
@@ -575,7 +563,7 @@ def _trace_out(rho: DensityMatrix, rows: np.ndarray, keep: tuple,
     return elements
 
 
-def partial_trace(rho: DensityMatrix, keep, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the ``keep`` modes (0-based indices); trace preserved.
 
     Keeping every mode returns the input unchanged.
@@ -590,12 +578,10 @@ def partial_trace(rho: DensityMatrix, keep, *, tol: Tolerances = DEFAULT) -> Den
         return rho
     reduced = FockBasis(len(keep), rho.basis.cutoff)
     elements = _trace_out(rho, np.arange(rho.basis.dimension), keep, reduced)
-    return DensityMatrix(
-        reduced, elements, normalized=rho.normalized, tail=rho.tail, tol=tol
-    )
+    return DensityMatrix(reduced, elements, normalized=rho.normalized, tail=rho.tail)
 
 
-def min_eigenvalue(h, *, tol: Tolerances = DEFAULT) -> float:
+def min_eigenvalue(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
     Accuracy follows the LAPACK Hermitian eigensolver: better than 1e-10
@@ -608,7 +594,7 @@ def min_eigenvalue(h, *, tol: Tolerances = DEFAULT) -> float:
         raise ContractViolation(f"expected a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
     defect = float(np.abs(h - h.conj().T).max())
-    if defect > tol.hermiticity * scale:
+    if defect > HERMITICITY * scale:
         raise ContractViolation(
             f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}"
         )

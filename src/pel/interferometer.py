@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import ArityError, ContractViolation
 from .fock import DensityMatrix, FockBasis
 
@@ -31,7 +30,7 @@ from .fock import DensityMatrix, FockBasis
 class ModeUnitary:
     """An M x M unitary over mode operators, optionally with mesh parameters."""
 
-    def __init__(self, matrix, params=None, *, tol: Tolerances = DEFAULT):
+    def __init__(self, matrix, params=None):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ContractViolation(f"unitary must be square, got shape {matrix.shape}")
@@ -98,7 +97,7 @@ def _embed(modes: int, pair: int, block: np.ndarray) -> np.ndarray:
     return t
 
 
-def from_mesh(params, modes: int, *, tol: Tolerances = DEFAULT) -> ModeUnitary:
+def from_mesh(params, modes: int) -> ModeUnitary:
     """Unitary from rectangular-mesh parameters.
 
     ``params`` holds (theta, phi) for each rotation in ``mesh_layout`` order,
@@ -118,7 +117,7 @@ def from_mesh(params, modes: int, *, tol: Tolerances = DEFAULT) -> ModeUnitary:
         u = _embed(modes, pair, rotation_matrix(theta, phi)) @ u
     phases = np.exp(1j * np.array(params[2 * len(layout) :]))
     u = phases[:, None] * u
-    return ModeUnitary(u, params=params, tol=tol)
+    return ModeUnitary(u, params=params)
 
 
 def _factor_two_by_two(a: np.ndarray):
@@ -135,7 +134,7 @@ def _factor_two_by_two(a: np.ndarray):
     return d1, d2, theta, phi
 
 
-def decompose(u, *, tol: Tolerances = DEFAULT) -> list:
+def decompose(u) -> list:
     """Rectangular-mesh parameters reproducing the given unitary.
 
     Standard nulling: anti-diagonals of the lower triangle are zeroed
@@ -398,15 +397,13 @@ class FockLift:
             full[sl, sl] = block
         return full
 
-    def apply(self, rho: DensityMatrix, *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
         slices = self.basis.block_slices
         out = np.empty_like(rho.elements)
         for a, va in enumerate(self.blocks):
             for b, vb in enumerate(self.blocks):
                 out[slices[a], slices[b]] = va @ rho.elements[slices[a], slices[b]] @ vb.conj().T
-        return DensityMatrix(
-            self.basis, out, normalized=rho.normalized, tail=rho.tail, tol=tol
-        )
+        return DensityMatrix(self.basis, out, normalized=rho.normalized, tail=rho.tail)
 
 
 def _permanent(mat: np.ndarray) -> complex:
@@ -463,12 +460,11 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
     raise ContractViolation(f"unknown lift method {method!r}")
 
 
-def apply_interferometer(rho: DensityMatrix, u: ModeUnitary,
-                         *, tol: Tolerances = DEFAULT) -> DensityMatrix:
+def apply_interferometer(rho: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
     """Blockwise V rho V^dag with V the Fock lift of ``u``.  Trace and the
     total-photon-number distribution are preserved exactly."""
     if u.modes != rho.basis.modes:
         raise ContractViolation(
             f"unitary has {u.modes} modes, state has {rho.basis.modes}"
         )
-    return lift(u, rho.basis).apply(rho, tol=tol)
+    return lift(u, rho.basis).apply(rho)

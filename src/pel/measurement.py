@@ -9,7 +9,7 @@ channel in front of an ideal detector instead, which is equivalent.
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import HERALD_FLOOR
 from .errors import ContractViolation, HeraldImpossibleError
 from .fock import DensityMatrix, FockBasis, _trace_out
 
@@ -70,30 +70,32 @@ def _selection(rho: DensityMatrix, pattern: MeasurementPattern) -> np.ndarray:
     return mask
 
 
-def outcome_probability(
-    rho: DensityMatrix, pattern: MeasurementPattern, *, tol: Tolerances = DEFAULT
-) -> float:
+def outcome_probability(rho: DensityMatrix, pattern: MeasurementPattern) -> float:
     """Probability of reading the pattern's counts (wildcards unrestricted)."""
     pattern.validate(rho.basis)
     return float(rho.diagonal()[_selection(rho, pattern)].sum())
 
 
 def condition(
-    rho: DensityMatrix, pattern: MeasurementPattern, *, tol: Tolerances = DEFAULT
+    rho: DensityMatrix,
+    pattern: MeasurementPattern,
+    *,
+    herald_floor: float = HERALD_FLOOR,
 ):
     """Normalized state of the surviving modes given the outcome, plus its
     heralding probability.
 
     Projects the counted modes onto their photon numbers, traces out counted
     and wildcard modes, renormalizes by the outcome probability.  Outcomes
-    below the herald floor raise rather than divide by almost-zero.
+    below ``herald_floor`` (default: ``config.HERALD_FLOOR``) raise rather
+    than divide by almost-zero.
     """
     pattern.validate(rho.basis)
-    prob = outcome_probability(rho, pattern, tol=tol)
-    if prob < tol.herald_floor:
+    prob = outcome_probability(rho, pattern)
+    if prob < herald_floor:
         raise HeraldImpossibleError(
             f"outcome probability {prob:.3e} is below the herald floor "
-            f"{tol.herald_floor:.1e}"
+            f"{herald_floor:.1e}"
         )
     sel = np.flatnonzero(_selection(rho, pattern))
     survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
@@ -105,7 +107,6 @@ def condition(
         elements,
         normalized=True,
         tail=rho.tail / prob if rho.tail else 0.0,
-        tol=tol,
     )
     return out, prob
 

@@ -74,7 +74,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .channels import LossChannel, apply_loss
-from .config import DEFAULT, Tolerances
+from .config import HERALD_FLOOR
 from .errors import ArityError, CapacityError, ContractViolation, HeraldImpossibleError
 from .fock import (
     MAX_DISPLACEMENT_MEAN,
@@ -116,7 +116,7 @@ def _rank_bound(space):
     ``reaches(n, mean)``: whether P(N >= n), with a Poisson part of the given
     mean, still reaches min_herald less ``_RANK_MARGIN``, and at least the
     herald floor.  It falls with n and rises with the mean."""
-    threshold = max(space.min_herald - _RANK_MARGIN, DEFAULT.herald_floor)
+    threshold = max(space.min_herald - _RANK_MARGIN, HERALD_FLOOR)
     counts = np.array([1.0])
     for p in space.source_efficiencies:
         counts = np.convolve(counts, [1.0 - p, p])
@@ -592,7 +592,7 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
     herald, one, multi, _ = engine.outcome_table(params[None])
     index = engine.pattern_index[pattern]
     prob = float(herald[0, index])
-    if prob < DEFAULT.herald_floor:
+    if prob < HERALD_FLOOR:
         raise HeraldImpossibleError(
             f"outcome {pattern}: probability {prob:.3e} below the herald floor"
         )
@@ -828,7 +828,6 @@ def verify_commutation(
     trials: int,
     *,
     cutoff: int = 6,
-    tol: Tolerances = DEFAULT,
 ) -> float:
     """Max trace distance between loss-then-interferometer and
     interferometer-then-loss over random product inputs, random unitaries on
@@ -852,8 +851,8 @@ def verify_commutation(
         rho = tensor_all(states, joint, tail_tol=1.0)
         lifted = lift(haar_random(modes, rng), joint)
         channel = LossChannel(float(rng.uniform(0.3, 0.95)))
-        after = apply_loss(lifted.apply(rho, tol=tol), channel, tol=tol)
-        before = lifted.apply(apply_loss(rho, channel, tol=tol), tol=tol)
+        after = apply_loss(lifted.apply(rho), channel)
+        before = lifted.apply(apply_loss(rho, channel))
         worst = max(worst, trace_distance(after, before))
     return worst
 

@@ -10,7 +10,7 @@ import pytest
 
 import pel
 from pel.cli import SCHEMA, emit, main, run_spec, validate_spec
-from pel.errors import ValidationError
+from pel.errors import HeraldImpossibleError, TruncationError, ValidationError
 
 
 def test_efficiency_document_schema():
@@ -305,30 +305,77 @@ def test_main_max_patterns_is_an_unknown_search_field(tmp_path, capsys):
     assert "'max_patterns' was unexpected" in capsys.readouterr().err
 
 
+#: a two-source simulate whose heralding outcome has probability 0.24
+_HERALDED = {
+    "command": "simulate",
+    "sources": [{"kind": "isps", "p": 0.6}, {"kind": "isps", "p": 0.6}],
+    "interferometer": {"mesh": [0.7853981633974483, 0, 0, 0]},
+    "measurement": {"detect": {"1": 1}},
+    "cutoff": 2,
+}
+_EVERY_TOLERANCE = {"herald_floor": 0.5, "tail": 1e-3, "feasibility": 0.1}
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec,tolerances,field",
     [
-        {"command": "nogo-search",
-         "search": {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}},
-        {"command": "verify", "verify": {"check": "commutation", "trials": 2}},
+        ({"command": "nogo-search",
+          "search": {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}},
+         _EVERY_TOLERANCE, "tolerances"),
+        ({"command": "verify", "verify": {"check": "commutation", "trials": 2}},
+         _EVERY_TOLERANCE, "tolerances"),
+        ({"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7},
+                                               {"kind": "isps", "p": 0.5}]},
+         {"herald_floor": 0.5}, "tolerances.herald_floor"),
+        (_HERALDED, {"feasibility": 0.5}, "tolerances.feasibility"),
     ],
-    ids=["nogo-search", "verify"],
+    ids=["nogo-search", "verify", "efficiency-herald_floor", "simulate-feasibility"],
 )
 def test_main_tolerances_block_rejected_where_nothing_reads_it(
-    tmp_path, capsys, monkeypatch, spec
+    tmp_path, capsys, monkeypatch, spec, tolerances, field
 ):
-    # the search and the checks run at the default tolerances, so a block
-    # that would change nothing fails validation instead of being echoed
+    # the search and the checks read no tolerance, efficiency no herald
+    # floor and simulate no feasibility slack, so a field that would change
+    # nothing fails validation, naming it, instead of being echoed
     def no_run(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    monkeypatch.setattr(pel.cli, "maximize_X", no_run)
-    monkeypatch.setattr(pel.cli, "verify_commutation", no_run)
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
     path = tmp_path / "spec.json"
-    tolerances = {"herald_floor": 0.5, "tail": 1e-3, "feasibility": 0.1}
     path.write_text(json.dumps({**spec, "tolerances": tolerances}))
     assert main([spec["command"], "--spec", str(path)]) == 2
-    assert "spec field tolerances" in capsys.readouterr().err
+    assert f"spec field {field}:" in capsys.readouterr().err
+
+
+def test_spec_feasibility_tolerance_takes_effect():
+    # the exact value sits where the preimage's smallest eigenvalue is minus
+    # half the slack: for an ISPS of weight p, at p / (1 + slack / 2)
+    spec = {"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}]}
+    default, _ = run_spec(spec)
+    loose, _ = run_spec({**spec, "tolerances": {"feasibility": 1e-3}})
+    assert default["value"] == pytest.approx(0.7 / (1 + 5e-10), rel=1e-12, abs=0)
+    assert loose["value"] == pytest.approx(0.7 / (1 + 5e-4), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("command,sources", [
+    ("efficiency", [{"kind": "coherent", "alpha": 1.5}]),
+    ("simulate", [{"kind": "coherent", "alpha": 1.5}, {"kind": "isps", "p": 0.5}]),
+])
+def test_spec_tail_tolerance_takes_effect(command, sources):
+    # |alpha| = 1.5 leaves 5.5e-4 of its weight above cutoff 8
+    spec = {"command": command, "sources": sources, "cutoff": 8}
+    with pytest.raises(TruncationError, match="tolerance 1.0e-10"):
+        run_spec(spec)
+    _, code = run_spec({**spec, "tolerances": {"tail": 1e-2}})
+    assert code == 0
+
+
+def test_spec_herald_floor_takes_effect():
+    document, code = run_spec(_HERALDED)
+    assert code == 0
+    assert document["herald_probability"] == pytest.approx(0.24, rel=1e-12)
+    with pytest.raises(HeraldImpossibleError, match="herald floor 9.0e-01"):
+        run_spec({**_HERALDED, "tolerances": {"herald_floor": 0.9}})
 
 
 def test_main_psd_is_an_unknown_tolerance(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pel import (
     qubit_efficiency_formula,
 )
 from pel import efficiency
-from pel.config import DEFAULT
+from pel.config import FEASIBILITY
 from pel.efficiency import conditioning_floor
 from pel.errors import ContractViolation, MonotonicityError, PositivityError
 
@@ -166,7 +166,7 @@ def test_requires_single_mode_normalized_state(rng):
 
 def _bisection(rho):
     """The kept bisection at its finest bracket: the oracle for the exact path."""
-    return efficiency._bisect(rho, 1e-8, DEFAULT)
+    return efficiency._bisect(rho, 1e-8, FEASIBILITY)
 
 
 def test_exact_efficiency_matches_bisection(rng):

@@ -17,6 +17,7 @@ from pel import (
     from_mesh,
     make_basis,
     make_state,
+    min_eigenvalue,
     multiphoton_weight,
     outcome_probability,
     partial_trace,
@@ -133,7 +134,7 @@ def test_conditional_states_are_valid(rng):
             except HeraldImpossibleError:
                 continue
             assert abs(survivor.trace - 1.0) < 1e-10
-            assert survivor.min_eigenvalue() >= -1e-10
+            assert min_eigenvalue(survivor) >= -1e-10
 
 
 def test_herald_floor():
