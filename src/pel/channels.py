@@ -123,7 +123,7 @@ def _loss_ladder(basis: FockBasis, mode: int) -> tuple:
         rows = np.flatnonzero(occ[:, mode] >= l)
         lowered = occ[rows].copy()
         lowered[:, mode] -= l
-        moved = np.array([basis.index_of(row) for row in lowered], dtype=np.int64)
+        moved = basis.rank(lowered)
         n = occ[rows, mode]
         ladder.append((
             (rows[:, None] * dim + rows[None, :]).ravel(),

@@ -43,8 +43,38 @@ def _compositions(total, modes):
             yield (head,) + rest
 
 
+@lru_cache(maxsize=64)
+def _basis_tables(modes: int, cutoff: int) -> tuple:
+    """Read-only occupations, totals, block slices and rank table of
+    ``FockBasis(modes, cutoff)``, built once per shape.
+
+    Row i of the rank table is indexed by the suffix sum R_i = n_i + ... +
+    n_(M-1) of an occupation vector (see ``FockBasis.rank``): row 0 holds
+    C(R + M, M) - 1, row i >= 1 holds -C(R + M - 1 - i, M - i).
+    """
+    occs, block_slices = [], []
+    for n in range(cutoff + 1):
+        block = list(_compositions(n, modes))
+        block_slices.append(slice(len(occs), len(occs) + len(block)))
+        occs.extend(block)
+    occupations = np.array(occs, dtype=np.int64).reshape(len(occs), modes)
+    totals = occupations.sum(axis=1)
+    grades = range(cutoff + 1)
+    rank_table = np.array(
+        [[math.comb(r + modes, modes) - 1 for r in grades]]
+        + [[-math.comb(r + modes - 1 - i, modes - i) for r in grades]
+           for i in range(1, modes)],
+        dtype=np.int64,
+    )
+    for table in (occupations, totals, rank_table):
+        table.setflags(write=False)
+    return occupations, totals, tuple(block_slices), rank_table
+
+
 class FockBasis:
     """Graded occupation-number basis for ``modes`` modes, total photons <= ``cutoff``.
+
+    The tables are shared, read-only, by every basis of the same shape.
 
     Attributes:
         modes: number of optical modes M (>= 1)
@@ -67,37 +97,44 @@ class FockBasis:
                 f"basis dimension {dim} for {modes} modes at cutoff {cutoff} "
                 f"exceeds the maximum {MAX_DIMENSION}"
             )
-        occs = []
-        block_slices = []
-        start = 0
-        for n in range(cutoff + 1):
-            block = list(_compositions(n, modes))
-            occs.extend(block)
-            block_slices.append(slice(start, start + len(block)))
-            start += len(block)
         self.modes = modes
         self.cutoff = cutoff
-        self.occupations = np.array(occs, dtype=np.int64).reshape(dim, modes)
-        self.occupations.setflags(write=False)
-        self.totals = self.occupations.sum(axis=1)
-        self.totals.setflags(write=False)
-        self.block_slices = tuple(block_slices)
-        self._index = {occ: i for i, occ in enumerate(occs)}
+        (self.occupations, self.totals, self.block_slices,
+         self._rank_table) = _basis_tables(modes, cutoff)
 
     @property
     def dimension(self) -> int:
         return self.occupations.shape[0]
 
-    def index_of(self, occupation) -> int:
-        """Dense index of an occupation vector; raises if out of range."""
-        key = tuple(int(n) for n in occupation)
-        try:
-            return self._index[key]
-        except KeyError:
+    def rank(self, occupations) -> np.ndarray:
+        """Dense indices of an array of occupation vectors, shape (..., modes)
+        to shape (...); raises CapacityError if any row is out of range.
+
+        The index of (n_0, ..., n_(M-1)) with total N is the graded offset
+        C(N + M - 1, M), the count of vectors of smaller total, plus its
+        lexicographic rank inside grade N.  That rank is the grade's size
+        C(N + M - 1, M - 1) less one, less the count of grade-N vectors that
+        follow it, sum_(i >= 1) C(R_i + M - 1 - i, M - i) over the suffix sums
+        R_i = n_i + ... + n_(M-1): one gather from the rank table per entry.
+        """
+        occ = np.asarray(occupations, dtype=np.int64)
+        if occ.shape[-1:] != (self.modes,):
             raise CapacityError(
-                f"occupation {key} not representable in basis "
-                f"(modes={self.modes}, cutoff={self.cutoff})"
-            ) from None
+                f"occupations of shape {occ.shape} do not have "
+                f"{self.modes} modes"
+            )
+        suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
+        bad = (occ < 0).any(axis=-1) | (suffix[..., 0] > self.cutoff)
+        if bad.any():
+            raise CapacityError(
+                f"occupation {tuple(int(n) for n in occ[bad][0])} not "
+                f"representable in basis (modes={self.modes}, cutoff={self.cutoff})"
+            )
+        return self._rank_table[np.arange(self.modes), suffix].sum(axis=-1)
+
+    def index_of(self, occupation) -> int:
+        """Dense index of one occupation vector; raises if out of range."""
+        return int(self.rank(occupation))
 
     def occupation_of(self, index: int) -> tuple:
         return tuple(int(n) for n in self.occupations[index])
@@ -480,6 +517,10 @@ def tensor(
     exceeds ``tail_tol`` (default: ``config.TAIL``) the operation refuses
     rather than silently renormalizing, because conditional-probability
     accounting downstream would be corrupted.
+
+    The kept pairs (i, j) are ranked in the joint basis in one call, and the
+    element products a[i, k] b[j, l] of those pairs alone are written into
+    the joint matrix: the full da*db Kronecker product is never formed.
     """
     if joint.modes != a.basis.modes + b.basis.modes:
         raise ContractViolation(
@@ -504,12 +545,10 @@ def tensor(
             f"tensor product would truncate weight {discarded:.6g} above joint "
             f"cutoff {joint.cutoff} (tolerance {tail_tol:.1e}); raise the cutoff"
         )
-    occ = np.hstack([a.basis.occupations[ia][kept], b.basis.occupations[ib][kept]])
-    jidx = np.array([joint.index_of(row) for row in occ], dtype=np.int64)
-    kron = np.kron(a.elements, b.elements)
-    flat_kept = np.flatnonzero(kept)
+    ia, ib = ia[kept], ib[kept]
+    jidx = joint.rank(np.hstack([a.basis.occupations[ia], b.basis.occupations[ib]]))
     elements = np.zeros((joint.dimension, joint.dimension), dtype=complex)
-    elements[np.ix_(jidx, jidx)] = kron[np.ix_(flat_kept, flat_kept)]
+    elements[np.ix_(jidx, jidx)] = a.elements[np.ix_(ia, ia)] * b.elements[np.ix_(ib, ib)]
     return DensityMatrix(
         joint,
         elements,
@@ -544,23 +583,27 @@ def tensor_all(
 def _trace_out(rho: DensityMatrix, rows: np.ndarray, keep: tuple,
                reduced: FockBasis) -> np.ndarray:
     """Elements on ``reduced`` of the block of ``rho`` on ``rows``, summed over
-    the occupations of every mode not in ``keep``."""
+    the occupations of every mode not in ``keep``.
+
+    The rows fall into groups of equal traced occupations, in lexicographic
+    order, and inside a group each row has its own index in ``reduced``.  A
+    (groups, reduced dimension) plan holds the position in ``rows`` of every
+    (group, reduced index) slot, or a zero pad row past them where a group
+    has no row, so one gather of the padded block and one sum over its
+    group axis give the result, adding the groups in order onto zero.
+    """
     occ = rho.basis.occupations[rows]
     traced = [m for m in range(rho.basis.modes) if m not in keep]
-    keep_idx = np.array(
-        [reduced.index_of(row) for row in occ[:, list(keep)]], dtype=np.int64
-    )
     if traced:
         _, group = np.unique(occ[:, traced], axis=0, return_inverse=True)
     else:
         group = np.zeros(rows.size, dtype=np.int64)
-    elements = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
-    for g in range(int(group.max()) + 1):
-        part = group == g
-        elements[np.ix_(keep_idx[part], keep_idx[part])] += (
-            rho.elements[np.ix_(rows[part], rows[part])]
-        )
-    return elements
+    size = rows.size
+    padded = np.zeros((size + 1, size + 1), dtype=complex)
+    padded[:size, :size] = rho.elements[np.ix_(rows, rows)]
+    plan = np.full((int(group.max()) + 1, reduced.dimension), size)
+    plan[group.reshape(-1), reduced.rank(occ[:, list(keep)])] = np.arange(size)
+    return padded[plan[:, :, None], plan[:, None, :]].sum(axis=0, initial=0)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

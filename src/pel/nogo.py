@@ -374,11 +374,11 @@ class _SchemeEngine:
         self.ancilla_columns = slice(B, B + space.num_coherent)
         zero_column = self.ancilla_columns.stop
         self.inputs = np.zeros((self.basis.dimension, zero_column + 1), dtype=complex)
-        for b, fired in enumerate(branches):
-            self.inputs[self.basis.index_of(fired + (0,) * space.num_coherent), b] = 1.0
-        for j in range(space.num_coherent):
-            self.inputs[self.basis.index_of(unit[S + j]), B + j] = 1.0
-        self.one_photon_rows = np.array([self.basis.index_of(row) for row in unit])
+        branch_states = np.zeros((B, M), dtype=np.int64)
+        branch_states[:, :S] = branches
+        self.one_photon_rows = self.basis.rank(unit)
+        self.inputs[self.basis.rank(branch_states), np.arange(B)] = 1.0
+        self.inputs[self.one_photon_rows[S:], np.arange(B, zero_column)] = 1.0
 
         # a search line moves one mesh angle or phase, in which every mesh
         # output amplitude is a trigonometric polynomial of degree <= S:
@@ -412,12 +412,9 @@ class _SchemeEngine:
         # the slots past it read the zero column, so one GEMM contracts
         # every k_0
         psi_index = np.full((S + 1, B, detected.dimension), zero_column)
-        stride = self.inputs.shape[1]
-        for k0 in range(S + 1):
-            width = detected.block(S - k0).stop
-            for i, row in enumerate(detected.occupations[:width]):
-                state = self.basis.index_of((k0,) + tuple(row))
-                psi_index[k0, :, i] = state * stride + np.arange(B)
+        k0, i = np.nonzero(np.arange(S + 1)[:, None] + detected.totals <= S)
+        state = self.basis.rank(np.column_stack([k0, detected.occupations[i]]))
+        psi_index[k0, :, i] = state[:, None] * self.inputs.shape[1] + np.arange(B)
         self.psi_index = (2 * psi_index[:, None] + np.arange(2)[:, None, None]).reshape(
             2 * (S + 1) * B, detected.dimension
         )

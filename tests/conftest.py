@@ -18,6 +18,30 @@ def random_density(rng, basis, support=None):
     return pel.DensityMatrix(basis, elements)
 
 
+def loop_trace_out(rho, rows, keep, reduced):
+    """Reference trace-out: elements on ``reduced`` of the block of ``rho`` on
+    ``rows``, summed over the occupations of the modes not in ``keep``, one
+    ``np.ix_`` block per group of equal traced occupations, added in
+    lexicographic group order onto zero, with the indices of ``reduced`` read
+    from a dict of its occupation rows."""
+    index = {row: i for i, row in enumerate(map(tuple, reduced.occupations.tolist()))}
+    occ = rho.basis.occupations[rows]
+    traced = [m for m in range(rho.basis.modes) if m not in keep]
+    keep_idx = np.array([index[tuple(row)] for row in occ[:, list(keep)].tolist()])
+    if traced:
+        _, group = np.unique(occ[:, traced], axis=0, return_inverse=True)
+        group = group.reshape(-1)
+    else:
+        group = np.zeros(rows.size, dtype=np.int64)
+    elements = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
+    for g in range(int(group.max()) + 1):
+        part = group == g
+        elements[np.ix_(keep_idx[part], keep_idx[part])] += (
+            rho.elements[np.ix_(rows[part], rows[part])]
+        )
+    return elements
+
+
 def rows_at_the_cap(rng, space, rows):
     """Random search parameter rows with every coherent amplitude at the
     space's amplitude cap."""

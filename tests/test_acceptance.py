@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line printed per
 criterion (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Every tolerance is pinned here, not configured elsewhere.  The no-go cells
-are the slow part (a few minutes each at the mandated budgets); everything
-else runs in seconds.
+Every tolerance is pinned here, not configured elsewhere.  The nine no-go
+cells of criteria 4, 5 and 6 are the slow part (about 1.5 s each at the
+mandated budgets); everything else runs in seconds.
 """
 
 import math

@@ -25,7 +25,7 @@ from pel.errors import (
     TruncationError,
 )
 
-from conftest import inertia_min_eigenvalue, random_density
+from conftest import inertia_min_eigenvalue, loop_trace_out, random_density
 
 
 # --- basis -------------------------------------------------------------------
@@ -86,6 +86,38 @@ def test_index_of_out_of_range():
     b = make_basis(2, 2)
     with pytest.raises(CapacityError):
         b.index_of((2, 1))
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cutoff", range(8))
+def test_rank_inverts_occupations(modes, cutoff):
+    b = make_basis(modes, cutoff)
+    assert np.array_equal(b.rank(b.occupations), np.arange(b.dimension))
+    # any leading shape ranks to the same shape
+    grid = b.occupations[::-1].reshape(-1, 1, modes)
+    assert np.array_equal(b.rank(grid), np.arange(b.dimension)[::-1, None])
+
+
+@pytest.mark.parametrize("bad", [(2, 1), (-1, 1), (3, -1)])
+def test_rank_refuses_a_batch_with_one_out_of_range_row(bad):
+    b = make_basis(2, 2)
+    batch = np.vstack([b.occupations, [bad], b.occupations])
+    with pytest.raises(CapacityError, match=r"occupation \(" + f"{bad[0]}, {bad[1]}"):
+        b.rank(batch)
+    with pytest.raises(CapacityError):
+        b.index_of(bad)
+
+
+@pytest.mark.parametrize("occupation", [(1,), (0, 0, 1), ()])
+def test_index_of_refuses_a_wrong_length(occupation):
+    with pytest.raises(CapacityError):
+        make_basis(2, 2).index_of(occupation)
+
+
+def test_equal_bases_share_their_tables():
+    a, b = make_basis(3, 4), make_basis(3, 4)
+    assert a.occupations is b.occupations and a.totals is b.totals
+    assert not a.occupations.flags.writeable
 
 
 # --- states ------------------------------------------------------------------
@@ -307,6 +339,85 @@ def test_partial_trace_preserves_trace(rng):
     joint = make_basis(3, 3)
     rho = random_density(rng, joint)
     assert abs(partial_trace(rho, [2]).trace - rho.trace) < 1e-12
+
+
+def kron_tensor(a, b, joint):
+    """Reference tensor: the full Kronecker product, its kept rows and columns
+    copied to joint indices read from a dict of the joint occupation rows."""
+    index = {row: i for i, row in enumerate(map(tuple, joint.occupations.tolist()))}
+    da, db = a.basis.dimension, b.basis.dimension
+    ia = np.repeat(np.arange(da), db)
+    ib = np.tile(np.arange(db), da)
+    kept = a.basis.totals[ia] + b.basis.totals[ib] <= joint.cutoff
+    discarded = float((a.diagonal()[ia] * b.diagonal()[ib])[~kept].sum())
+    occ = np.hstack([a.basis.occupations[ia][kept], b.basis.occupations[ib][kept]])
+    jidx = np.array([index[tuple(row)] for row in occ.tolist()])
+    kron = np.kron(a.elements, b.elements)
+    flat_kept = np.flatnonzero(kept)
+    elements = np.zeros((joint.dimension, joint.dimension), dtype=complex)
+    elements[np.ix_(jidx, jidx)] = kron[np.ix_(flat_kept, flat_kept)]
+    return DensityMatrix(joint, elements, tail=a.tail + b.tail + discarded)
+
+
+@pytest.mark.parametrize("split", [(1, 2), (2, 1), (2, 2), (3, 1), (1, 3)])
+@pytest.mark.parametrize("support", [3, 6])
+def test_tensor_matches_the_kronecker_reference_bit_for_bit(rng, split, support):
+    # at support 6 the joint cutoff 6 truncates the product
+    cutoff = 6
+    a = random_density(rng, make_basis(split[0], cutoff), support)
+    b = random_density(rng, make_basis(split[1], cutoff), support)
+    joint = make_basis(sum(split), cutoff)
+    got = tensor(a, b, joint, tail_tol=1.0)
+    expected = kron_tensor(a, b, joint)
+    assert np.array_equal(got.elements, expected.elements)
+    assert got.tail == expected.tail
+    assert (got.tail > 0.0) == (support == cutoff)
+
+
+@pytest.mark.parametrize("modes", [3, 4])
+def test_partial_trace_matches_the_loop_reference_bit_for_bit(rng, modes):
+    basis = make_basis(modes, 6)
+    rho = random_density(rng, basis)
+    rows = np.arange(basis.dimension)
+    for size in range(1, modes):
+        for keep in itertools.combinations(range(modes), size):
+            got = partial_trace(rho, keep)
+            expected = DensityMatrix(
+                got.basis, loop_trace_out(rho, rows, keep, got.basis)
+            )
+            assert np.array_equal(got.elements, expected.elements), keep
+
+
+@pytest.mark.parametrize("modes,support", [(3, 2), (4, 2), (3, 3)])
+def test_partial_trace_against_einsum_on_the_product_space(rng, modes, support):
+    # a state of support s lives in the untruncated product of s + 1 levels
+    # per mode, where the partial trace is an einsum over the traced axes
+    basis = make_basis(modes, 6)
+    rho = random_density(rng, basis, support)
+    levels = (support + 1,) * modes
+    sel = np.flatnonzero(basis.totals <= support)
+    flat = np.ravel_multi_index(basis.occupations[sel].T, levels)
+    product = np.zeros((math.prod(levels),) * 2, dtype=complex)
+    product[np.ix_(flat, flat)] = rho.elements[np.ix_(sel, sel)]
+    product = product.reshape(levels + levels)
+    for size in range(1, modes):
+        for keep in itertools.combinations(range(modes), size):
+            columns = [modes + m if m in keep else m for m in range(modes)]
+            out = list(keep) + [modes + m for m in keep]
+            traced = np.einsum(product, list(range(modes)) + columns, out)
+            traced = traced.reshape((support + 1) ** size, -1)
+            reduced = partial_trace(rho, keep)
+            rsel = np.flatnonzero(reduced.basis.totals <= support)
+            rflat = np.ravel_multi_index(
+                reduced.basis.occupations[rsel].T, levels[:size]
+            )
+            expected = np.zeros_like(reduced.elements)
+            expected[np.ix_(rsel, rsel)] = traced[np.ix_(rflat, rflat)]
+            assert np.abs(reduced.elements - expected).max() < 1e-12, keep
+            # nothing of the product-space trace falls outside the support
+            outside = np.ones(traced.shape[0], dtype=bool)
+            outside[rflat] = False
+            assert np.abs(traced[outside]).max(initial=0.0) < 1e-12
 
 
 # --- eigenvalues ---------------------------------------------------------------

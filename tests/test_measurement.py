@@ -26,7 +26,7 @@ from pel import (
 )
 from pel.errors import ContractViolation, HeraldImpossibleError
 
-from conftest import random_density
+from conftest import loop_trace_out, random_density
 
 
 def two_mode(specs, cutoff=3):
@@ -135,6 +135,31 @@ def test_conditional_states_are_valid(rng):
                 continue
             assert abs(survivor.trace - 1.0) < 1e-10
             assert min_eigenvalue(survivor) >= -1e-10
+
+
+@pytest.mark.parametrize("modes,outcomes", [
+    (3, {1: 1, 2: None}),
+    (3, {0: None, 2: 0}),
+    (3, {1: 2}),
+    (4, {1: 1, 2: None, 3: 0}),
+    (4, {0: 0, 3: None}),
+    (4, {2: None}),
+    (4, {1: 0, 2: 1, 3: 1}),
+])
+def test_condition_matches_the_loop_reference_bit_for_bit(rng, modes, outcomes):
+    basis = make_basis(modes, 6)
+    rho = random_density(rng, basis)
+    pattern = MeasurementPattern(outcomes)
+    survivor, prob = condition(rho, pattern)
+    selected = np.ones(basis.dimension, dtype=bool)
+    for mode, count in pattern.counted:
+        selected &= basis.occupations[:, mode] == count
+    rows = np.flatnonzero(selected)
+    keep = tuple(m for m in range(modes) if m not in outcomes)
+    elements = loop_trace_out(rho, rows, keep, survivor.basis)
+    elements /= prob
+    expected = DensityMatrix(survivor.basis, elements)
+    assert np.array_equal(survivor.elements, expected.elements)
 
 
 def test_herald_floor():
