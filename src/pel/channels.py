@@ -14,19 +14,26 @@ available as
 * a restricted inverse (``invert_loss``), the same Kraus kernel run at
   transmissivity 1/p.
 
-``apply_loss`` and ``invert_loss`` run one table-driven kernel: per mode
-and loss count l it moves each matrix element whose row and column hold
-n, n' >= l photons in that mode down by l photons on both sides, weighted
-by (1-p)^l sqrt(C(n, l) C(n', l)) p^((n+n')/2 - l).  The Lindblad
-generator takes its jump terms from the kernel's l = 1 index table.  The
-weights are polynomials in p and satisfy E_p o E_q = E_pq as a polynomial
-identity, so E_(1/p), whose (1-1/p)^l factors alternate in sign, inverts
-E_p.  The truncated inverse is
-exact for states supported inside the cutoff: a loss channel with p > 0
-cannot map weight from above photon number n to below it without leaving a
-trace in between (each Kraus term lowers the photon number by exactly its
-loss count, and the zero-loss term keeps the top grade with positive weight
-p^n), so the truncated preimage coincides with the infinite-dimensional one.
+``apply_loss`` and ``invert_loss`` run one table-driven kernel over every
+acted mode at once.  A loss vector l moves each matrix element whose row
+and column hold n, n' >= l photons in the acted modes down by l photons on
+both sides, weighted by (1-p)^|l| sqrt(C(n, l) C(n', l)) p^((g+g')/2), with
+C(n, l) the product of the per-mode binomials and g, g' the acted photons
+left in the row and column.  One cached plan per basis and acted modes
+lists every such entry whose target lies on or above the diagonal; p enters
+only through the (1-p)^|l| power table and the target scale, and the lower
+triangle mirrors the upper one, so the output is exactly Hermitian.  The
+Lindblad generator takes its jump terms from the plan's |l| = 1 entries and
+their transposes.
+
+The weights are polynomials in p and satisfy E_p o E_q = E_pq as a
+polynomial identity, so E_(1/p), whose (1-1/p)^|l| factors alternate in
+sign, inverts E_p.  The truncated inverse is exact for states supported
+inside the cutoff: a loss channel with p > 0 cannot map weight from above
+photon number n to below it without leaving a trace in between (each Kraus
+term lowers the photon number by exactly its loss count, and the zero-loss
+term keeps the top grade with positive weight p^n), so the truncated
+preimage coincides with the infinite-dimensional one.
 The preimage is generally *not* positive semidefinite; that indefiniteness
 is precisely the infeasibility signal used by the efficiency module.
 """
@@ -106,32 +113,65 @@ class LindbladParams:
         return cls(kappa=1.0, t0=kt, steps=steps)
 
 
-@lru_cache(maxsize=256)
-def _loss_ladder(basis: FockBasis, mode: int) -> tuple:
-    """Index and coefficient tables of the single-mode loss kernel.
+@lru_cache(maxsize=64)
+def _loss_plan(basis: FockBasis, acted: tuple) -> tuple:
+    """Index and coefficient tables of the loss channel on the ``acted`` modes.
 
-    Entry l (loss count 0..cutoff) is (src, tgt, root, kept) over the indices
-    holding n >= l photons in ``mode``: ``root`` is sqrt(C(n, l)), ``kept`` is
-    n - l, and ``src`` / ``tgt`` are the flat (row, column) positions, in a
-    dimension x dimension matrix, of every pair of those indices before and
-    after l of the photons are removed.
+    A loss vector l removes l_a photons from each acted mode a.  It takes
+    element (i, j) of a matrix to (r, c), the indices i and j lowered by l,
+    weighted by (1-p)^|l| sqrt(C(n_i, l) C(n_j, l)) p^((g_r + g_c)/2), where
+    C(n, l) is the product of the binomials over the acted modes and g counts
+    an index's photons in them.  Lowering by one l keeps the graded order, so
+    i <= j gives r <= c and only these pairs are listed.  Returns
+
+    * ``src``: flat position i * dimension + j of each entry's source;
+    * ``coef``: sqrt(C(n_i, l) C(n_j, l));
+    * ``losses``: |l|;
+    * ``starts``: where each target's run begins, the entries being sorted
+      by target (stably, so in graded order of l inside a run);
+    * ``upper``: the dimension x dimension mask of r <= c, whose row-major
+      order is the targets' order, since l = 0 reaches each of them;
+    * ``grades``: g_r + g_c of each target.
     """
     occ = basis.occupations
     dim = basis.dimension
-    ladder = []
-    for l in range(basis.cutoff + 1):
-        rows = np.flatnonzero(occ[:, mode] >= l)
-        lowered = occ[rows].copy()
-        lowered[:, mode] -= l
-        moved = basis.rank(lowered)
-        n = occ[rows, mode]
-        ladder.append((
-            (rows[:, None] * dim + rows[None, :]).ravel(),
-            (moved[:, None] * dim + moved[None, :]).ravel(),
-            np.sqrt([float(math.comb(int(v), l)) for v in n]),
-            n - l,
-        ))
-    return tuple(ladder)
+    cutoff = basis.cutoff
+    kept = occ[:, list(acted)]
+    if acted:
+        vectors = FockBasis(len(acted), cutoff).occupations
+    else:
+        vectors = np.zeros((1, 0), dtype=np.int64)
+    # every (loss vector, row) with enough photons, grouped by loss vector
+    which, rows = np.nonzero((kept[None, :, :] >= vectors[:, None, :]).all(axis=-1))
+    lowered = occ[rows]
+    lowered[:, list(acted)] -= vectors[which]
+    moved = basis.rank(lowered)
+    levels = np.arange(cutoff + 1)
+    roots = np.sqrt([[float(math.comb(n, l)) for l in levels] for n in levels])
+    root = roots[kept[rows], vectors[which]].prod(axis=-1)
+    # pair each row with itself and every later row of its group
+    sizes = np.bincount(which, minlength=vectors.shape[0])
+    local = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[which]
+    reps = sizes[which] - local
+    first = np.repeat(np.arange(rows.size), reps)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    tgt = moved[first] * dim + moved[second]
+    order = np.argsort(tgt, kind="stable")
+    first, second, tgt = first[order], second[order], tgt[order]
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    row, col = np.divmod(tgt[starts], dim)
+    grade = kept.sum(axis=1)
+    plan = (
+        rows[first] * dim + rows[second],
+        root[first] * root[second],
+        vectors.sum(axis=1)[which[first]],
+        starts,
+        np.triu(np.ones((dim, dim), dtype=bool)),
+        grade[row] + grade[col],
+    )
+    for table in plan:
+        table.setflags(write=False)
+    return plan
 
 
 def kraus_operators(p: float, levels: int) -> list:
@@ -152,25 +192,26 @@ def kraus_operators(p: float, levels: int) -> list:
     return ops
 
 
-def _loss_mode(elements: np.ndarray, basis: FockBasis, mode: int, p: float) -> np.ndarray:
-    """The loss channel of transmissivity p on one mode.  Any p > 0 is
-    accepted: p > 1 runs the inverse of loss at 1/p."""
-    source = elements.reshape(-1)
-    out = np.zeros_like(source)
-    for l, (src, tgt, root, kept) in enumerate(_loss_ladder(basis, mode)):
-        a = root * p ** (kept / 2.0)
-        # (1 - p)^l stays a real factor with an integer power, so that its
-        # sign survives at p > 1
-        out[tgt] += (1.0 - p) ** l * np.outer(a, a).ravel() * source.take(src)
-    return out.reshape(elements.shape)
+def _loss(elements: np.ndarray, basis: FockBasis, acted: tuple, p: float) -> np.ndarray:
+    """The loss channel of transmissivity p on the ``acted`` modes of a
+    Hermitian matrix, exactly Hermitian.  Any p > 0 is accepted: p > 1 runs
+    the inverse of loss at 1/p."""
+    src, coef, losses, starts, upper, grades = _loss_plan(basis, acted)
+    # (1 - p)^|l| keeps an integer power, so that its sign survives at p > 1
+    weights = (1.0 - p) ** np.arange(basis.cutoff + 1)
+    values = elements.reshape(-1).take(src)
+    values *= weights.take(losses) * coef
+    sums = np.add.reduceat(values, starts)
+    sums *= (p ** (np.arange(2 * basis.cutoff + 1) / 2.0)).take(grades)
+    out = np.empty(elements.shape, dtype=complex)
+    out.T[upper] = sums.conj()
+    out[upper] = sums
+    return out
 
 
 def apply_loss(rho: DensityMatrix, ch: LossChannel) -> DensityMatrix:
-    """Apply the loss channel mode by mode (single-mode channels on distinct
-    modes commute, so the order is irrelevant)."""
-    elements = rho.elements
-    for mode in ch.acted_modes(rho.basis.modes):
-        elements = _loss_mode(elements, rho.basis, mode, ch.p)
+    """Apply the loss channel on every acted mode at once."""
+    elements = _loss(rho.elements, rho.basis, ch.acted_modes(rho.basis.modes), ch.p)
     return DensityMatrix(rho.basis, elements, normalized=rho.normalized, tail=rho.tail)
 
 
@@ -219,12 +260,16 @@ def apply_loss_lindblad(
         )
     size = basis.dimension**2
     generator = np.zeros((size, size))
-    # a rho a^dag per acted mode, from the l = 1 rung of its loss ladder; at
-    # cutoff 0 there is no such rung and nothing decays, so T = I exactly
-    if basis.cutoff > 0:
-        for mode in acted:
-            src, tgt, root, _ = _loss_ladder(basis, mode)[1]
-            generator[tgt, src] += np.outer(root, root).ravel()
+    # a rho a^dag per acted mode: the |l| = 1 entries of the loss plan and
+    # their transposes; at cutoff 0 there are none and nothing decays, so
+    # T = I exactly
+    src, coef, losses, starts, upper, _ = _loss_plan(basis, acted)
+    dim = basis.dimension
+    tgt = np.repeat(np.flatnonzero(upper), np.diff(starts, append=src.size))
+    jump = losses == 1
+    tgt, src, coef = tgt[jump], src[jump], coef[jump]
+    generator[tgt, src] = coef
+    generator[tgt % dim * dim + tgt // dim, src % dim * dim + src // dim] = coef
     # -(N rho + rho N)/2 with N the summed number operator over acted modes
     nvec = basis.occupations[:, list(acted)].sum(axis=1)
     generator[np.diag_indices(size)] -= 0.5 * (nvec[:, None] + nvec[None, :]).ravel()
@@ -243,8 +288,8 @@ def apply_loss_lindblad(
 def invert_loss(rho: DensityMatrix, ch: LossChannel) -> np.ndarray:
     """Unique trace-preserving Hermitian preimage of ``rho`` under the channel.
 
-    Computed by the loss kernel itself at transmissivity 1/p on each acted
-    mode, since E_(1/p) o E_p is the identity; the result is exact for
+    Computed by the loss kernel itself at transmissivity 1/p on the acted
+    modes, since E_(1/p) o E_p is the identity; the result is exact for
     states supported inside the cutoff but NOT guaranteed positive
     semidefinite.  Elements above the state's numerical support are treated
     as exact zeros so float dust is not amplified.
@@ -265,6 +310,4 @@ def invert_loss(rho: DensityMatrix, ch: LossChannel) -> np.ndarray:
     junk = rho.basis.totals > support
     elements[junk, :] = 0.0
     elements[:, junk] = 0.0
-    for mode in ch.acted_modes(rho.basis.modes):
-        elements = _loss_mode(elements, rho.basis, mode, 1.0 / p)
-    return (elements + elements.conj().T) / 2.0
+    return _loss(elements, rho.basis, ch.acted_modes(rho.basis.modes), 1.0 / p)

@@ -190,16 +190,19 @@ class DensityMatrix:
             raise ContractViolation(
                 f"elements shape {elements.shape} does not match basis dimension {dim}"
             )
-        # NaN fails every comparison below, so it has to be refused explicitly
-        if not np.isfinite(elements).all():
+        # NaN fails every comparison below, so it has to be refused
+        # explicitly; the largest modulus is NaN or inf exactly when some
+        # element is
+        largest = float(np.abs(elements).max())
+        if not math.isfinite(largest):
             raise ContractViolation("matrix has non-finite elements")
-        scale = max(1.0, float(np.abs(elements).max())) if dim else 1.0
-        herm_defect = float(np.abs(elements - elements.conj().T).max())
-        if herm_defect > HERMITICITY * scale:
+        adjoint = elements.conj().T
+        herm_defect = float(np.abs(elements - adjoint).max())
+        if herm_defect > HERMITICITY * max(1.0, largest):
             raise ContractViolation(
                 f"matrix is not Hermitian: max |E - E^dag| = {herm_defect:.3e}"
             )
-        elements = (elements + elements.conj().T) / 2.0
+        elements = (elements + adjoint) / 2.0
         trace = float(elements.trace().real)
         # recorded truncation weight is exactly the trace that may be missing
         if normalized and abs(trace - 1.0) > UNIT_TRACE + tail:

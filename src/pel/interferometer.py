@@ -13,9 +13,11 @@ Conventions (fixed once, everything else follows from them):
   order followed by one output phase per mode, ``decompose`` produces them.
 
 Two independent Fock-lift constructions are kept permanently: composition of
-two-mode rotation blocks along the mesh (fast, the default) and the
-permanent-based matrix-element formula (slow, the oracle).  Tests hold them
-to 1e-9 agreement.
+two-mode rotation blocks along the mesh (the default) and the
+permanent-based matrix-element formula (the oracle), which evaluates Ryser's
+formula for every element of a photon block at once; its cost grows as
+2^n per element of the n-photon block.  The two share no code, and tests
+hold them to 1e-9 agreement.
 """
 
 import math
@@ -406,19 +408,28 @@ class FockLift:
         return DensityMatrix(self.basis, out, normalized=rho.normalized, tail=rho.tail)
 
 
-def _permanent(mat: np.ndarray) -> complex:
-    """Ryser's formula; fine at the few-photon sizes used by the oracle lift."""
-    n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0j
-    for subset in range(1, 1 << n):
-        cols = [c for c in range(n) if subset >> c & 1]
-        prod = 1.0 + 0.0j
-        for r in range(n):
-            prod *= mat[r, cols].sum()
-        total += (-1) ** (n - len(cols)) * prod
-    return total
+#: complex entries a permanent chunk's row sums may hold at once
+_PERMANENT_CHUNK = 1 << 20
+
+
+@lru_cache(maxsize=16)
+def _ryser_tables(n: int) -> tuple:
+    """Column-subset masks, shape (n, 2^n), and Ryser signs (-1)^(n - |S|)
+    of every subset S of n columns."""
+    subsets = np.arange(1 << n)
+    masks = (subsets[None, :] >> np.arange(n)[:, None] & 1).astype(complex)
+    signs = (-1.0) ** (n - masks.real.sum(axis=0))
+    for table in (masks, signs):
+        table.setflags(write=False)
+    return masks, signs
+
+
+def _permanents(subs: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of n x n matrices, shape (..., n, n) to (...),
+    by Ryser's formula over every column subset at once:
+    perm(A) = sum_S (-1)^(n - |S|) prod_i sum_(j in S) A[i, j]."""
+    masks, signs = _ryser_tables(subs.shape[-1])
+    return (subs @ masks).prod(axis=-2) @ signs
 
 
 def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
@@ -426,8 +437,9 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
 
     method="mesh" composes two-mode rotation blocks along the mesh
     decomposition; method="permanent" evaluates matrix elements
-    <m|V|n> = perm(U[m, n]) / sqrt(prod m! prod n!) directly.  The two must
-    agree to 1e-9 and serve as each other's oracle.
+    <m|V|n> = perm(U[m, n]) / sqrt(prod m! prod n!) directly, every element
+    of a photon block in one batched Ryser sum, chunked over its rows.  The
+    two must agree to 1e-9 and serve as each other's oracle.
     """
     if u.modes != basis.modes:
         raise ContractViolation(
@@ -440,22 +452,22 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
         return FockLift(basis, [full[0, sl, sl] for sl in basis.block_slices])
     if method == "permanent":
         blocks = []
-        occ = basis.occupations
-        lgamma = math.lgamma
         for n in range(basis.cutoff + 1):
-            sl = basis.block(n)
-            occs = occ[sl]
+            occs = basis.occupations[basis.block(n)]
             size = occs.shape[0]
+            # the modes of each occupation's photons, one row per occupation
+            reps = np.repeat(np.tile(np.arange(basis.modes), size), occs.ravel())
+            reps = reps.reshape(size, n)
+            norms = np.array(
+                [math.exp(-0.5 * sum(math.lgamma(int(k) + 1) for k in o)) for o in occs]
+            )
             block = np.empty((size, size), dtype=complex)
-            reps = [np.repeat(np.arange(basis.modes), o) for o in occs]
-            norms = [
-                math.exp(-0.5 * sum(lgamma(int(k) + 1) for k in o)) for o in occs
-            ]
-            for a in range(size):
-                for b in range(size):
-                    sub = u.matrix[np.ix_(reps[a], reps[b])]
-                    block[a, b] = _permanent(sub) * norms[a] * norms[b]
-            blocks.append(block)
+            # rows of the block per chunk, so the row sums stay bounded
+            step = max(1, _PERMANENT_CHUNK // (size * max(n, 1) * (1 << n)))
+            for a in range(0, size, step):
+                rows = reps[a : a + step, None, :, None]
+                block[a : a + step] = _permanents(u.matrix[rows, reps[None, :, None, :]])
+            blocks.append(block * norms[:, None] * norms[None, :])
         return FockLift(basis, blocks)
     raise ContractViolation(f"unknown lift method {method!r}")
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -240,3 +242,73 @@ def test_loss_never_raises_support(rng):
     rho = random_density(rng, basis, support=3)
     out = apply_loss(rho, LossChannel(0.4))
     assert out.numerical_support() <= 3
+
+
+# --- the one-pass kernel against an independent Kraus sum ---------------------
+
+def kraus_product_loss(rho, p, acted):
+    """Loss on the ``acted`` modes as the sum over products of single-mode
+    Kraus operators, each product built with ``np.kron`` on the untruncated
+    space of cutoff + 1 levels per mode, then restricted to the graded basis."""
+    basis = rho.basis
+    levels = basis.cutoff + 1
+    identity = np.eye(levels)
+    families = [
+        kraus_operators(p, levels) if mode in acted else [identity]
+        for mode in range(basis.modes)
+    ]
+    # position of each graded basis index in the product space, mode 0 slowest
+    place = basis.occupations @ levels ** np.arange(basis.modes)[::-1]
+    full = np.zeros((levels**basis.modes,) * 2, dtype=complex)
+    full[np.ix_(place, place)] = rho.elements
+    out = np.zeros_like(full)
+    for ops in itertools.product(*families):
+        k = functools.reduce(np.kron, ops)
+        out += k @ full @ k.conj().T
+    return out[np.ix_(place, place)]
+
+
+LOSS_CASES = [
+    (modes, cutoff, acted)
+    for modes, cutoff in [(2, 4), (3, 3)]
+    for acted in [(0,), (1,), (0, 2), None]
+    if acted is None or max(acted) < modes
+]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.8])
+@pytest.mark.parametrize("modes,cutoff,acted", LOSS_CASES)
+def test_loss_matches_the_kraus_product(rng, modes, cutoff, acted, p):
+    rho = random_density(rng, make_basis(modes, cutoff))
+    channel = LossChannel(p, modes=acted)
+    out = apply_loss(rho, channel).elements
+    expected = kraus_product_loss(rho, p, channel.acted_modes(modes))
+    assert np.abs(out - expected).max() < 1e-13
+    # the lower triangle mirrors the upper one, so no symmetrising is needed
+    assert np.array_equal(out, out.conj().T)
+
+
+@pytest.mark.parametrize("modes,cutoff,acted", LOSS_CASES)
+def test_invert_round_trips_each_subset_channel(rng, modes, cutoff, acted):
+    rho = random_density(rng, make_basis(modes, cutoff))
+    channel = LossChannel(0.8, modes=acted)
+    back = invert_loss(apply_loss(rho, channel), channel)
+    assert np.abs(back - rho.elements).max() < 1e-10
+    assert np.array_equal(back, back.conj().T)
+
+
+def test_loss_on_no_mode_is_the_identity(rng):
+    rho = random_density(rng, make_basis(3, 3))
+    out = apply_loss(rho, LossChannel(0.4, modes=()))
+    assert np.array_equal(out.elements, rho.elements)
+
+
+def test_lindblad_on_two_of_three_modes_matches_kraus(rng):
+    # the jump terms of two acted modes, each from the plan and its transposes
+    rho = random_density(rng, make_basis(3, 2))
+    p = 0.65
+    kraus = apply_loss(rho, LossChannel(p, modes=(0, 2)))
+    lind = apply_loss_lindblad(
+        rho, LindbladParams.for_transmissivity(p, cutoff=2), modes=(0, 2)
+    )
+    assert np.abs(kraus.elements - lind.elements).max() < 1e-7

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -475,10 +476,16 @@ def test_console_script_end_to_end(tmp_path):
     path.write_text(
         json.dumps({"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}]})
     )
+    # the subprocess imports the same pel as this test, whether or not it
+    # is installed or on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pel.__file__)))
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     proc = subprocess.run(
         [sys.executable, "-m", "pel.cli", "efficiency", "--spec", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(0.7, abs=2e-6)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -140,6 +141,45 @@ def test_lift_methods_agree(modes, cutoff):
     perm_blocks = lift(u, basis, "permanent").blocks
     worst = max(np.abs(a - b).max() for a, b in zip(mesh_blocks, perm_blocks))
     assert worst < 1e-9
+
+
+def brute_force_permanent(mat):
+    """sum over permutations s of prod_i mat[i, s(i)]."""
+    n = mat.shape[0]
+    return sum(
+        math.prod(mat[i, s[i]] for i in range(n))
+        for s in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_ryser_matches_the_permutation_sum(rng, n):
+    mats = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    if n >= 2:
+        # a repeated row and a repeated column, as in multi-photon occupations
+        mats[1, 1] = mats[1, 0]
+        mats[2, :, 1] = mats[2, :, 0]
+        mats[3] = np.repeat(mats[3, :1], n, axis=0)[:, [0] * n]
+    got = pel.interferometer._permanents(mats)
+    assert got.shape == (6,)
+    for mat, value in zip(mats, got):
+        assert abs(value - brute_force_permanent(mat)) < 1e-12 * max(1.0, abs(value))
+
+
+def test_ryser_of_a_constant_matrix():
+    # every term of the permutation sum is c^n, so perm = n! c^n
+    mat = np.full((5, 5), 0.5 - 0.25j)
+    expected = math.factorial(5) * (0.5 - 0.25j) ** 5
+    assert abs(pel.interferometer._permanents(mat) - expected) < 1e-13
+
+
+def test_permanent_lift_in_one_row_chunks(monkeypatch):
+    basis = make_basis(3, 4)
+    u = haar_random(3, seed=11)
+    whole = lift(u, basis, "permanent").matrix()
+    monkeypatch.setattr(pel.interferometer, "_PERMANENT_CHUNK", 1)
+    chunked = lift(u, basis, "permanent").matrix()
+    assert np.abs(chunked - whole).max() < 1e-14
 
 
 def test_batched_mesh_matches_single_calls(rng):
