@@ -12,9 +12,11 @@ a proof: it can only ever demonstrate tightness, never validity.
 Every restart follows the same fixed schedule of evaluations, so restarts
 run in lockstep blocks of ``_LOCKSTEP``: a block advances together, one
 parameter row per restart, through one batched evaluation of the mesh, the
-displacement tables and the objective.  Rows never mix, so a restart's result
-depends on (space, seed, restart) alone, not on its block or the thread
-count.
+displacement tables and the objective.  A call carries at most ``_LOCKSTEP``
+rows, either restarts or, on a mesh line of a smaller block, restarts times
+the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix,
+so a restart's result depends on (space, seed, restart) alone, not on its
+block, its lookahead or the thread count.
 
 The mesh runs once per golden-section line, not once per evaluation
 (``_line_scores``).  A line moves one coordinate.  On an amplitude line the
@@ -276,6 +278,8 @@ class SearchReport:
     multiphoton_weight: float
     bound: float
     violated: bool
+    #: the probes the search kept, ``_restart_cost`` per restart; a probe
+    #: evaluated ahead and then not taken is not counted
     evaluations: int
     cutoff_used: int
     truncation_weight: float
@@ -519,15 +523,19 @@ class _SchemeEngine:
         g, factor, c, amps = self._work_arrays(rows, count)
         # take along axis 1 applies one index table to every parameter row,
         # here as (R, patterns, rows of d), turned to (R, rows of d, patterns);
-        # G is the elementwise product of one gathered slice per detected mode
+        # G is the elementwise product of one gathered slice per detected mode.
+        # The index tables are in range by construction, so the gathers clip
+        # instead of checking, and write into ``out`` without a buffer
         rows_of_d = np.ascontiguousarray(
             tables[:, 1:].swapaxes(2, 3).reshape(rows, -1)
-            .take(self.row_index[:count], axis=1).swapaxes(1, 2)
+            .take(self.row_index[:count], axis=1, mode="clip").swapaxes(1, 2)
         )
-        rows_of_d.take(self.column_index[0], axis=1, out=g)
+        rows_of_d.take(self.column_index[0], axis=1, out=g, mode="clip")
         for mode_columns in self.column_index[1:]:
-            g *= rows_of_d.take(mode_columns, axis=1, out=factor)
-        psi = phased.view(np.float64).reshape(rows, -1).take(self.psi_index, axis=1)
+            g *= rows_of_d.take(mode_columns, axis=1, out=factor, mode="clip")
+        psi = phased.view(np.float64).reshape(rows, -1).take(
+            self.psi_index, axis=1, mode="clip"
+        )
         np.matmul(psi, g, out=c.reshape(rows, psi.shape[1], -1))
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
         np.matmul(tables[:, 0, :2], c.reshape(rows, S + 1, -1), out=amps)
@@ -637,16 +645,19 @@ def _scores(space: SearchSpace, table):
 def _line_scores(space: SearchSpace, params, coord: int):
     """Scores along one search line: a function taking an (R,) array of
     values for coordinate ``coord`` of the (R, parameters) array ``params``
-    to the ``_objective`` scores of the rows so moved.
+    to the ``_objective`` scores of the rows so moved.  On a mesh line it
+    also takes an (R, k) array, k probes per row, and returns (R, k) scores,
+    each the bits the probe gets alone.
 
     The mesh runs once per line.  An amplitude moves the ancillas alone, so
     its line reuses one mesh output.  A mesh angle or phase line samples the
     mesh output at the engine's 2S + 1 nodes about the current value x_c;
     their DFT gives the coefficients of the degree-S trigonometric
     polynomial, and the output at x is one matmul of them against
-    e^{iq (x - x_c)}, q = -S..S.  Each probe tabulates the patterns its
-    amplitudes can herald (``_SchemeEngine.reachable``), which on a mesh line
-    are the same for the whole line.  Rows never mix."""
+    e^{iq (x - x_c)}, q = -S..S, a 1 x (2S + 1) product per (row, probe).
+    Each probe tabulates the patterns its amplitudes can herald
+    (``_SchemeEngine.reachable``), which on a mesh line are the same for the
+    whole line.  Rows never mix."""
     engine = _engine(space)
     params = np.array(params, dtype=float)
     mesh, alphas = engine.split_params(params)
@@ -669,24 +680,43 @@ def _line_scores(space: SearchSpace, params, coord: int):
     count = engine.reachable(alphas)
 
     def scores(x):
-        phases = _unit_phases((x - center)[:, None, None] * engine.line_orders)
-        vectors = np.matmul(phases, coefficients).reshape((rows,) + samples.shape[1:])
-        return _scores(space, engine.tabulate(vectors, alphas, count))[0]
+        # one 1 x (2S + 1) rebuild per (row, probe), whatever the probes per row
+        offsets = np.reshape(x, (rows, -1, 1, 1)) - center[:, None, None, None]
+        phases = _unit_phases(offsets * engine.line_orders)
+        vectors = np.matmul(phases, coefficients[:, None]).reshape((-1,) + samples.shape[1:])
+        probe_alphas = np.repeat(alphas, offsets.shape[1], axis=0)
+        table = engine.tabulate(vectors, probe_alphas, count)
+        return _scores(space, table)[0].reshape(np.shape(x))
 
     return scores
 
 
-def _golden_max(fun, lo, hi, evals):
-    """Deterministic golden-section maximization of each row: ``fun`` maps an
-    array of abscissae to their values, ``lo`` and ``hi`` bound each row.
-    Returns the best sampled x and its value per row."""
+def _golden_max(fun, lo, hi, evals, ahead=False):
+    """Deterministic golden-section maximization of each row over ``evals``
+    probes: ``fun`` maps an (R,) array of abscissae to their values, and with
+    ``ahead`` also an (R, k) array, k probes per row; ``lo`` and ``hi`` bound
+    each row.  Returns the best sampled x and its value per row.
+
+    A step's probe is one of two abscissae known before the comparison that
+    picks it: the new x2 of the rows whose f1 < f2, the new x1 of the
+    others.  With ``ahead``, one call evaluates the initial pair, and each
+    later call a probe together with both probes that the next step can
+    choose, of which the step keeps the one its comparison picks: two steps
+    per call.  The steps, their comparisons and their float expressions are
+    those of the sequential schedule, so when ``fun``'s value at a (row, x)
+    does not depend on the other probes of its call, the result is the same
+    bits either way."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
+    if ahead:
+        f1, f2 = fun(np.stack([x1, x2], axis=1)).T
+    else:
+        f1, f2 = fun(x1), fun(x2)
     first = f1 >= f2
     best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
-    for _ in range(evals - 2):
+    successors = None
+    for left in range(evals - 2, 0, -1):
         # rows with f1 < f2 keep [x1, hi] and probe a new x2; the others keep
         # [lo, x2] and probe a new x1
         up = f1 < f2
@@ -694,11 +724,17 @@ def _golden_max(fun, lo, hi, evals):
         hi = np.where(up, hi, x2)
         step = ratio * (hi - lo)
         x = np.where(up, lo + step, hi - step)
-        f = fun(x)
-        x1, f1, x2, f2 = (
-            np.where(up, x2, x), np.where(up, f2, f),
-            np.where(up, x, x1), np.where(up, f, f1),
-        )
+        x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
+        if successors is not None:
+            f, successors = np.where(up, *successors), None
+        elif ahead and left > 1:
+            # the next step's probe, written as that step writes it, on the
+            # rows whose comparison keeps [x1, hi] and on the others
+            choices = x1 + ratio * (hi - x1), x2 - ratio * (x2 - lo)
+            f, *successors = fun(np.stack([x, *choices], axis=1)).T
+        else:
+            f = fun(x)
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
         better = f > best_f
         best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
     return best_x, best_f
@@ -706,8 +742,10 @@ def _golden_max(fun, lo, hi, evals):
 
 _GOLDEN_EVALS = 12
 _REFINE_PASSES = 2
-#: restarts that advance together through one batched evaluation; larger
-#: blocks amortize more per-call overhead until the 4-mode tables leave cache
+#: restarts that advance together through one batched evaluation, and the
+#: most rows any call carries: restarts, or restarts times the probes of a
+#: mesh-line lookahead.  Larger blocks amortize more per-call overhead until
+#: the 4-mode tables leave cache
 _LOCKSTEP = 8
 
 
@@ -750,7 +788,11 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
                 lo, hi = center - span, center + span
 
             line = _line_scores(space, params, coord)
-            x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS)
+            # a mesh line's calls all tabulate the same patterns, so a block
+            # with room evaluates ahead; an amplitude line's pattern count
+            # follows its probes, and a column's bits can follow the count
+            ahead = coord < amp_lo and 3 * len(restarts) <= _LOCKSTEP
+            x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS, ahead)
             better = f_best > best_score
             best_score = np.where(better, f_best, best_score)
             params[:, coord] = np.where(better, x_best, center)

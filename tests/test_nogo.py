@@ -34,6 +34,7 @@ from pel.errors import (
     ContractViolation,
     HeraldImpossibleError,
 )
+from pel.fock import displaced_number_elements
 
 from conftest import rows_at_the_cap
 
@@ -369,15 +370,18 @@ def test_report_without_ranked_pattern_carries_truncation():
 
 def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
     # the reports count _restart_cost evaluations per restart: the start
-    # point and the probes of every line, one row each
-    probes = []
+    # point and the probes every line keeps, one row each.  A call keeps one
+    # probe per row, or two when it looks ahead: the initial pair, or a probe
+    # and the one of its two successors that the next comparison picks
+    probes, rows = [], []
     line_scores = pel.nogo._line_scores
 
     def counting(space, params, coord):
         line = line_scores(space, params, coord)
 
         def scores(x):
-            probes.append(len(x))
+            rows.append(len(x))
+            probes.extend([1] * (1 if np.ndim(x) == 1 else min(np.shape(x)[1], 2)))
             return line(x)
 
         return scores
@@ -391,9 +395,10 @@ def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
         block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
         for restart, in_block in enumerate(block):
             probes.clear()
+            rows.clear()
             (alone,) = pel.nogo._run_restarts(space, 5, [restart])
             assert 1 + len(probes) == pel.nogo._restart_cost(space)
-            assert set(probes) == {1}
+            assert set(rows) == {1}
             assert alone[0] == in_block[0]
             assert alone[1] == in_block[1]
             assert np.array_equal(alone[2], in_block[2])
@@ -445,6 +450,96 @@ def test_search_applies_the_mesh_once_per_line(monkeypatch, space, calls):
     assert len(applied) == calls
     nodes = 2 * space.num_sources + 1
     assert set(applied) == {rows, rows * nodes}
+
+
+def _plateaus(x):
+    return np.round(np.cos(3.0 * x), 3)
+
+
+def _steps(x):
+    return np.floor(4.0 * x) / 4.0
+
+
+def _flat(x):
+    return np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("fun", [_plateaus, _steps, _flat], ids=["plateaus", "steps", "flat"])
+@pytest.mark.parametrize("evals", [11, 12])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_golden_lookahead_matches_the_sequential_schedule(rng, fun, evals, rows):
+    # plateaus and ties make every comparison matter: a lookahead that kept
+    # the wrong successor, or computed it by another expression, moves x
+    lo = rng.uniform(-2.0, 0.0, rows)
+    hi = lo + rng.uniform(0.5, 3.0, rows)
+    calls = []
+
+    def recorded(x):
+        calls.append(np.shape(x))
+        return fun(x)
+
+    sequential = pel.nogo._golden_max(recorded, lo, hi, evals)
+    assert calls == [(rows,)] * evals
+    calls.clear()
+    ahead = pel.nogo._golden_max(recorded, lo, hi, evals, ahead=True)
+    # the initial pair, then two steps per call, and one last step alone
+    assert calls[0] == (rows, 2)
+    assert calls[1:] == [(rows, 3)] * ((evals - 2) // 2) + [(rows,)] * (evals % 2)
+    assert np.array_equal(ahead[0], sequential[0])
+    assert np.array_equal(ahead[1], sequential[1])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_golden_lookahead_on_mesh_lines_keeps_the_bits(rng, space, rows):
+    # each (row, probe) of a call is rebuilt and tabulated as it is alone
+    params = rows_at_the_cap(rng, space, rows)
+    for coord, span in ((0, math.pi / 2.0), (1, math.pi / 8.0)):
+        line = pel.nogo._line_scores(space, params, coord)
+        lo, hi = params[:, coord] - span, params[:, coord] + span
+        sequential = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS)
+        ahead = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS, ahead=True)
+        assert np.array_equal(ahead[0], sequential[0])
+        assert np.array_equal(ahead[1], sequential[1])
+
+
+@pytest.mark.parametrize("space,rows,calls", [
+    (LINE_SPACES[0], 2, 122),
+    (SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3), 1, 122),
+    (LINE_SPACES[0], 8, 194),
+], ids=["2 restarts", "criterion 9", "block of 8"])
+def test_search_looks_ahead_on_mesh_lines_of_small_blocks(monkeypatch, space, rows, calls):
+    # the start point and the final scoring, and per pass 6 mesh lines and 2
+    # amplitude lines of 12 probes: a mesh line takes 6 calls when three
+    # probes per row fit in a block, else 12, and an amplitude line 12
+    engine = pel.nogo._engine(space)
+    tabulated = []
+    tabulate = engine.tabulate
+
+    def counted(vectors, alphas, count):
+        tabulated.append(vectors.shape[0])
+        return tabulate(vectors, alphas, count)
+
+    monkeypatch.setattr(engine, "tabulate", counted)
+    pel.nogo._run_restarts(space, 3, range(rows))
+    assert len(tabulated) == calls
+    assert max(tabulated) <= pel.nogo._LOCKSTEP
+
+
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_index_tables_are_in_range(space):
+    # tabulate gathers with take(mode="clip"), which would clamp an index
+    # out of range instead of raising: every table is in range once built
+    engine = pel.nogo._SchemeEngine(space)
+    S, M = space.num_sources, space.modes
+    tables = displaced_number_elements(np.zeros((1, M)), engine.max_count, S)
+    for index, size in [
+        (engine.row_index, tables[:, 1:].size),
+        (engine.column_index, engine.row_index.shape[1]),
+        (engine.psi_index, 2 * engine.inputs.size),
+    ]:
+        assert index.min() >= 0
+        assert index.max() < size
 
 
 def test_maximize_across_blocks_is_thread_independent():
