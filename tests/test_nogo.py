@@ -373,7 +373,7 @@ def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
     # point and the probes every line keeps, one row each.  A call keeps one
     # probe per row, or two when it looks ahead: the initial pair, or a probe
     # and the one of its two successors that the next comparison picks
-    probes, rows = [], []
+    kept, rows = [], []
     line_scores = pel.nogo._line_scores
 
     def counting(space, params, coord):
@@ -381,7 +381,7 @@ def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
 
         def scores(x):
             rows.append(len(x))
-            probes.extend([1] * (1 if np.ndim(x) == 1 else min(np.shape(x)[1], 2)))
+            kept.append(1 if np.ndim(x) == 1 else min(np.shape(x)[1], 2))
             return line(x)
 
         return scores
@@ -394,10 +394,10 @@ def test_lockstep_block_matches_restarts_run_alone(monkeypatch):
     for space in spaces:
         block = pel.nogo._run_restarts(space, 5, range(pel.nogo._LOCKSTEP))
         for restart, in_block in enumerate(block):
-            probes.clear()
+            kept.clear()
             rows.clear()
             (alone,) = pel.nogo._run_restarts(space, 5, [restart])
-            assert 1 + len(probes) == pel.nogo._restart_cost(space)
+            assert 1 + sum(kept) == pel.nogo._restart_cost(space)
             assert set(rows) == {1}
             assert alone[0] == in_block[0]
             assert alone[1] == in_block[1]
