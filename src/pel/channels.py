@@ -212,7 +212,7 @@ def _loss(elements: np.ndarray, basis: FockBasis, acted: tuple, p: float) -> np.
 def apply_loss(rho: DensityMatrix, ch: LossChannel) -> DensityMatrix:
     """Apply the loss channel on every acted mode at once."""
     elements = _loss(rho.elements, rho.basis, ch.acted_modes(rho.basis.modes), ch.p)
-    return DensityMatrix(rho.basis, elements, normalized=rho.normalized, tail=rho.tail)
+    return DensityMatrix(rho.basis, elements, tail=rho.tail)
 
 
 def bernoulli_diagonal(diag: np.ndarray, p: float) -> np.ndarray:
@@ -282,7 +282,7 @@ def apply_loss_lindblad(
     state = np.linalg.matrix_power(propagator, params.steps) @ rho.elements.reshape(-1)
     state = state.reshape(rho.elements.shape)
     state = (state + state.conj().T) / 2.0
-    return DensityMatrix(basis, state, normalized=rho.normalized, tail=rho.tail)
+    return DensityMatrix(basis, state, tail=rho.tail)
 
 
 def invert_loss(rho: DensityMatrix, ch: LossChannel) -> np.ndarray:

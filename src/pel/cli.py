@@ -510,6 +510,11 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
     seed = seed if seed is not None else spec.get("seed", 0)
     cutoff = cutoff if cutoff is not None else spec.get("cutoff")
     threads = threads if threads is not None else spec.get("threads", os.cpu_count() or 1)
+    # the schema bounds these in a spec; a command-line value overrides it
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if cutoff is not None and cutoff < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     tolerances = _tolerances(spec)
@@ -660,10 +665,9 @@ def main(argv=None) -> int:
                     f"line says {args.command!r}"
                 )
         elif args.command == "verify" and args.subject in ("commutation", "bernoulli"):
-            spec = {
-                "command": "verify",
-                "verify": {"check": args.subject, "trials": args.trials or 100},
-            }
+            # an explicit 0 must reach the schema's minimum, not the default
+            trials = 100 if args.trials is None else args.trials
+            spec = {"command": "verify", "verify": {"check": args.subject, "trials": trials}}
         else:
             raise ValidationError("--spec FILE is required")
         document, code = run_spec(

@@ -14,7 +14,8 @@ HERMITICITY = 1e-12
 TAIL = 1e-10
 #: heralding outcomes rarer than this are treated as impossible
 HERALD_FLOOR = 1e-12
-#: allowed deviation of the trace from one for normalized states
+#: allowed deviation of the trace from one for every state, beyond its
+#: recorded truncation tail
 UNIT_TRACE = 1e-10
 #: occupation weight below which a photon-number level counts as empty
 SUPPORT = 1e-13

@@ -151,8 +151,6 @@ def generalized_efficiency(
     """
     if rho.basis.modes != 1:
         raise ContractViolation("generalized_efficiency expects a single-mode state")
-    if not rho.normalized:
-        raise ContractViolation("generalized_efficiency expects a normalized state")
     if tol_bisect < 1e-8:
         raise ContractViolation(f"bisection tolerance {tol_bisect} below 1e-8")
     if rho.tail > 0.0:

@@ -163,27 +163,18 @@ def make_basis(modes: int, cutoff: int) -> FockBasis:
 
 
 class DensityMatrix:
-    """Hermitian operator over a FockBasis.
+    """Unit-trace Hermitian operator over a FockBasis.
 
     ``tail`` records the probability weight discarded by truncation while the
     state was built (coherent-state tails, tensor-product truncation, and the
     amplification of those by heralding).  It rides along through channels and
     measurements so that downstream feasibility checks can budget for it; a
     state assembled purely from finite-photon ingredients carries ``tail = 0``
-    and is exact.
-
-    ``normalized`` distinguishes unit-trace states from conditional
-    intermediates whose trace equals an outcome probability.
+    and is exact.  The trace may differ from one by at most
+    ``config.UNIT_TRACE`` plus the tail.
     """
 
-    def __init__(
-        self,
-        basis: FockBasis,
-        elements,
-        *,
-        normalized: bool = True,
-        tail: float = 0.0,
-    ):
+    def __init__(self, basis: FockBasis, elements, *, tail: float = 0.0):
         elements = np.asarray(elements, dtype=complex)
         dim = basis.dimension
         if elements.shape != (dim, dim):
@@ -205,14 +196,11 @@ class DensityMatrix:
         elements = (elements + adjoint) / 2.0
         trace = float(elements.trace().real)
         # recorded truncation weight is exactly the trace that may be missing
-        if normalized and abs(trace - 1.0) > UNIT_TRACE + tail:
-            raise ContractViolation(
-                f"normalized state must have unit trace, got {trace!r}"
-            )
+        if abs(trace - 1.0) > UNIT_TRACE + tail:
+            raise ContractViolation(f"state must have unit trace, got {trace!r}")
         elements.setflags(write=False)
         self.basis = basis
         self.elements = elements
-        self.normalized = bool(normalized)
         self.tail = float(tail)
 
     @property
@@ -251,7 +239,7 @@ class DensityMatrix:
     def __repr__(self):
         return (
             f"DensityMatrix({self.basis!r}, trace={self.trace:.6g}, "
-            f"normalized={self.normalized}, tail={self.tail:.3g})"
+            f"tail={self.tail:.3g})"
         )
 
 
@@ -339,14 +327,7 @@ def make_state(
     elements = np.zeros((dim, dim), dtype=complex)
 
     if isinstance(spec, Isps):
-        if not 0.0 <= spec.p <= 1.0:
-            raise PositivityError(f"source efficiency p={spec.p} outside [0, 1]")
-        if spec.p > 0 and basis.cutoff < 1:
-            raise CapacityError("cutoff 0 cannot hold a one-photon component")
-        elements[0, 0] = 1.0 - spec.p
-        if basis.cutoff >= 1:
-            elements[1, 1] = spec.p
-        return DensityMatrix(basis, elements)
+        spec = PartialQubit(spec.p, 0)
 
     if isinstance(spec, Fock):
         if spec.n < 0:
@@ -552,12 +533,7 @@ def tensor(
     jidx = joint.rank(np.hstack([a.basis.occupations[ia], b.basis.occupations[ib]]))
     elements = np.zeros((joint.dimension, joint.dimension), dtype=complex)
     elements[np.ix_(jidx, jidx)] = a.elements[np.ix_(ia, ia)] * b.elements[np.ix_(ib, ib)]
-    return DensityMatrix(
-        joint,
-        elements,
-        normalized=a.normalized and b.normalized,
-        tail=a.tail + b.tail + discarded,
-    )
+    return DensityMatrix(joint, elements, tail=a.tail + b.tail + discarded)
 
 
 def tensor_all(
@@ -624,7 +600,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         return rho
     reduced = FockBasis(len(keep), rho.basis.cutoff)
     elements = _trace_out(rho, np.arange(rho.basis.dimension), keep, reduced)
-    return DensityMatrix(reduced, elements, normalized=rho.normalized, tail=rho.tail)
+    return DensityMatrix(reduced, elements, tail=rho.tail)
 
 
 def min_eigenvalue(h) -> float:

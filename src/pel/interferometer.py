@@ -399,14 +399,6 @@ class FockLift:
             full[sl, sl] = block
         return full
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        slices = self.basis.block_slices
-        out = np.empty_like(rho.elements)
-        for a, va in enumerate(self.blocks):
-            for b, vb in enumerate(self.blocks):
-                out[slices[a], slices[b]] = va @ rho.elements[slices[a], slices[b]] @ vb.conj().T
-        return DensityMatrix(self.basis, out, normalized=rho.normalized, tail=rho.tail)
-
 
 #: complex entries a permanent chunk's row sums may hold at once
 _PERMANENT_CHUNK = 1 << 20
@@ -473,10 +465,18 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
 
 
 def apply_interferometer(rho: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
-    """Blockwise V rho V^dag with V the Fock lift of ``u``.  Trace and the
-    total-photon-number distribution are preserved exactly."""
+    """V rho V^dag with V the Fock lift of ``u``, by the mesh kernel: V acts
+    on the columns of rho, then on the columns of (V rho)^dag = rho V^dag.
+    V conserves total photon number, so the trace and the
+    total-photon-number distribution are preserved up to rounding."""
     if u.modes != rho.basis.modes:
         raise ContractViolation(
             f"unitary has {u.modes} modes, state has {rho.basis.modes}"
         )
-    return lift(u, rho.basis).apply(rho)
+    basis = rho.basis
+    params = [u.params if u.params is not None else decompose(u.matrix)]
+    work = rho.elements[None].copy()
+    apply_mesh_to_vectors(work, params, basis.modes, basis)
+    work = work.conj().transpose(0, 2, 1)
+    apply_mesh_to_vectors(work, params, basis.modes, basis)
+    return DensityMatrix(basis, work[0], tail=rho.tail)

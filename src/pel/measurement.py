@@ -44,10 +44,6 @@ class MeasurementPattern:
     def counted(self) -> tuple:
         return tuple((m, c) for m, c in self.outcomes if c is not None)
 
-    @property
-    def wildcards(self) -> tuple:
-        return tuple(m for m, c in self.outcomes if c is None)
-
     def validate(self, basis: FockBasis) -> None:
         if any(m < 0 or m >= basis.modes for m in self.modes):
             raise ContractViolation(
@@ -102,12 +98,7 @@ def condition(
     reduced = FockBasis(len(survivors), rho.basis.cutoff)
     elements = _trace_out(rho, sel, survivors, reduced)
     elements /= prob
-    out = DensityMatrix(
-        reduced,
-        elements,
-        normalized=True,
-        tail=rho.tail / prob if rho.tail else 0.0,
-    )
+    out = DensityMatrix(reduced, elements, tail=rho.tail / prob if rho.tail else 0.0)
     return out, prob
 
 

@@ -14,9 +14,14 @@ run in lockstep blocks of ``_LOCKSTEP``: a block advances together, one
 parameter row per restart, through one batched evaluation of the mesh, the
 displacement tables and the objective.  A call carries at most ``_LOCKSTEP``
 rows, either restarts or, on a mesh line of a smaller block, restarts times
-the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix,
-so a restart's result depends on (space, seed, restart) alone, not on its
-block, its lookahead or the thread count.
+the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix
+and the thread pool maps whole blocks, so the result does not depend on the
+thread count.  A restart's result can depend on its block, in the last bits
+and then, through a plateau's golden-section steps, in its parameters: a
+call tabulates the patterns ``reachable`` at the largest ||alpha||^2 among
+its rows, and a column's bits can follow how many columns the call computes
+(the BLAS kernel of the trailing columns).  A lookahead row keeps its
+restart's amplitudes, so the lookahead leaves the count and the bits alone.
 
 The mesh runs once per golden-section line, not once per evaluation
 (``_line_scores``).  A line moves one coordinate.  On an amplitude line the
@@ -92,9 +97,10 @@ from .fock import (
 )
 from .interferometer import (
     _unit_phases,
+    apply_interferometer,
     apply_mesh_to_vectors,
+    from_mesh,
     haar_random,
-    lift,
     mesh_param_count,
 )
 
@@ -760,7 +766,7 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
     indices, advanced in lockstep: every restart follows the same schedule
     of ``_restart_cost`` evaluations, one row each.  Returns one
     (score, pattern index or None, params) per restart, each deterministic
-    in (space, seed, restart) alone."""
+    in (space, seed, restart) and the block's restarts."""
     engine = _engine(space)
     n_rot = space.modes * (space.modes - 1) // 2
     amp_box = space.amplitude_cap / math.sqrt(2.0)
@@ -809,9 +815,10 @@ def maximize_X(
     """Random-restart derivative-free search for the largest heralded X.
 
     Deterministic for fixed (space, budget, seed): every restart draws from
-    its own (seed, restart)-keyed stream, runs in a block of ``_LOCKSTEP``
-    restarts whose rows never mix, and the merge is an associative best-of,
-    so neither the block size nor the thread count changes the result.
+    its own (seed, restart)-keyed stream, the blocks of ``_LOCKSTEP``
+    restarts are fixed by the budget, and the merge is an associative
+    best-of, so the thread count does not change the result.  A restart's
+    bits can change with the block it runs in (module docstring).
     """
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
@@ -888,10 +895,10 @@ def verify_commutation(
                 states.append(make_state(Coherent(alpha), single, tail_tol=1.0))
         joint = FockBasis(modes, cutoff)
         rho = tensor_all(states, joint, tail_tol=1.0)
-        lifted = lift(haar_random(modes, rng), joint)
+        u = haar_random(modes, rng)
         channel = LossChannel(float(rng.uniform(0.3, 0.95)))
-        after = apply_loss(lifted.apply(rho), channel)
-        before = lifted.apply(apply_loss(rho, channel))
+        after = apply_loss(apply_interferometer(rho, u), channel)
+        before = apply_interferometer(apply_loss(rho, channel), u)
         worst = max(worst, trace_distance(after, before))
     return worst
 
@@ -900,14 +907,12 @@ def unequal_loss_counterexample(p1: float = 0.4, p2: float = 0.9) -> float:
     """Trace distance between the two orderings when the two modes are
     attenuated differently; a generic beamsplitter makes it macroscopic,
     which shows the commutation test has power."""
-    from .interferometer import from_mesh
-
     basis = FockBasis(2, 2)
     single = FockBasis(1, 2)
     rho = tensor_all(
         [make_state(Isps(1.0), single), make_state(Isps(0.0), single)], basis
     )
-    lifted = lift(from_mesh([math.pi / 4, 0.0, 0.0, 0.0], 2), basis)
+    u = from_mesh([math.pi / 4, 0.0, 0.0, 0.0], 2)
     channels = [LossChannel(p1, modes=(0,)), LossChannel(p2, modes=(1,))]
 
     def lossy(state):
@@ -915,7 +920,9 @@ def unequal_loss_counterexample(p1: float = 0.4, p2: float = 0.9) -> float:
             state = apply_loss(state, ch)
         return state
 
-    return trace_distance(lossy(lifted.apply(rho)), lifted.apply(lossy(rho)))
+    return trace_distance(
+        lossy(apply_interferometer(rho, u)), apply_interferometer(lossy(rho), u)
+    )
 
 
 def verify_bernoulli_consequence(seed: int, trials: int) -> bool:

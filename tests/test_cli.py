@@ -413,6 +413,42 @@ def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
     assert "threads" in capsys.readouterr().err
 
 
+_ONE_ISPS = {"sources": [{"kind": "isps", "p": 0.5}]}
+_SEARCH = {"search": {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}}
+
+
+@pytest.mark.parametrize(
+    "spec,argv,field",
+    [
+        ({"command": "efficiency", **_ONE_ISPS}, ["--cutoff", "-1"], "cutoff"),
+        ({"command": "simulate", **_ONE_ISPS}, ["--cutoff", "-1"], "cutoff"),
+        ({"command": "efficiency", **_ONE_ISPS}, ["--seed", "-5"], "seed"),
+        ({"command": "nogo-search", **_SEARCH}, ["--seed", "-1"], "seed"),
+        (None, ["commutation", "--seed", "-3"], "seed"),
+        (None, ["bernoulli", "--trials", "0"], "trials"),
+    ],
+    ids=["efficiency-cutoff", "simulate-cutoff", "efficiency-seed",
+         "nogo-search-seed", "verify-seed", "verify-trials"],
+)
+def test_main_command_line_values_keep_the_spec_bounds(
+    tmp_path, capsys, monkeypatch, spec, argv, field
+):
+    # a command-line override must meet the bound the schema sets on the
+    # same field inside a spec, and fail validation before any command runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    if spec is None:
+        command = ["verify"]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        command = [spec["command"], "--spec", str(path)]
+    assert main(command + argv) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec,field",
     [

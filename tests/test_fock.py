@@ -244,9 +244,8 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_non_finite(bad):
     # NaN passes every comparison-based guard, so it needs its own
     b = make_basis(1, 1)
-    for normalized in (True, False):
-        with pytest.raises(ContractViolation, match="non-finite"):
-            DensityMatrix(b, np.diag([1.0, bad]), normalized=normalized)
+    with pytest.raises(ContractViolation, match="non-finite"):
+        DensityMatrix(b, np.diag([1.0, bad]))
 
 
 # --- tensor and partial trace --------------------------------------------------

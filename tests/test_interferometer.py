@@ -238,6 +238,19 @@ def test_coherent_amplitudes_transform_linearly(rng):
     assert trace_distance(out, target) < 1e-8
 
 
+@pytest.mark.parametrize("modes,cutoff", [(2, 4), (3, 4), (4, 3)])
+def test_apply_interferometer_matches_the_permanent_lift(rng, modes, cutoff):
+    # V rho V^dag with V from the permanent formula, which shares no code
+    # with the mesh kernel that apply_interferometer runs
+    basis = make_basis(modes, cutoff)
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(modes))
+    for u in (haar_random(modes, rng), haar_random(modes, rng), from_mesh(params, modes)):
+        rho = random_density(rng, basis)
+        v = lift(u, basis, "permanent").matrix()
+        out = apply_interferometer(rho, u)
+        assert np.abs(out.elements - v @ rho.elements @ v.conj().T).max() < 1e-12
+
+
 def test_total_photon_distribution_preserved(rng):
     basis = make_basis(3, 4)
     rho = random_density(rng, basis)
