@@ -283,7 +283,11 @@ def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
     in log space, which keeps tiny tails to full relative precision.  Either
     way the result lies in [0, 1] and does not increase with the cutoff.
     """
-    lam = abs(alpha) ** 2
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:
+        # |alpha|^2 past the float range: no cutoff keeps any of the mass
+        return 1.0
     if lam == 0.0:
         return 0.0
     log_lam = math.log(lam)
@@ -342,9 +346,13 @@ def make_state(
     if isinstance(spec, PartialQubit):
         if not 0.0 <= spec.p <= 1.0:
             raise PositivityError(f"photon weight p={spec.p} outside [0, 1]")
-        if abs(spec.q) ** 2 > spec.p * (1.0 - spec.p) + 1e-12:
+        try:
+            coherence = abs(spec.q) ** 2
+        except OverflowError:
+            coherence = math.inf
+        if coherence > spec.p * (1.0 - spec.p) + 1e-12:
             raise PositivityError(
-                f"coherence |q|^2={abs(spec.q)**2:.6g} exceeds p(1-p)="
+                f"coherence |q|^2={coherence:.6g} exceeds p(1-p)="
                 f"{spec.p * (1 - spec.p):.6g}"
             )
         if spec.p > 0 and basis.cutoff < 1:

@@ -22,6 +22,10 @@ call tabulates the patterns ``reachable`` at the largest ||alpha||^2 among
 its rows, and a column's bits can follow how many columns the call computes
 (the BLAS kernel of the trailing columns).  A lookahead row keeps its
 restart's amplitudes, so the lookahead leaves the count and the bits alone.
+The golden-section brackets themselves step on Python floats, one generator
+per row (``_golden_row``): a bracket of one to ``_LOCKSTEP`` rows is too
+small for numpy to pay, and a float operation rounds as the same operation
+on an array does, so the probes, and every evaluation, keep their bits.
 
 The mesh runs once per golden-section line, not once per evaluation
 (``_line_scores``).  A line moves one coordinate.  On an amplitude line the
@@ -141,8 +145,14 @@ def _rank_bound(space):
 
 def _cap_mean(space) -> float:
     """The largest Poisson mean ||alpha||^2 of the space: the engine admits
-    |alpha_j| up to amplitude_cap * (1 + 1e-9)."""
-    return (math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)) ** 2
+    |alpha_j| up to amplitude_cap * (1 + 1e-9).  A cap whose mean passes the
+    float range is refused."""
+    try:
+        return (math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)) ** 2
+    except OverflowError:
+        raise CapacityError(
+            f"amplitude_cap {space.amplitude_cap} puts ||alpha||^2 past the float range"
+        ) from None
 
 
 def _rank_total(space) -> int:
@@ -593,11 +603,15 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
     if not np.all(np.isfinite(params)):
         raise ContractViolation(f"scheme parameters must be finite, got {params}")
     engine = _engine(space)
-    pattern = tuple(int(v) for v in pattern)
-    if len(pattern) != space.modes - 1:
+    pattern = tuple(pattern)
+    if len(pattern) != space.modes - 1 or not all(
+        float(v).is_integer() for v in pattern
+    ):
         raise ContractViolation(
-            f"pattern must give counts for the {space.modes - 1} detected modes"
+            f"pattern must give integer counts for the {space.modes - 1} "
+            f"detected modes, got {pattern!r}"
         )
+    pattern = tuple(int(v) for v in pattern)
     if pattern not in engine.pattern_index:
         engine = _engine(replace(space, patterns=(pattern,)))
     herald, one, multi, _ = engine.outcome_table(params[None])
@@ -701,7 +715,8 @@ def _golden_max(fun, lo, hi, evals, ahead=False):
     """Deterministic golden-section maximization of each row over ``evals``
     probes: ``fun`` maps an (R,) array of abscissae to their values, and with
     ``ahead`` also an (R, k) array, k probes per row; ``lo`` and ``hi`` bound
-    each row.  Returns the best sampled x and its value per row.
+    each row.  Returns the best sampled x and its value per row, as (R,)
+    arrays.
 
     A step's probe is one of two abscissae known before the comparison that
     picks it: the new x2 of the rows whose f1 < f2, the new x1 of the
@@ -711,38 +726,69 @@ def _golden_max(fun, lo, hi, evals, ahead=False):
     per call.  The steps, their comparisons and their float expressions are
     those of the sequential schedule, so when ``fun``'s value at a (row, x)
     does not depend on the other probes of its call, the result is the same
-    bits either way."""
+    bits either way.
+
+    Each row runs as its own ``_golden_row`` on Python floats, and the rows
+    advance in lockstep, one ``fun`` call for all of them.  A bracket holds
+    one to ``_LOCKSTEP`` rows, too few for numpy to pay: IEEE arithmetic
+    rounds a Python float operation exactly as numpy rounds it elementwise,
+    and a comparison picks the same branch as ``np.where`` would, NaN
+    included, so every probe and result has the bits of the same steps on
+    arrays."""
+    rows = [
+        _golden_row(a, b, evals, ahead)
+        for a, b in zip(np.asarray(lo, dtype=float).tolist(),
+                        np.asarray(hi, dtype=float).tolist())
+    ]
+    probes = [next(row) for row in rows]
+    # every row follows the same schedule, so all of them finish on one call
+    done = []
+    while len(done) < len(rows):
+        values = fun(np.array(probes)).tolist()
+        probes = []
+        for row, value in zip(rows, values):
+            try:
+                probes.append(row.send(value))
+            except StopIteration as stop:
+                done.append(stop.value)
+    return np.array([x for x, _ in done]), np.array([f for _, f in done])
+
+
+def _golden_row(lo, hi, evals, ahead):
+    """One row of ``_golden_max``, as a generator: it yields the abscissae of
+    each call, one float, or a tuple of them with ``ahead``, receives their
+    values in the same form, and returns the best sampled (x, value)."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     if ahead:
-        f1, f2 = fun(np.stack([x1, x2], axis=1)).T
+        f1, f2 = yield x1, x2
     else:
-        f1, f2 = fun(x1), fun(x2)
-    first = f1 >= f2
-    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
+        f1 = yield x1
+        f2 = yield x2
+    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
     successors = None
     for left in range(evals - 2, 0, -1):
-        # rows with f1 < f2 keep [x1, hi] and probe a new x2; the others keep
-        # [lo, x2] and probe a new x1
+        # with f1 < f2 keep [x1, hi] and probe a new x2, else keep [lo, x2]
+        # and probe a new x1
         up = f1 < f2
-        lo = np.where(up, x1, lo)
-        hi = np.where(up, hi, x2)
-        step = ratio * (hi - lo)
-        x = np.where(up, lo + step, hi - step)
-        x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
-        if successors is not None:
-            f, successors = np.where(up, *successors), None
-        elif ahead and left > 1:
-            # the next step's probe, written as that step writes it, on the
-            # rows whose comparison keeps [x1, hi] and on the others
-            choices = x1 + ratio * (hi - x1), x2 - ratio * (x2 - lo)
-            f, *successors = fun(np.stack([x, *choices], axis=1)).T
+        if up:
+            lo, x1 = x1, x2
+            x = x2 = lo + ratio * (hi - lo)
         else:
-            f = fun(x)
-        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
-        better = f > best_f
-        best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
+            hi, x2 = x2, x1
+            x = x1 = hi - ratio * (hi - lo)
+        if successors is not None:
+            f, successors = successors[0 if up else 1], None
+        elif ahead and left > 1:
+            # the next step's probe, written as that step writes it, when its
+            # comparison keeps [x1, hi] and when it keeps [lo, x2]
+            f, *successors = yield x, x1 + ratio * (hi - x1), x2 - ratio * (x2 - lo)
+        else:
+            f = yield x
+        f1, f2 = (f2, f) if up else (f, f1)
+        if f > best_f:
+            best_x, best_f = x, f
     return best_x, best_f
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,46 @@ def loop_trace_out(rho, rows, keep, reduced):
             rho.elements[np.ix_(rows[part], rows[part])]
         )
     return elements
+
+
+def vectorised_golden_max(fun, lo, hi, evals, ahead=False):
+    """Reference golden-section maximization: the schedule of
+    ``pel.nogo._golden_max``, with ``ahead`` too, stepped on (R,) arrays,
+    one numpy expression per step for every row.  It calls ``fun`` with the
+    same abscissae in the same shapes, and returns the best sampled x and
+    its value per row."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - ratio * (hi - lo)
+    x2 = lo + ratio * (hi - lo)
+    if ahead:
+        f1, f2 = fun(np.stack([x1, x2], axis=1)).T
+    else:
+        f1, f2 = fun(x1), fun(x2)
+    first = f1 >= f2
+    best_x, best_f = np.where(first, x1, x2), np.where(first, f1, f2)
+    successors = None
+    for left in range(evals - 2, 0, -1):
+        # rows with f1 < f2 keep [x1, hi] and probe a new x2; the others keep
+        # [lo, x2] and probe a new x1
+        up = f1 < f2
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
+        step = ratio * (hi - lo)
+        x = np.where(up, lo + step, hi - step)
+        x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
+        if successors is not None:
+            f, successors = np.where(up, *successors), None
+        elif ahead and left > 1:
+            # the next step's probe, written as that step writes it, on the
+            # rows whose comparison keeps [x1, hi] and on the others
+            choices = x1 + ratio * (hi - x1), x2 - ratio * (x2 - lo)
+            f, *successors = fun(np.stack([x, *choices], axis=1)).T
+        else:
+            f = fun(x)
+        f1, f2 = np.where(up, f2, f), np.where(up, f, f1)
+        better = f > best_f
+        best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
+    return best_x, best_f
 
 
 def rows_at_the_cap(rng, space, rows):

@@ -257,14 +257,16 @@ def test_main_bad_json(tmp_path, capsys):
     assert code == 2
 
 
-def test_main_coherent_tail_beyond_cutoff_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("alpha", [31.6, 1e200])
+def test_main_coherent_tail_beyond_cutoff_exit_code(tmp_path, capsys, alpha):
+    # at 1e200, |alpha|^2 is past the float range: the tail is all the mass
     path = tmp_path / "spec.json"
     path.write_text(
         json.dumps(
             {
                 "command": "efficiency",
                 "cutoff": 10,
-                "sources": [{"kind": "coherent", "alpha": 31.6}],
+                "sources": [{"kind": "coherent", "alpha": alpha}],
             }
         )
     )
@@ -390,15 +392,27 @@ def test_main_psd_is_an_unknown_tolerance(tmp_path, capsys):
     assert "'psd' was unexpected" in capsys.readouterr().err
 
 
-def test_main_amplitude_cap_past_the_float_range_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("cap", [38.0, 1e200])
+def test_main_amplitude_cap_past_the_float_range_exit_code(tmp_path, capsys, cap):
     # the schema admits any positive cap; the engine refuses one whose
-    # displacement tables would underflow, as a numerical guard
+    # displacement tables would underflow, as a numerical guard, and one
+    # whose cap^2 is past the float range itself
     path = tmp_path / "spec.json"
     search = {"source_efficiencies": [0.5], "num_coherent": 1,
-              "amplitude_cap": 38.0, "budget": 10}
+              "amplitude_cap": cap, "budget": 10}
     path.write_text(json.dumps({"command": "nogo-search", "search": search}))
     assert main(["nogo-search", "--spec", str(path)]) == 3
     assert "amplitude_cap" in capsys.readouterr().err
+
+
+def test_main_partial_qubit_coherence_past_the_float_range_exit_code(tmp_path, capsys):
+    # |q|^2 overflows a float; the positivity guard refuses it all the same
+    path = tmp_path / "spec.json"
+    spec = {"command": "efficiency",
+            "sources": [{"kind": "partial_qubit", "p": 0.5, "q": [1e200, 0.0]}]}
+    path.write_text(json.dumps(spec))
+    assert main(["efficiency", "--spec", str(path)]) == 3
+    assert "coherence" in capsys.readouterr().err
 
 
 def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):

@@ -36,7 +36,7 @@ from pel.errors import (
 )
 from pel.fock import displaced_number_elements
 
-from conftest import rows_at_the_cap
+from conftest import rows_at_the_cap, vectorised_golden_max
 
 
 def small_space(**kw):
@@ -219,6 +219,9 @@ def test_evaluate_scheme_guards():
         evaluate_scheme(space, np.zeros(3), (0, 0))
     with pytest.raises(ContractViolation, match="detected"):
         evaluate_scheme(space, np.zeros(space.parameter_count()), (0,))
+    # a fractional count is refused, not truncated to (1, 0)
+    with pytest.raises(ContractViolation, match="integer"):
+        evaluate_scheme(space, np.zeros(space.parameter_count()), (1.7, 0))
     with pytest.raises(HeraldImpossibleError):
         evaluate_scheme(space, np.zeros(space.parameter_count()), (8, 0))
 
@@ -464,29 +467,62 @@ def _flat(x):
     return np.zeros(np.shape(x))
 
 
-@pytest.mark.parametrize("fun", [_plateaus, _steps, _flat], ids=["plateaus", "steps", "flat"])
-@pytest.mark.parametrize("evals", [11, 12])
-@pytest.mark.parametrize("rows", [1, 2])
+def _holes(x):
+    return np.where(np.floor(4.0 * x) % 3.0 == 0.0, np.nan, _plateaus(x))
+
+
+@pytest.mark.parametrize("fun", [_plateaus, _steps, _flat, _holes],
+                         ids=["plateaus", "steps", "flat", "nan"])
+@pytest.mark.parametrize("evals", [2, 3, 11, 12])
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
 def test_golden_lookahead_matches_the_sequential_schedule(rng, fun, evals, rows):
-    # plateaus and ties make every comparison matter: a lookahead that kept
-    # the wrong successor, or computed it by another expression, moves x
+    # plateaus, ties and NaN make every comparison matter: a lookahead that
+    # kept the wrong successor, or computed it by another expression, moves
+    # x, and so does a float step that rounds otherwise than the array one
     lo = rng.uniform(-2.0, 0.0, rows)
-    hi = lo + rng.uniform(0.5, 3.0, rows)
-    calls = []
+    for hi in (lo + rng.uniform(0.5, 3.0, rows), lo.copy()):
+        results, probes = {}, {}
+        for golden in (pel.nogo._golden_max, vectorised_golden_max):
+            for ahead in (False, True):
+                calls = probes[golden, ahead] = []
 
-    def recorded(x):
-        calls.append(np.shape(x))
-        return fun(x)
+                def recorded(x):
+                    calls.append(np.array(x))
+                    return fun(x)
 
-    sequential = pel.nogo._golden_max(recorded, lo, hi, evals)
-    assert calls == [(rows,)] * evals
-    calls.clear()
-    ahead = pel.nogo._golden_max(recorded, lo, hi, evals, ahead=True)
-    # the initial pair, then two steps per call, and one last step alone
-    assert calls[0] == (rows, 2)
-    assert calls[1:] == [(rows, 3)] * ((evals - 2) // 2) + [(rows,)] * (evals % 2)
-    assert np.array_equal(ahead[0], sequential[0])
-    assert np.array_equal(ahead[1], sequential[1])
+                results[golden, ahead] = golden(recorded, lo, hi, evals, ahead)
+        shapes = {ahead: [x.shape for x in probes[pel.nogo._golden_max, ahead]]
+                  for ahead in (False, True)}
+        assert shapes[False] == [(rows,)] * evals
+        # the initial pair, then two steps per call, and one last step alone
+        assert shapes[True][0] == (rows, 2)
+        assert shapes[True][1:] == (
+            [(rows, 3)] * ((evals - 2) // 2) + [(rows,)] * (evals % 2)
+        )
+        for ahead in (False, True):
+            # the float rows call fun with the reference's probes, call by call
+            pairs = zip(probes[pel.nogo._golden_max, ahead],
+                        probes[vectorised_golden_max, ahead], strict=True)
+            for x, reference in pairs:
+                assert x.shape == reference.shape
+                assert np.array_equal(x, reference)
+            for got, want in zip(results[pel.nogo._golden_max, ahead],
+                                 results[vectorised_golden_max, False]):
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 8])
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_restarts_on_float_brackets_match_the_array_reference(monkeypatch, space, rows):
+    floats = pel.nogo._run_restarts(space, 7, range(rows))
+    monkeypatch.setattr(pel.nogo, "_golden_max", vectorised_golden_max)
+    arrays = pel.nogo._run_restarts(space, 7, range(rows))
+    for (score, pattern, params), (score_ref, pattern_ref, params_ref) in zip(
+        floats, arrays, strict=True
+    ):
+        assert score == score_ref
+        assert pattern == pattern_ref
+        assert np.array_equal(params, params_ref)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
