@@ -151,8 +151,15 @@ def generalized_efficiency(
     """
     if rho.basis.modes != 1:
         raise ContractViolation("generalized_efficiency expects a single-mode state")
-    if tol_bisect < 1e-8:
-        raise ContractViolation(f"bisection tolerance {tol_bisect} below 1e-8")
+    # written so that NaN fails them too
+    if not 1e-8 <= tol_bisect < math.inf:
+        raise ContractViolation(
+            f"bisection tolerance {tol_bisect} must be finite and at least 1e-8"
+        )
+    if not 0.0 < feasibility < math.inf:
+        raise ContractViolation(
+            f"feasibility must be finite and positive, got {feasibility!r}"
+        )
     if rho.tail > 0.0:
         return _bisect(rho, tol_bisect, feasibility)
     return _exact(rho, feasibility)

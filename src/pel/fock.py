@@ -29,6 +29,10 @@ from .errors import (
 #: refuse to build bases larger than this
 MAX_DIMENSION = 20_000
 
+#: largest |alpha|^2 whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
+#: float (about 1417): past it a displacement table would underflow to zero
+MAX_DISPLACEMENT_MEAN = -2.0 * math.log(np.finfo(float).tiny)
+
 
 def _compositions(total, modes):
     """Occupation vectors of `modes` nonnegative ints summing to `total`.
@@ -88,9 +92,9 @@ class FockBasis:
 
     def __init__(self, modes: int, cutoff: int):
         if modes < 1:
-            raise ValueError(f"modes must be >= 1, got {modes}")
+            raise ContractViolation(f"modes must be >= 1, got {modes}")
         if cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+            raise ContractViolation(f"cutoff must be >= 0, got {cutoff}")
         dim = math.comb(cutoff + modes, modes)
         if dim > MAX_DIMENSION:
             raise CapacityError(
@@ -273,42 +277,54 @@ class PartialQubit:
 SourceSpec = Isps | Coherent | Fock | PartialQubit
 
 
-def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
-    """Probability weight of a coherent state beyond the cutoff.
+def poisson_tails(mean: float, length: int) -> np.ndarray:
+    """P(X >= n) for X ~ Poisson(mean) and n = 0..length - 1.
 
-    While the kept terms hold less than half the mass, one minus their sum:
-    then |alpha|^2 exceeds about the cutoff, the first omitted term may
-    underflow and a termwise sum of the omitted terms may stop short or
-    round above 1.  Otherwise the larger of that and the omitted terms summed
-    in log space, which keeps tiny tails to full relative precision.  Either
-    way the result lies in [0, 1] and does not increase with the cutoff.
+    Each is the sum of the terms exp(n ln mean - mean - ln n!) at n and
+    above, added smallest first: 1 to rounding at n = 0.  A term below
+    e^-V, V = 1075 ln 2, rounds to zero, and by the Chernoff bound
+    exp(-mean h(n / mean)), h(u) = u ln u - u + 1, so does every term past
+    mean + s, where s is the root of mean h(n / mean) = V or just past it:
+    two Newton steps on that convex function from Bernstein's bound
+    V / 3 + sqrt(V^2 / 9 + 2 V mean).  The terms are summed from there
+    down, so a longer array only appends values.  Below the mean
+    h(u) >= (1 - u)^2 / 2, so a mean of more than length + sqrt(2 V mean),
+    NaN and infinity included, has no term that does not round to zero
+    below ``length``, and reads 1 throughout, with no term computed.
     """
+    if mean == 0.0:
+        return (np.arange(length) == 0).astype(float)
+    # e^-vanish = 2^-1075, half the smallest subnormal, rounds to zero
+    vanish = 1075.0 * math.log(2.0)
+    if not mean - math.sqrt(2.0 * vanish) * math.sqrt(mean) < length:
+        return np.ones(length)
+    stop = mean + vanish / 3.0 + math.sqrt(vanish**2 / 9.0 + 2.0 * vanish * mean)
+    for _ in range(2):
+        ratio = math.log(stop / mean)
+        stop -= (stop * ratio - stop + mean - vanish) / ratio
+    stop = 1 + math.ceil(stop)
+    log_factorials = _log_factorials((stop - 1).bit_length())[:stop]
+    terms = np.zeros(max(stop, length))
+    np.exp(np.arange(stop) * math.log(mean) - mean - log_factorials, out=terms[:stop])
+    return np.cumsum(terms[::-1])[::-1][:length]
+
+
+def coherent_tail_weight(alpha: complex, cutoff: int) -> float:
+    """Probability weight of a coherent state beyond the cutoff: P(X > cutoff)
+    for X ~ Poisson(|alpha|^2), read off ``poisson_tails``.  It lies in
+    [0, 1] and does not increase with the cutoff."""
     try:
-        lam = abs(alpha) ** 2
+        mean = abs(alpha) ** 2
     except OverflowError:
         # |alpha|^2 past the float range: no cutoff keeps any of the mass
         return 1.0
-    if lam == 0.0:
-        return 0.0
-    log_lam = math.log(lam)
+    return min(float(poisson_tails(mean, cutoff + 2)[cutoff + 1]), 1.0)
 
-    def log_term(n):
-        return -lam + n * log_lam - math.lgamma(n + 1)
 
-    kept = math.fsum(math.exp(log_term(k)) for k in range(cutoff + 1))
-    if kept < 0.5:
-        return 1.0 - kept
-    # first omitted term, then the (rapidly convergent) remainder
-    term = math.exp(log_term(cutoff + 1))
-    omitted = 0.0
-    n = cutoff + 1
-    while term > omitted * 1e-18 + 1e-300:
-        omitted += term
-        n += 1
-        term *= lam / n
-        if n > cutoff + 500:
-            break
-    return max(omitted, 1.0 - kept)
+def _check_tail_tol(tail_tol) -> None:
+    # written so that NaN fails it too
+    if not 0.0 <= tail_tol < math.inf:
+        raise ContractViolation(f"tail_tol must be finite and >= 0, got {tail_tol!r}")
 
 
 def make_state(
@@ -323,6 +339,7 @@ def make_state(
     discarded tail weight is recorded on the result; construction refuses when
     that tail exceeds ``tail_tol`` (default: ``config.TAIL``).
     """
+    _check_tail_tol(tail_tol)
     if basis.modes != 1:
         raise ContractViolation(
             f"make_state requires a single-mode basis, got {basis.modes} modes"
@@ -381,9 +398,11 @@ def make_state(
     raise ContractViolation(f"unknown source specification {spec!r}")
 
 
-@lru_cache(maxsize=64)
-def _half_log_factorials(cutoff: int) -> np.ndarray:
-    table = np.array([math.lgamma(k + 1) / 2.0 for k in range(cutoff + 1)])
+@lru_cache(maxsize=None)
+def _log_factorials(bits: int) -> np.ndarray:
+    """ln(n!) for n < 2**bits, read-only: every length reads a prefix of one
+    of a few tables, grown in powers of two."""
+    table = np.array([math.lgamma(k + 1) for k in range(1 << bits)])
     table.setflags(write=False)
     return table
 
@@ -397,19 +416,14 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     mean = alpha.real**2 + alpha.imag**2
     # magnitudes in log space, so that large amplitudes cannot overflow;
     # real exp, cos and sin run as vector loops where complex exp may not
-    magnitude = np.exp(
-        n * np.log(np.sqrt(mean) + 1e-300) - (mean / 2.0 + _half_log_factorials(cutoff))
-    )
+    # halving is exact, so this rounds as mean / 2 + ln(n!) / 2 would
+    half_log_weights = (mean + _log_factorials(cutoff.bit_length())[: cutoff + 1]) / 2.0
+    magnitude = np.exp(n * np.log(np.sqrt(mean) + 1e-300) - half_log_weights)
     angle = n * np.arctan2(alpha.imag, alpha.real)
     amps = np.empty(magnitude.shape, dtype=complex)
     np.multiply(magnitude, np.cos(angle), out=amps.real)
     np.multiply(magnitude, np.sin(angle), out=amps.imag)
     return np.where(mean == 0.0, n == 0, amps)
-
-
-#: largest |alpha|^2 whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
-#: float (about 1417): past it a displacement table would underflow to zero
-MAX_DISPLACEMENT_MEAN = -2.0 * math.log(np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=64)
@@ -514,6 +528,7 @@ def tensor(
     element products a[i, k] b[j, l] of those pairs alone are written into
     the joint matrix: the full da*db Kronecker product is never formed.
     """
+    _check_tail_tol(tail_tol)
     if joint.modes != a.basis.modes + b.basis.modes:
         raise ContractViolation(
             f"joint basis has {joint.modes} modes, factors have "
@@ -551,6 +566,7 @@ def tensor_all(
     tail_tol: float = TAIL,
 ) -> DensityMatrix:
     """Left-fold of ``tensor`` over a sequence of states."""
+    _check_tail_tol(tail_tol)
     states = list(states)
     if not states:
         raise ContractViolation("tensor_all needs at least one state")

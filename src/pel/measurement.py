@@ -7,6 +7,8 @@ mode matching.  Detector imperfections are not modeled here: compose a loss
 channel in front of an ideal detector instead, which is equivalent.
 """
 
+import math
+
 import numpy as np
 
 from .config import HERALD_FLOOR
@@ -86,6 +88,11 @@ def condition(
     below ``herald_floor`` (default: ``config.HERALD_FLOOR``) raise rather
     than divide by almost-zero.
     """
+    # written so that NaN fails it too
+    if not 0.0 < herald_floor < math.inf:
+        raise ContractViolation(
+            f"herald_floor must be finite and positive, got {herald_floor!r}"
+        )
     pattern.validate(rho.basis)
     prob = outcome_probability(rho, pattern)
     if prob < herald_floor:

@@ -59,12 +59,16 @@ One rule truncates the patterns.  The mesh conserves photon number, so a
 pattern d heralds with probability at most P(N >= |d|), where N is the total
 input photon number: the sources' Poisson-binomial count plus a Poisson
 count of mean ||alpha||^2 = sum |alpha_j|^2 <= num_coherent *
-amplitude_cap^2.  A total reaches the threshold when its bound still
-reaches ``min_herald`` less a 1e-12 rounding margin, and at least the 1e-12
-herald floor (``_rank_bound``); no pattern above a total that does not can
-ever be eligible.  The engine enumerates every pattern up to the largest
-total reached at the cap (``_rank_total``); an explicit cutoff only caps
-this total.  It holds them in graded order, by photon total and then
+amplitude_cap^2.  P(N >= n) for every n is one convolution of the sources'
+count law with the Poisson survival table ``fock.poisson_tails``.  A total
+reaches the threshold when its bound still reaches ``min_herald`` less a
+1e-12 rounding margin, and at least the 1e-12 herald floor
+(``_reached_totals``); no pattern above a total that does not can ever be
+eligible.  The engine enumerates every pattern up to the largest total
+reached at the cap, read off one such array (``_rank_total``); an explicit
+cutoff only caps this total, and a cap at which the bound reaches
+``MAX_DIMENSION`` photons, a total no pattern basis can hold, is refused.
+It holds them in graded order, by photon total and then
 lexicographic, with the scanned patterns first, so that the scanned patterns
 within any total are a prefix.  Each search call applies the same rule again
 at the largest ||alpha||^2 among its rows, and tabulates only the prefix of
@@ -88,14 +92,15 @@ from .channels import LossChannel, apply_loss
 from .config import HERALD_FLOOR
 from .errors import ArityError, CapacityError, ContractViolation, HeraldImpossibleError
 from .fock import (
+    MAX_DIMENSION,
     MAX_DISPLACEMENT_MEAN,
     Coherent,
     DensityMatrix,
     FockBasis,
     Isps,
-    coherent_tail_weight,
     displaced_number_elements,
     make_state,
+    poisson_tails,
     tensor_all,
     trace_distance,
 )
@@ -123,24 +128,33 @@ _REACH_TOTALS = 16
 _REACH_STEPS = 10
 
 
-def _rank_bound(space):
+def _reached_totals(space):
     """The module docstring's bound on a pattern's herald, as a function
-    ``reaches(n, mean)``: whether P(N >= n), with a Poisson part of the given
-    mean, still reaches min_herald less ``_RANK_MARGIN``, and at least the
-    herald floor.  It falls with n and rises with the mean."""
+    ``reached(mean, length)``: for each photon total n < length, whether
+    P(N >= n), with a Poisson part of the given mean, still reaches
+    min_herald less ``_RANK_MARGIN``, and at least the herald floor.  The
+    P(N >= n) are one convolution of the sources' count law with the
+    Poisson tails of ``fock.poisson_tails``.  They fall with n and rise with
+    the mean."""
     threshold = max(space.min_herald - _RANK_MARGIN, HERALD_FLOOR)
     counts = np.array([1.0])
     for p in space.source_efficiencies:
         counts = np.convolve(counts, [1.0 - p, p])
+    # with P(X >= m) = 1 for m <= 0 in front, entry n of the valid
+    # convolution is sum_k counts[k] P(X >= n - k) = P(N >= n)
+    ones = np.ones(counts.size - 1)
 
-    def reaches(n, mean):
-        amplitude = math.sqrt(mean)
-        return math.fsum(
-            weight * (coherent_tail_weight(amplitude, n - k - 1) if n > k else 1.0)
-            for k, weight in enumerate(counts)
-        ) >= threshold
+    def reached(mean, length):
+        tails = np.concatenate([ones, poisson_tails(mean, length)])
+        return np.convolve(counts, tails, "valid") >= threshold
 
-    return reaches
+    return reached
+
+
+def _rank_bound(space):
+    """``_reached_totals`` as a function ``reaches(n, mean)`` of one total."""
+    reached = _reached_totals(space)
+    return lambda n, mean: reached(mean, n + 1)[n]
 
 
 def _cap_mean(space) -> float:
@@ -156,21 +170,21 @@ def _cap_mean(space) -> float:
 
 
 def _rank_total(space) -> int:
-    """Largest detected photon total n that ``_rank_bound`` reaches with
-    every ancilla at the amplitude cap; an explicit cutoff caps it."""
-    reaches, mean = _rank_bound(space), _cap_mean(space)
-    # the bound falls with n: bracket the last total that reaches the
-    # threshold by doubling, then bisect, so that large caps cost a few dozen
-    # tail sums
-    reached, short = 0, 1
-    while reaches(short, mean):
-        reached, short = short, 2 * short
-    while short - reached > 1:
-        middle = (reached + short) // 2
-        if reaches(middle, mean):
-            reached = middle
-        else:
-            short = middle
+    """Largest detected photon total n that the bound reaches with every
+    ancilla at the amplitude cap, read off one array of it at the totals up
+    to ``MAX_DIMENSION`` (``_reached_totals``); an explicit cutoff caps it.
+    A cap at which the bound still reaches MAX_DIMENSION photons, a total
+    that no pattern basis can hold, is refused: every cap whose Poisson
+    mean passes MAX_DIMENSION is, unless min_herald is near 1."""
+    # the bound falls with n, so the totals reached are 0..reached
+    bound = _reached_totals(space)(_cap_mean(space), MAX_DIMENSION + 1)
+    reached = int(np.count_nonzero(bound)) - 1
+    if reached == MAX_DIMENSION:
+        raise CapacityError(
+            f"amplitude_cap {space.amplitude_cap} lets patterns of "
+            f"{MAX_DIMENSION} photons reach the herald threshold, more than "
+            f"any pattern basis can hold"
+        )
     return reached if space.cutoff is None else min(reached, space.cutoff)
 
 

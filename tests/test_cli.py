@@ -171,6 +171,57 @@ def test_verify_bernoulli_spec():
     assert document["all_passed"] is True
 
 
+@pytest.mark.parametrize("check", ["commutation", "bernoulli"])
+def test_verify_csv_is_the_document_row(check):
+    document, _ = run_spec({"command": "verify", "verify": {"check": check, "trials": 3}},
+                           seed=8)
+    text = emit(document, "csv")
+    assert text.endswith("\n") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    result = "max_deviation" if check == "commutation" else "all_passed"
+    assert rows[0] == ["check", "trials", result, "passed"]
+    parsed = json.loads(emit(document, "json"))
+    passed = parsed["passed"] if "passed" in parsed else parsed["all_passed"]
+    assert len(rows) == 2
+    assert rows[1][:2] == [parsed["check"], str(parsed["trials"])]
+    if check == "commutation":
+        assert float(rows[1][2]) == parsed["max_deviation"]
+    else:
+        assert rows[1][2] == ("true" if parsed["all_passed"] else "false")
+    assert rows[1][3] == ("true" if passed else "false")
+
+
+def test_heralded_simulate_csv_is_the_document_row():
+    document, _ = run_spec(_HERALDED)
+    text = emit(document, "csv")
+    assert text.endswith("\n") and "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    fields = ["herald_probability", "single_photon_probability", "multiphoton_weight"]
+    assert rows[0] == fields
+    parsed = json.loads(emit(document, "json"))
+    assert len(rows) == 2
+    assert [float(cell) for cell in rows[1]] == [parsed[k] for k in fields]
+
+
+@pytest.mark.parametrize("source", ["command line", "spec"])
+def test_main_verify_refuses_a_cutoff(tmp_path, capsys, monkeypatch, source):
+    # verify's checks fix their own bases, so a cutoff would change nothing:
+    # it fails validation, naming the field, before any check runs
+    def no_check(*args, **kwargs):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(pel.cli, "verify_commutation", no_check)
+    if source == "command line":
+        argv = ["verify", "commutation", "--cutoff", "3"]
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"command": "verify", "cutoff": 3,
+                                    "verify": {"check": "commutation", "trials": 2}}))
+        argv = ["verify", "--spec", str(path)]
+    assert main(argv) == 2
+    assert "cutoff" in capsys.readouterr().err
+
+
 def test_nogo_search_exit_code_and_csv():
     spec = {
         "command": "nogo-search",

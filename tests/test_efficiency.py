@@ -114,6 +114,35 @@ def test_multimode_examples():
     )
 
 
+@pytest.mark.parametrize(
+    "keywords,name",
+    [
+        ({"feasibility": math.inf}, "feasibility"),
+        ({"feasibility": math.nan}, "feasibility"),
+        ({"feasibility": 0.0}, "feasibility"),
+        ({"feasibility": -1e-9}, "feasibility"),
+        ({"tol_bisect": math.nan}, "bisection tolerance"),
+        ({"tol_bisect": math.inf}, "bisection tolerance"),
+    ],
+)
+def test_generalized_efficiency_refuses_a_tolerance_that_checks_nothing(keywords, name):
+    # an infinite slack called every probe feasible (0.001, unattained, for
+    # an ISPS of E = 0.4), a NaN one ended in LinAlgError, and a NaN or
+    # infinite bracket width returned 1.0, attained, for a coherent state
+    b = make_basis(1, 4)
+    for rho in (make_state(Isps(0.4), b), make_state(Coherent(0.1), b, tail_tol=1e-3)):
+        with pytest.raises(ContractViolation, match=name):
+            generalized_efficiency(rho, **keywords)
+
+
+@pytest.mark.parametrize("tol_bisect", [math.nan, math.inf, 1e-9])
+def test_multimode_efficiency_refuses_a_bracket_width_that_checks_nothing(tol_bisect):
+    b = make_basis(1, 4)
+    states = [make_state(Isps(0.4), b), make_state(Coherent(0.1), b, tail_tol=1e-3)]
+    with pytest.raises(ContractViolation, match="bisection tolerance"):
+        multimode_efficiency(states, tol_bisect)
+
+
 def test_qubit_formula_examples():
     assert qubit_efficiency_formula(0.7, 0.0) == pytest.approx(0.7)
     assert qubit_efficiency_formula(0.5, 0.35) == pytest.approx(

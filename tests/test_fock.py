@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -24,11 +25,18 @@ from pel.errors import (
     PositivityError,
     TruncationError,
 )
+from pel.fock import poisson_tails
 
 from conftest import inertia_min_eigenvalue, loop_trace_out, random_density
 
 
 # --- basis -------------------------------------------------------------------
+
+@pytest.mark.parametrize("modes,cutoff", [(0, 3), (-1, 2), (1, -1)])
+def test_basis_guards_raise_a_contract_violation(modes, cutoff):
+    with pytest.raises(ContractViolation, match="modes" if modes < 1 else "cutoff"):
+        pel.FockBasis(modes, cutoff)
+
 
 def test_single_mode_basis_order():
     b = make_basis(1, 3)
@@ -149,6 +157,32 @@ def test_coherent_tail_refusal():
         make_state(Coherent(1.0), make_basis(1, 4))
 
 
+_OFF_TAIL_TOLERANCES = pytest.mark.parametrize("tail_tol", [math.nan, math.inf, -1e-3])
+
+
+@_OFF_TAIL_TOLERANCES
+def test_make_state_refuses_a_tail_tolerance_that_checks_nothing(tail_tol):
+    # Coherent(3.0) leaves 0.79 of its weight above cutoff 6
+    for spec in (Coherent(3.0), Isps(0.5)):
+        with pytest.raises(ContractViolation, match="tail_tol"):
+            make_state(spec, make_basis(1, 6), tail_tol=tail_tol)
+
+
+@_OFF_TAIL_TOLERANCES
+def test_tensor_refuses_a_tail_tolerance_that_checks_nothing(tail_tol):
+    one = make_state(Isps(0.5), make_basis(1, 2))
+    with pytest.raises(ContractViolation, match="tail_tol"):
+        tensor(one, one, make_basis(2, 2), tail_tol=tail_tol)
+
+
+@_OFF_TAIL_TOLERANCES
+def test_tensor_all_refuses_a_tail_tolerance_that_checks_nothing(tail_tol):
+    one = make_state(Isps(0.5), make_basis(1, 2))
+    for states in ([one], [one, one]):
+        with pytest.raises(ContractViolation, match="tail_tol"):
+            pel.tensor_all(states, make_basis(len(states), 2), tail_tol=tail_tol)
+
+
 def test_coherent_tail_survives_underflow():
     # |alpha|^2 ~ 1000 far above the cutoff: the first omitted Poisson term
     # underflows, yet nearly all of the weight lies beyond the cutoff
@@ -160,6 +194,55 @@ def test_coherent_tail_survives_underflow():
 def test_coherent_tail_keeps_relative_precision():
     exact = math.fsum(math.exp(-1.0) / math.factorial(n) for n in range(15, 60))
     assert pel.coherent_tail_weight(1.0, 14) == pytest.approx(exact, rel=1e-12)
+
+
+def _decimal_poisson_tails(mean):
+    """P(X > c) for X ~ Poisson(mean) and c = 0, 1, ..., in 50-digit decimal,
+    each the sum of its terms, out to terms below 1e-320."""
+    getcontext().prec = 50
+    lam = Decimal(mean)
+    terms = [(-lam).exp()]
+    while len(terms) <= mean or terms[-1] >= Decimal("1e-320"):
+        terms.append(terms[-1] * lam / len(terms))
+    tails, total = [], Decimal(0)
+    for term in reversed(terms[1:]):
+        total += term
+        tails.append(total)
+    return tails[::-1]
+
+
+@pytest.mark.parametrize(
+    "mean", [1e-6, 1e-3, 0.09, 0.25, 1.0, 3.7, 12.0, 40.0, 100.0, 150.0, 250.0, 400.0]
+)
+def test_coherent_tail_matches_a_decimal_poisson_tail(mean):
+    # every cutoff whose tail is at least 1e-300.  Up to a mean of 150 the
+    # relative error stays below 1e-12; past it the terms that matter have
+    # ln(n!) above 4096, where its double rounding alone reaches 4.5e-13,
+    # and the product n ln(mean) adds as much again
+    alpha = math.sqrt(mean)
+    tolerance = 1e-12 if mean <= 150.0 else 2e-12
+    exact = _decimal_poisson_tails(abs(alpha) ** 2)
+    checked = 0
+    for cutoff, tail in enumerate(exact):
+        if tail < Decimal("1e-300"):
+            break
+        got = Decimal(pel.coherent_tail_weight(alpha, cutoff))
+        assert abs(got - tail) <= Decimal(tolerance) * tail, (cutoff, got, tail)
+        checked += 1
+    assert checked > mean
+
+
+def test_poisson_tails_only_append_with_the_length():
+    for mean in (0.0, 1e-9, 0.5, 30.0, 900.0):
+        long = poisson_tails(mean, 3000)
+        assert long[0] == pytest.approx(1.0, abs=1e-12) and long[-1] == 0.0
+        assert np.all(np.diff(long) <= 0.0)
+        for length in (0, 1, 7, 40, 1200):
+            assert np.array_equal(poisson_tails(mean, length), long[:length])
+    # no term below the length survives rounding: all read 1, without a term
+    # computed, as do NaN and infinity
+    for mean in (1e6, 1e300, math.inf, math.nan):
+        assert np.array_equal(poisson_tails(mean, 5), np.ones(5))
 
 
 def test_displaced_number_elements_against_matrix_exponential():

@@ -168,6 +168,15 @@ def test_herald_floor():
         condition(rho, MeasurementPattern({1: 3}))
 
 
+@pytest.mark.parametrize("herald_floor", [math.nan, math.inf, 0.0, -1e-12])
+def test_condition_refuses_a_herald_floor_that_checks_nothing(herald_floor):
+    # the outcome is impossible: a floor that switched the check off would
+    # divide by its zero probability
+    rho = two_mode([Coherent(0.0), Coherent(0.0)])
+    with pytest.raises(ContractViolation, match="herald_floor"):
+        condition(rho, MeasurementPattern({1: 3}), herald_floor=herald_floor)
+
+
 def test_single_photon_probability_examples():
     b = make_basis(1, 10)
     assert single_photon_probability(make_state(Isps(0.7), b)) == pytest.approx(0.7)

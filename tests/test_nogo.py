@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pel import (
     verify_bernoulli_consequence,
     verify_commutation,
 )
+from pel.config import HERALD_FLOOR
 from pel.errors import (
     ArityError,
     CapacityError,
@@ -965,6 +967,105 @@ def test_coarse_reach_table_stays_conservative():
         reached = max(n for n in range(engine.cutoff_used + 1) if reaches(n, mean))
         assert reached <= tabulated
         assert tabulated < engine.cutoff_used or mean >= means[-1]
+
+
+#: cutoff_used, the reach_table counts and its means (``float.hex``) of the
+#: search cells of perfbench and criteria 4-6, and of the criterion-9 cell,
+#: as the termwise tail sums of coherent_tail_weight gave them
+_REACH_PINS = {
+    ((0.2, 0.2), ()): (
+        8, [6, 10, 15, 21, 28, 36, 45],
+        ["0x0.0p+0", "0x1.6000000bcfa84p-6", "0x1.c018000f0918ap-4",
+         "0x1.1138f0892af68p-2", "0x1.ed2d421b0c5b4p-2", "0x1.7d1bc8f5a0828p-1"],
+    ),
+    ((0.6, 0.6), ()): (
+        9, [6, 10, 15, 21, 28, 36, 45, 55],
+        ["0x0.0p+0", "0x1.c000000f084a8p-8", "0x1.c544000f3585cp-5",
+         "0x1.50422a8b48704p-3", "0x1.544e6d850b35bp-2", "0x1.1ba83199a3887p-1",
+         "0x1.a420abff15512p-1"],
+    ),
+    ((0.3, 0.3), ()): (
+        9, [6, 10, 15, 21, 28, 36, 45, 55],
+        ["0x0.0p+0", "0x1.e00000101b2b4p-7", "0x1.5faa000bccc58p-4",
+         "0x1.cedf97cf880d8p-3", "0x1.b3c4f95edf3b4p-2", "0x1.59fc5768820eap-1",
+         "0x1.efc9a498b5404p-1"],
+    ),
+    ((0.4, 0.4, 0.32), ()): (
+        9, [20, 35, 56, 84, 120, 165, 220],
+        ["0x0.0p+0", "0x1.4000000abcc78p-6", "0x1.a534000e221b9p-4",
+         "0x1.08ff1d88e44dap-2", "0x1.e5231f41e74c1p-2", "0x1.7a56364981136p-1"],
+    ),
+    ((0.8, 0.8, 0.64), ()): (
+        10, [20, 35, 56, 84, 120, 165, 220, 286],
+        ["0x0.0p+0", "0x1.c000000f084a8p-8", "0x1.ad6e000e68c5fp-5",
+         "0x1.454cf96aea4fep-3", "0x1.4c90a52270b66p-2", "0x1.160871e655062p-1",
+         "0x1.9d4b90171a7d8p-1"],
+    ),
+    ((0.6, 0.4), (("cutoff", 9), ("min_herald", 1e-3))): (
+        7, [6, 10, 15, 21, 28, 36],
+        ["0x1.0000000897060p-8", "0x1.729c000c6f82ap-4", "0x1.3263acca47dd5p-2",
+         "0x1.3144370e8e381p-1", "0x1.eacd3eb4a9288p-1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("constraint", [None, 1e-9], ids=["free", "constrained"])
+@pytest.mark.parametrize("cell", list(_REACH_PINS), ids=str)
+def test_rank_totals_and_reach_tables_keep_their_bits(cell, constraint):
+    # the one Poisson tail table moves no pattern count of these cells, so
+    # every search call tabulates what it did before
+    efficiencies, options = cell
+    space = SearchSpace(efficiencies, constraint=constraint, **dict(options))
+    cutoff_used, counts, means = _REACH_PINS[cell]
+    assert space.cutoff_used == cutoff_used
+    assert pel.nogo._SchemeEngine(space).reach_table == (
+        [float.fromhex(mean) for mean in means], counts
+    )
+
+
+def _decimal_rank_bound(space, total):
+    """P(N >= total) at the cap mean in 50-digit decimal: the sources' count
+    law against Poisson tails summed term by term."""
+    getcontext().prec = 50
+    mean = Decimal(pel.nogo._cap_mean(space))
+    counts = [Decimal(1)]
+    for p in map(Decimal, space.source_efficiencies):
+        counts = [a * (1 - p) + b * p for a, b in zip(counts + [0], [0] + counts)]
+    bound = Decimal(0)
+    for k, weight in enumerate(counts):
+        if total <= k:
+            bound += weight
+            continue
+        # P(X >= total - k): its first term, then the terms after it
+        term = (-mean).exp()
+        for n in range(1, total - k + 1):
+            term = term * mean / n
+        n, tail = total - k, Decimal(0)
+        while term > tail * Decimal("1e-40"):
+            tail += term
+            n += 1
+            term = term * mean / n
+        bound += weight * tail
+    return bound
+
+
+@pytest.mark.parametrize("efficiencies,cutoff_used", [((0.0,), 307), ((0.6, 0.4), 308)])
+def test_rank_total_is_the_last_total_whose_exact_bound_reaches(efficiencies, cutoff_used):
+    # at cap 10 with two ancillas the termwise tails put the bound of one
+    # total more over the 1e-12 herald floor: 8.95e-13 at 308 on (0.0,)
+    space = SearchSpace(efficiencies, num_coherent=2, amplitude_cap=10.0, min_herald=0.0)
+    assert space.cutoff_used == cutoff_used
+    floor = Decimal(HERALD_FLOOR)
+    assert _decimal_rank_bound(space, cutoff_used) >= floor
+    assert _decimal_rank_bound(space, cutoff_used + 1) < floor
+
+
+def test_cap_past_every_pattern_basis_is_refused():
+    # a mean of 1e12 photons reaches 20000 photons, more than any pattern
+    # basis holds; the bound is refused without a term computed
+    for cap in (1e6, 1e150):
+        with pytest.raises(CapacityError, match="20000 photons"):
+            SearchSpace((0.5,), amplitude_cap=cap).cutoff_used
 
 
 def test_scanned_patterns_within_each_total_are_a_prefix(rng):
