@@ -467,7 +467,9 @@ def _run_verify(spec, seed, cutoff, threads):
     # refused rather than echoed as if it had been applied, as ``_tolerances``
     # refuses a tolerance the command never reads
     if cutoff is not None:
-        raise ValidationError("cutoff: verify reads no cutoff; its checks fix their own bases")
+        raise ValidationError(
+            "cutoff: verify reads no cutoff; its checks fix their own bases"
+        )
     block = spec.get("verify")
     if block is None:
         raise ValidationError("verify: a verify block naming the check is required")

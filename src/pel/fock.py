@@ -288,7 +288,7 @@ def poisson_tails(mean: float, length: int) -> np.ndarray:
     two Newton steps on that convex function from Bernstein's bound
     V / 3 + sqrt(V^2 / 9 + 2 V mean).  The terms are summed from there
     down, so a longer array only appends values.  Below the mean
-    h(u) >= (1 - u)^2 / 2, so a mean of more than length + sqrt(2 V mean),
+    h(u) >= (1 - u)^2 / 2, so a mean of at least length + sqrt(2 V mean),
     NaN and infinity included, has no term that does not round to zero
     below ``length``, and reads 1 throughout, with no term computed.
     """
@@ -298,14 +298,17 @@ def poisson_tails(mean: float, length: int) -> np.ndarray:
     vanish = 1075.0 * math.log(2.0)
     if not mean - math.sqrt(2.0 * vanish) * math.sqrt(mean) < length:
         return np.ones(length)
+    log_mean = math.log(mean)
     stop = mean + vanish / 3.0 + math.sqrt(vanish**2 / 9.0 + 2.0 * vanish * mean)
     for _ in range(2):
-        ratio = math.log(stop / mean)
+        # ln(stop / mean) without the quotient, which overflows for a
+        # subnormal mean
+        ratio = math.log(stop) - log_mean
         stop -= (stop * ratio - stop + mean - vanish) / ratio
     stop = 1 + math.ceil(stop)
     log_factorials = _log_factorials((stop - 1).bit_length())[:stop]
     terms = np.zeros(max(stop, length))
-    np.exp(np.arange(stop) * math.log(mean) - mean - log_factorials, out=terms[:stop])
+    np.exp(np.arange(stop) * log_mean - mean - log_factorials, out=terms[:stop])
     return np.cumsum(terms[::-1])[::-1][:length]
 
 
@@ -417,7 +420,8 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     # magnitudes in log space, so that large amplitudes cannot overflow;
     # real exp, cos and sin run as vector loops where complex exp may not
     # halving is exact, so this rounds as mean / 2 + ln(n!) / 2 would
-    half_log_weights = (mean + _log_factorials(cutoff.bit_length())[: cutoff + 1]) / 2.0
+    log_factorials = _log_factorials(cutoff.bit_length())[: cutoff + 1]
+    half_log_weights = (mean + log_factorials) / 2.0
     magnitude = np.exp(n * np.log(np.sqrt(mean) + 1e-300) - half_log_weights)
     angle = n * np.arctan2(alpha.imag, alpha.real)
     amps = np.empty(magnitude.shape, dtype=complex)

@@ -175,7 +175,7 @@ def _rank_total(space) -> int:
     to ``MAX_DIMENSION`` (``_reached_totals``); an explicit cutoff caps it.
     A cap at which the bound still reaches MAX_DIMENSION photons, a total
     that no pattern basis can hold, is refused: every cap whose Poisson
-    mean passes MAX_DIMENSION is, unless min_herald is near 1."""
+    mean passes MAX_DIMENSION is, unless min_herald is above about 1/2."""
     # the bound falls with n, so the totals reached are 0..reached
     bound = _reached_totals(space)(_cap_mean(space), MAX_DIMENSION + 1)
     reached = int(np.count_nonzero(bound)) - 1
@@ -480,9 +480,9 @@ class _SchemeEngine:
         one past the means, is every scanned pattern.  The totals are those
         up to ``cutoff_used`` that the sources alone do not reach, at most
         ``_REACH_TOTALS`` of them spread evenly, so that a large amplitude cap
-        costs a bounded number of tail sums.  Each bisects [mu* of the total
-        before, cap mean] in ``_REACH_STEPS`` steps and keeps the end that
-        falls short."""
+        costs a bounded number of bound evaluations.  Each bisects [mu* of
+        the total before, cap mean] in ``_REACH_STEPS`` steps and keeps the
+        end that falls short."""
         reaches, top = _rank_bound(self.space), _cap_mean(self.space)
         # the sources give at most S photons
         first = next(n for n in itertools.count() if not reaches(n, 0.0))

@@ -233,7 +233,8 @@ def test_coherent_tail_matches_a_decimal_poisson_tail(mean):
 
 
 def test_poisson_tails_only_append_with_the_length():
-    for mean in (0.0, 1e-9, 0.5, 30.0, 900.0):
+    # 3.2e-317 and 5e-324 are subnormal: mean**2 of an amplitude of 5.6e-159
+    for mean in (0.0, 5e-324, 3.2e-317, 1e-9, 0.5, 30.0, 900.0):
         long = poisson_tails(mean, 3000)
         assert long[0] == pytest.approx(1.0, abs=1e-12) and long[-1] == 0.0
         assert np.all(np.diff(long) <= 0.0)
