@@ -1051,8 +1051,9 @@ def _decimal_rank_bound(space, total):
 
 @pytest.mark.parametrize("efficiencies,cutoff_used", [((0.0,), 307), ((0.6, 0.4), 308)])
 def test_rank_total_is_the_last_total_whose_exact_bound_reaches(efficiencies, cutoff_used):
-    # at cap 10 with two ancillas the termwise tails put the bound of one
-    # total more over the 1e-12 herald floor: 8.95e-13 at 308 on (0.0,)
+    # at cap 10 with two ancillas the rank total sits where the bound crosses
+    # the 1e-12 herald floor: on (0.0,) P(N >= 307) = 1.39e-12 and
+    # P(N >= 308) = 8.95e-13, which termwise tail sums counted as reaching it
     space = SearchSpace(efficiencies, num_coherent=2, amplitude_cap=10.0, min_herald=0.0)
     assert space.cutoff_used == cutoff_used
     floor = Decimal(HERALD_FLOOR)
