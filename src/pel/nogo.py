@@ -13,15 +13,16 @@ Every restart follows the same fixed schedule of evaluations, so restarts
 run in lockstep blocks of ``_LOCKSTEP``: a block advances together, one
 parameter row per restart, through one batched evaluation of the mesh, the
 displacement tables and the objective.  A call carries at most ``_LOCKSTEP``
-rows, either restarts or, on a mesh line of a smaller block, restarts times
+rows, either restarts or, in a block of at most two restarts, restarts times
 the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix
 and the thread pool maps whole blocks, so the result does not depend on the
-thread count.  A restart's result can depend on its block, in the last bits
-and then, through a plateau's golden-section steps, in its parameters: a
-call tabulates the patterns ``reachable`` at the largest ||alpha||^2 among
-its rows, and a column's bits can follow how many columns the call computes
-(the BLAS kernel of the trailing columns).  A lookahead row keeps its
-restart's amplitudes, so the lookahead leaves the count and the bits alone.
+thread count.  A column's bits can follow how many columns the call computes
+(the BLAS kernel of the trailing columns), and every call of a line
+tabulates the same count of patterns, fixed when the line is set up
+(``_line_scores``): so the lookahead leaves the count and the bits alone,
+but a restart's result can depend on its block, in the last bits and then,
+through a plateau's golden-section steps, in its parameters, since the count
+is that of the largest ||alpha||^2 among the block's rows.
 The golden-section brackets themselves step on Python floats, one generator
 per row (``_golden_row``): a bracket of one to ``_LOCKSTEP`` rows is too
 small for numpy to pay, and a float operation rounds as the same operation
@@ -70,9 +71,10 @@ cutoff only caps this total, and a cap at which the bound reaches
 ``MAX_DIMENSION`` photons, a total no pattern basis can hold, is refused.
 It holds them in graded order, by photon total and then
 lexicographic, with the scanned patterns first, so that the scanned patterns
-within any total are a prefix.  Each search call applies the same rule again
-at the largest ||alpha||^2 among its rows, and tabulates only the prefix of
-scanned patterns within the total so reached (``_SchemeEngine.reachable``).
+within any total are a prefix.  Each search line applies the same rule again
+at the largest ||alpha||^2 that any of its probes can take, and its calls
+tabulate only the prefix of scanned patterns within the total so reached
+(``_SchemeEngine.reachable``).
 ``truncation_weight`` is the herald mass outside the enumerated patterns,
 1 - sum of their herald probabilities.  ``evaluate_scheme`` computes a
 pattern above the total as its own column.
@@ -157,10 +159,16 @@ def _rank_bound(space):
     return lambda n, mean: reached(mean, n + 1)[n]
 
 
+def _admitted_cap(space) -> float:
+    """The largest |alpha_j| that the engine admits: amplitude_cap * (1 +
+    1e-9)."""
+    return space.amplitude_cap * (1.0 + 1e-9)
+
+
 def _cap_mean(space) -> float:
-    """The largest Poisson mean ||alpha||^2 of the space: the engine admits
-    |alpha_j| up to amplitude_cap * (1 + 1e-9).  A cap whose mean passes the
-    float range is refused."""
+    """The largest Poisson mean ||alpha||^2 of the space, every ancilla at
+    ``_admitted_cap``.  A cap whose mean passes the float range is
+    refused."""
     try:
         return (math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)) ** 2
     except OverflowError:
@@ -353,9 +361,10 @@ class _SchemeEngine:
     requested above the bound, so the scanned patterns within any total are
     always a prefix.  ``tabulate`` reads the first ``count`` patterns: all of
     them for ``outcome_table``, and for a search call the scanned ones within
-    the total that its amplitudes can reach (``reachable``).  A short rising
-    list of threshold means and pattern counts (``reach_table``) turns that
-    count into one bisection of the call's largest ||alpha||^2.  Once built,
+    the total that the amplitudes of its line can reach (``reachable``),
+    one count for every call of the line.  A short rising list of threshold
+    means and pattern counts (``reach_table``) turns that count into one
+    bisection of the line's largest ||alpha||^2.  Once built,
     the engine holds no state that depends on its calls; ``reach_table`` is
     computed on first use.
     """
@@ -505,11 +514,13 @@ class _SchemeEngine:
         return means, np.maximum(below, 1).tolist() + [self.scanned]
 
     def reachable(self, alphas) -> int:
-        """How many patterns a search call on the (R, num_coherent)
-        amplitudes tabulates: the scanned ones within a total that
-        ``_rank_bound`` cannot pass at the largest ||alpha||^2 among its rows,
-        so that no pattern left out can be eligible in any of them.  The
-        count is that of the first mean of ``reach_table`` above this one."""
+        """How many patterns a search call tabulates for the (R,
+        num_coherent) amplitudes: the scanned ones within a total that
+        ``_rank_bound`` cannot pass at the largest ||alpha||^2 among the
+        rows, so that no pattern left out can be eligible in any of them.
+        ``_objective`` passes its rows' amplitudes, a line the largest that
+        its probes can take (``_line_scores``).  The count is that of the
+        first mean of ``reach_table`` above this one."""
         # a few rows of a few amplitudes: Python sums beat numpy's reductions
         mean = max(map(sum, np.square(alphas.view(np.float64)).tolist()))
         means, counts = self.reach_table
@@ -521,7 +532,8 @@ class _SchemeEngine:
         the patterns, (R,), for an (R, parameters) array.  Each row's result
         is the same whatever R is."""
         mesh, alphas = self.split_params(params)
-        return self.tabulate(self.propagate(mesh), alphas, self.patterns.shape[0])
+        herald, one, multi = self.tabulate(self.propagate(mesh), alphas, self.patterns.shape[0])
+        return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
 
     def propagate(self, mesh):
         """The mesh stage: every input column through the mesh of each row of
@@ -531,16 +543,19 @@ class _SchemeEngine:
         return vectors
 
     def tabulate(self, vectors, alphas, count):
-        """``outcome_table`` over the first ``count`` patterns, from the mesh
-        output of ``propagate`` and the (R, num_coherent) ancilla amplitudes;
-        ``vectors`` is left as it is."""
-        cap = self.space.amplitude_cap * (1.0 + 1e-9)
-        size = np.abs(alphas)
-        # written so that a NaN amplitude fails it too
-        if not np.all(size <= cap):
+        """The herald, one-photon and multiphoton columns of ``outcome_table``
+        over the first ``count`` patterns, without the truncation tail, from
+        the mesh output of ``propagate`` and the (R, num_coherent) ancilla
+        amplitudes; ``vectors`` is left as it is.  A column's bits can follow
+        ``count`` (the BLAS kernel of the trailing columns), never the other
+        rows of the call."""
+        cap = _admitted_cap(self.space)
+        # a few amplitudes: Python floats beat numpy's reductions, and the
+        # comparison is written so that a NaN amplitude fails it too
+        if not all(abs(a) <= cap for a in alphas.ravel().tolist()):
             raise ContractViolation(
-                f"|alpha| = {size.max():.4g} is not within the amplitude cap "
-                f"{self.space.amplitude_cap}"
+                f"|alpha| = {np.abs(alphas).max():.4g} is not within the "
+                f"amplitude cap {self.space.amplitude_cap}"
             )
         rows, S, B = vectors.shape[0], self.space.num_sources, self.num_branches
         betas = np.matmul(vectors[:, self.one_photon_rows, self.ancilla_columns],
@@ -574,7 +589,7 @@ class _SchemeEngine:
         vacuum_one = weights[: 2 * B] @ np.square(amps, out=amps).reshape(rows, 2, 2 * B, -1)
         one = vacuum_one[:, 1]
         multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
-        return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
+        return herald, one, multi
 
     def _work_arrays(self, rows, patterns):
         """G, one gathered factor of it, the branch amplitudes c and their
@@ -649,39 +664,40 @@ def _objective(space: SearchSpace, params):
 
 
 def _scores(space: SearchSpace, table):
-    """Search score and best pattern index of each row of an outcome table
-    over a prefix of the scanned patterns.  One rule makes a pattern
+    """Search score and best pattern index of each row of a ``tabulate``
+    table over a prefix of the scanned patterns.  One rule makes a pattern
     eligible: its herald reaches ``min_herald``.  Every eligible pattern is
     ranked, and the score is the best X among those that meet the
     constraint; with none eligible it is -2, or -1 minus the least
     multiphoton ratio when eligible patterns all break the constraint, and
     the pattern index is -1.  A column's index is its pattern's index, so
-    ties go to the same pattern as over every scanned pattern."""
-    herald, one, multi, _ = table
+    ties go to the same pattern as over every scanned pattern.  A NaN X is
+    the best index, as ``argmax`` takes it, and a NaN score."""
+    herald, one, multi = table
     eligible = herald >= space.min_herald
-    x_ratio = one / np.maximum(herald, 1e-300)
+    floor = np.maximum(herald, 1e-300)
     valid = eligible
-    fallback = np.full(herald.shape[0], -2.0)
+    fallback = -2.0
     if space.constraint is not None:
-        multi_ratio = np.where(eligible, multi / np.maximum(herald, 1e-300), np.inf)
+        multi_ratio = np.where(eligible, multi / floor, np.inf)
         valid = eligible & (multi_ratio <= space.constraint)
         # no feasible outcome: drive the least multiphoton weight down
         fallback = np.where(
             eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), fallback
         )
-    x_ratio = np.where(valid, x_ratio, -1.0)
-    best = np.argmax(x_ratio, axis=1)
-    found = valid.any(axis=1)
-    scores = np.where(found, x_ratio.max(axis=1), fallback)
-    return scores, np.where(found, best, -1)
+    x_ratio = np.where(valid, one / floor, -1.0)
+    best = x_ratio.argmax(axis=1)
+    top = x_ratio[np.arange(best.size), best]
+    # a valid X is >= 0 or NaN, so only a row with none valid reads -1 here
+    found = ~(top < 0.0)
+    return np.where(found, top, fallback), np.where(found, best, -1)
 
 
 def _line_scores(space: SearchSpace, params, coord: int):
     """Scores along one search line: a function taking an (R,) array of
     values for coordinate ``coord`` of the (R, parameters) array ``params``
-    to the ``_objective`` scores of the rows so moved.  On a mesh line it
-    also takes an (R, k) array, k probes per row, and returns (R, k) scores,
-    each the bits the probe gets alone.
+    to the ``_objective`` scores of the rows so moved, or an (R, k) array,
+    k probes per row, to (R, k) scores, each the bits the probe gets alone.
 
     The mesh runs once per line.  An amplitude moves the ancillas alone, so
     its line reuses one mesh output.  A mesh angle or phase line samples the
@@ -689,23 +705,32 @@ def _line_scores(space: SearchSpace, params, coord: int):
     their DFT gives the coefficients of the degree-S trigonometric
     polynomial, and the output at x is one matmul of them against
     e^{iq (x - x_c)}, q = -S..S, a 1 x (2S + 1) product per (row, probe).
-    Each probe tabulates the patterns its amplitudes can herald
-    (``_SchemeEngine.reachable``), which on a mesh line are the same for the
-    whole line.  Rows never mix."""
+    Every call of a line tabulates the same patterns, fixed when the line is
+    set up: those ``_SchemeEngine.reachable`` at the largest ||alpha||^2 of
+    any probe of the line.  On a mesh line that is the rows' own; on an
+    amplitude line it puts the moved ancilla at ``_admitted_cap``, the
+    largest |alpha_j| that ``tabulate`` admits, and the others where they
+    are, so no probe leaves out a pattern it can herald.  Rows never mix."""
     engine = _engine(space)
     params = np.array(params, dtype=float)
     mesh, alphas = engine.split_params(params)
+    rows = params.shape[0]
     if coord >= engine.mesh_len:
         vectors = engine.propagate(mesh)
+        widest = alphas.copy()
+        widest[:, (coord - engine.mesh_len) // 2] = _admitted_cap(space)
+        count = engine.reachable(widest)
 
         def scores(x):
-            trial = params.copy()
-            trial[:, coord] = x
-            _, alphas = engine.split_params(trial)
-            return _scores(space, engine.tabulate(vectors, alphas, engine.reachable(alphas)))[0]
+            probes = np.size(x) // rows
+            trial = np.repeat(params, probes, axis=0)
+            trial[:, coord] = np.ravel(x)
+            probe_vectors = vectors if probes == 1 else np.repeat(vectors, probes, axis=0)
+            table = engine.tabulate(probe_vectors, engine.split_params(trial)[1], count)
+            return _scores(space, table)[0].reshape(np.shape(x))
 
         return scores
-    rows, nodes = mesh.shape[0], engine.line_steps.size
+    nodes = engine.line_steps.size
     center = mesh[:, coord].copy()
     sampled = np.repeat(mesh[:, None], nodes, axis=1)
     sampled[:, :, coord] += engine.line_steps
@@ -810,7 +835,7 @@ _GOLDEN_EVALS = 12
 _REFINE_PASSES = 2
 #: restarts that advance together through one batched evaluation, and the
 #: most rows any call carries: restarts, or restarts times the probes of a
-#: mesh-line lookahead.  Larger blocks amortize more per-call overhead until
+#: line's lookahead.  Larger blocks amortize more per-call overhead until
 #: the 4-mode tables leave cache
 _LOCKSTEP = 8
 
@@ -854,10 +879,10 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
                 lo, hi = center - span, center + span
 
             line = _line_scores(space, params, coord)
-            # a mesh line's calls all tabulate the same patterns, so a block
-            # with room evaluates ahead; an amplitude line's pattern count
-            # follows its probes, and a column's bits can follow the count
-            ahead = coord < amp_lo and 3 * len(restarts) <= _LOCKSTEP
+            # every call of a line tabulates the same patterns, so a block
+            # with room for three probes per restart evaluates ahead, and a
+            # probe keeps the bits it gets alone
+            ahead = 3 * len(restarts) <= _LOCKSTEP
             x_best, f_best = _golden_max(line, lo, hi, _GOLDEN_EVALS, ahead)
             better = f_best > best_score
             best_score = np.where(better, f_best, best_score)

@@ -417,26 +417,47 @@ LINE_SPACES = [
 
 
 @pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
-def test_line_scores_match_the_objective(rng, space):
+def test_line_scores_match_the_objective(rng, monkeypatch, space):
     # a theta and a phi line, and the real and imaginary part of an ancilla
     mesh_len = mesh_param_count(space.modes)
     coords = [0, 1, mesh_len, mesh_len + 1]
     box = space.amplitude_cap / math.sqrt(2.0)
     params = rng.uniform(-box, box, (4, space.parameter_count()))
     params[:, :mesh_len] = rng.uniform(-math.pi, math.pi, (4, mesh_len))
+    engine = pel.nogo._engine(space)
+    counts = []
+    tabulate = engine.tabulate
+
+    def counted(vectors, alphas, count):
+        counts.append(count)
+        return tabulate(vectors, alphas, count)
+
+    monkeypatch.setattr(engine, "tabulate", counted)
     for coord in coords:
         line = pel.nogo._line_scores(space, params, coord)
         center = params[:, coord]
         # the centre node, and points off the nodes on either side of it
-        for offset in (0.0, 0.37, -1.2, 1.5):
-            if coord >= mesh_len:
-                x = np.clip(center + offset / 4.0, -box, box)
-            else:
-                x = center + offset
+        offsets = (0.0, 0.37, -1.2, 1.5)
+        if coord >= mesh_len:
+            probes = [np.clip(center + offset / 4.0, -box, box) for offset in offsets]
+            # and the moved ancilla at the cap, the largest |alpha| of the line
+            other = params[:, mesh_len + 1 if coord == mesh_len else mesh_len]
+            probes.append(np.copysign(np.sqrt(space.amplitude_cap ** 2 - other ** 2), center))
+        else:
+            probes = [center + offset for offset in offsets]
+        for x in probes:
             trial = params.copy()
             trial[:, coord] = x
+            counts.clear()
+            scores = line(x)
             expected = pel.nogo._objective(space, trial)[0]
-            np.testing.assert_allclose(line(x), expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(scores, expected, rtol=0.0, atol=1e-12)
+            # a line's fixed count never leaves out a pattern that the probe
+            # alone can herald
+            line_count, probe_count = counts
+            assert line_count >= probe_count
+        if coord >= mesh_len:
+            assert line_count == probe_count
 
 
 @pytest.mark.parametrize("space,calls", [(LINE_SPACES[0], 18), (LINE_SPACES[1], 30)],
@@ -527,29 +548,50 @@ def test_restarts_on_float_brackets_match_the_array_reference(monkeypatch, space
         assert np.array_equal(params, params_ref)
 
 
+def _assert_lookahead_keeps_the_bits(space, params, coord, lo, hi):
+    line = pel.nogo._line_scores(space, params, coord)
+    sequential = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS)
+    ahead = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS, ahead=True)
+    assert np.array_equal(ahead[0], sequential[0])
+    assert np.array_equal(ahead[1], sequential[1])
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
 def test_golden_lookahead_on_mesh_lines_keeps_the_bits(rng, space, rows):
     # each (row, probe) of a call is rebuilt and tabulated as it is alone
     params = rows_at_the_cap(rng, space, rows)
     for coord, span in ((0, math.pi / 2.0), (1, math.pi / 8.0)):
-        line = pel.nogo._line_scores(space, params, coord)
-        lo, hi = params[:, coord] - span, params[:, coord] + span
-        sequential = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS)
-        ahead = pel.nogo._golden_max(line, lo, hi, pel.nogo._GOLDEN_EVALS, ahead=True)
-        assert np.array_equal(ahead[0], sequential[0])
-        assert np.array_equal(ahead[1], sequential[1])
+        center = params[:, coord]
+        _assert_lookahead_keeps_the_bits(space, params, coord, center - span, center + span)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_golden_lookahead_on_amplitude_lines_keeps_the_bits(rng, space, rows):
+    # each (row, probe) of a call is tabulated at its line's pattern count,
+    # as it is alone, on the brackets of both passes of _run_restarts.  Away
+    # from the cap, the patterns each probe reaches alone follow the probe
+    params = rows_at_the_cap(rng, space, rows)
+    mesh_len = mesh_param_count(space.modes)
+    params[:, mesh_len:] *= 0.7
+    box = space.amplitude_cap / math.sqrt(2.0)
+    for coord in range(mesh_len, space.parameter_count()):
+        center = params[:, coord]
+        for span in (0.6 * box, 0.15 * box):
+            lo, hi = np.maximum(-box, center - span), np.minimum(box, center + span)
+            _assert_lookahead_keeps_the_bits(space, params, coord, lo, hi)
 
 
 @pytest.mark.parametrize("space,rows,calls", [
-    (LINE_SPACES[0], 2, 122),
-    (SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3), 1, 122),
+    (LINE_SPACES[0], 2, 98),
+    (SearchSpace((0.6, 0.4), cutoff=9, min_herald=1e-3), 1, 98),
     (LINE_SPACES[0], 8, 194),
 ], ids=["2 restarts", "criterion 9", "block of 8"])
-def test_search_looks_ahead_on_mesh_lines_of_small_blocks(monkeypatch, space, rows, calls):
+def test_search_looks_ahead_on_every_line_of_small_blocks(monkeypatch, space, rows, calls):
     # the start point and the final scoring, and per pass 6 mesh lines and 2
-    # amplitude lines of 12 probes: a mesh line takes 6 calls when three
-    # probes per row fit in a block, else 12, and an amplitude line 12
+    # amplitude lines of 12 probes: a line takes 6 calls when three probes
+    # per row fit in a block, else 12
     engine = pel.nogo._engine(space)
     tabulated = []
     tabulate = engine.tabulate
@@ -876,6 +918,19 @@ def test_every_eligible_pattern_is_ranked_on_crowded_rows(rng, space):
     scores, best = pel.nogo._objective(space, params)
     assert np.array_equal(best, x_ratio.argmax(axis=1))
     assert np.allclose(scores, x_ratio.max(axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("constraint", [None, 1e-3], ids=["free", "constrained"])
+def test_scores_keep_a_nan_x_as_a_nan_score(constraint):
+    # argmax takes a NaN X as the best column, and the score must say NaN,
+    # not the no-pattern fallback or a plausible X of another column
+    space = SearchSpace((0.5, 0.5), constraint=constraint)
+    herald = np.full((2, 4), 0.5)
+    one = np.array([[0.125, 0.25, math.nan, 0.0], [0.125, 0.25, 0.0, 0.0]])
+    multi = np.zeros((2, 4))
+    scores, best = pel.nogo._scores(space, (herald, one, multi))
+    assert math.isnan(scores[0]) and best[0] == 2
+    assert scores[1] == 0.5 and best[1] == 1
 
 
 def _every_column_objective(space, params):
