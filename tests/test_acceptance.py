@@ -2,8 +2,9 @@
 criterion (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Every tolerance is pinned here, not configured elsewhere.  The nine no-go
-cells of criteria 4, 5 and 6 are the slow part (about 1.5 s each at the
-mandated budgets); everything else runs in seconds.
+cells of criteria 4, 5 and 6 are the slow part (about 4.5, 4 and 1.7 s per
+criterion on 2 CPUs at the mandated budgets); everything else runs in
+seconds.
 """
 
 import math
