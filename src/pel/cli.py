@@ -3,7 +3,12 @@
 ``pel <command> --spec FILE [--seed N] [--cutoff N] [--threads N]
 [--out PATH] [--format json|csv]`` with commands ``simulate``,
 ``efficiency``, ``nogo-search`` and ``verify``.  Specs are strict JSON:
-unknown fields are rejected so a typo cannot silently change an experiment.
+unknown fields, repeated keys and blocks the command never reads are
+rejected so a typo cannot silently change an experiment.
+
+A spec is checked against ``SCHEMA``, compiled once at import into a plain
+predicate that decides as jsonschema's Draft 2020-12 validator does.
+jsonschema is imported only when a spec is refused, to word the refusal.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard or I/O error,
 4 theorem-violation flag (never expected).
@@ -19,11 +24,11 @@ import csv
 import io
 import json
 import math
+import numbers
+import operator
 import os
+import re
 import sys
-from functools import lru_cache
-
-import jsonschema
 
 from . import __version__
 from .config import FEASIBILITY, HERALD_FLOOR, TAIL
@@ -226,13 +231,135 @@ _EXIT_GUARD = 3
 _EXIT_VIOLATION = 4
 
 
-@lru_cache(maxsize=1)
-def _spec_validator():
-    """The schema's validator, checked and built once; ``jsonschema.validate``
-    would redo both on every call."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Number)
+
+
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    )
+
+
+#: jsonschema's Draft 2020-12 types: a bool is no number, an integral float
+#: is an integer and an array is a list
+_TYPES = {
+    "null": lambda value: value is None,
+    "integer": _is_integer,
+    "number": _is_number,
+    "string": lambda value: isinstance(value, str),
+    "array": lambda value: isinstance(value, list),
+    "object": lambda value: isinstance(value, dict),
+}
+
+
+def _unbool(value):
+    """jsonschema's equality on scalars: a bool equals only a bool, and
+    1 == 1.0."""
+    return (bool, value) if isinstance(value, bool) else value
+
+
+def _enum(values, schema):
+    keys = [_unbool(value) for value in values]
+    return lambda value: _unbool(value) in keys
+
+
+def _bound(refuses):
+    # only a number is bounded, and NaN, which no comparison refuses, passes
+    return lambda limit, schema: lambda value: not (
+        _is_number(value) and refuses(value, limit)
+    )
+
+
+def _size(kind, fits):
+    return lambda limit, schema: lambda value: (
+        not isinstance(value, kind) or fits(len(value), limit)
+    )
+
+
+def _required(names, schema):
+    return lambda value: not isinstance(value, dict) or all(n in value for n in names)
+
+
+def _items(items, schema):
+    check = _compile(items)
+    return lambda value: not isinstance(value, list) or all(map(check, value))
+
+
+def _properties(properties, schema):
+    checks = [(name, _compile(sub)) for name, sub in properties.items()]
+    return lambda value: not isinstance(value, dict) or all(
+        check(value[name]) for name, check in checks if name in value
+    )
+
+
+def _pattern_properties(patterns, schema):
+    checks = [(re.compile(pattern).search, _compile(sub)) for pattern, sub in patterns.items()]
+    return lambda value: not isinstance(value, dict) or all(
+        check(item) for search, check in checks for key, item in value.items()
+        if search(key)
+    )
+
+
+def _no_additional_properties(allowed, schema):
+    # jsonschema's find_additional_properties: a key neither named nor
+    # matched by the patterns joined into one
+    if allowed is not False:
+        raise ValueError(f"additionalProperties {allowed!r}: only false is compiled")
+    names = schema.get("properties", {})
+    patterns = "|".join(schema.get("patternProperties", {}))
+    matched = re.compile(patterns).search if patterns else lambda key: False
+    return lambda value: not isinstance(value, dict) or all(
+        key in names or matched(key) for key in value
+    )
+
+
+def _one_of(subschemas, schema):
+    checks = [_compile(sub) for sub in subschemas]
+    return lambda value: sum(1 for check in checks if check(value)) == 1
+
+
+#: each keyword SCHEMA uses, as (its value, its schema) -> predicate
+_KEYWORDS = {
+    "type": lambda name, schema: _TYPES[name],
+    "enum": _enum,
+    "const": lambda value, schema: _enum([value], schema),
+    "minimum": _bound(operator.lt),
+    "maximum": _bound(operator.gt),
+    "exclusiveMinimum": _bound(operator.le),
+    "minItems": _size(list, operator.ge),
+    "maxItems": _size(list, operator.le),
+    "minProperties": _size(dict, operator.ge),
+    "maxProperties": _size(dict, operator.le),
+    "required": _required,
+    "items": _items,
+    "properties": _properties,
+    "patternProperties": _pattern_properties,
+    "additionalProperties": _no_additional_properties,
+    "oneOf": _one_of,
+}
+
+
+def _compile(schema: dict):
+    """A predicate on JSON values that decides as jsonschema's Draft 2020-12
+    validator decides on ``schema``.  A keyword outside ``_KEYWORDS`` raises
+    here, where jsonschema would ignore it, so the schema cannot outgrow the
+    compiled check unnoticed."""
+    unknown = schema.keys() - _KEYWORDS.keys()
+    if unknown:
+        raise ValueError(f"schema keywords {sorted(unknown)} are not compiled")
+    checks = [_KEYWORDS[keyword](value, schema) for keyword, value in schema.items()]
+    def check(value):
+        for keyword_check in checks:
+            if not keyword_check(value):
+                return False
+        return True
+
+    return check
+
+
+#: SCHEMA, compiled once when the module is imported
+_spec_is_valid = _compile(SCHEMA)
 
 
 def _require_finite(value, path=()):
@@ -248,9 +375,19 @@ def _require_finite(value, path=()):
 
 
 def validate_spec(spec: dict) -> None:
-    # best_match picks the same error that jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_spec_validator().iter_errors(spec))
-    if exc is not None:
+    """Refuse, with ``ValidationError``, a spec that ``SCHEMA`` refuses or
+    that holds a NaN or infinity.  The check is ``SCHEMA`` compiled once into
+    a predicate; only a refused spec imports jsonschema, to word the refusal
+    with the error that ``jsonschema.validate`` would raise."""
+    if not _spec_is_valid(spec):
+        import jsonschema
+
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+        exc = jsonschema.exceptions.best_match(validator.iter_errors(spec))
+        if exc is None:
+            raise RuntimeError(
+                f"the compiled schema refuses a spec that jsonschema accepts: {spec!r}"
+            )
         path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ValidationError(f"spec field {path}: {exc.message}")
     _require_finite(spec)
@@ -293,6 +430,27 @@ _TOLERANCES_READ = {
     "efficiency": ("tail", "feasibility"),
     "simulate": ("tail", "herald_floor"),
 }
+
+
+#: the blocks of a spec each command reads
+_BLOCKS_READ = {
+    "efficiency": ("sources",),
+    "simulate": ("sources", "interferometer", "measurement"),
+    "nogo-search": ("search",),
+    "verify": ("verify",),
+}
+
+
+def _refuse_unread_blocks(spec: dict) -> None:
+    """A block the command never reads is refused rather than echoed as if
+    it had been applied, as ``_tolerances`` refuses a tolerance."""
+    command = spec["command"]
+    for block in ("sources", "interferometer", "measurement", "search", "verify"):
+        if block in spec and block not in _BLOCKS_READ[command]:
+            raise ValidationError(
+                f"spec field {block}: {command} reads only "
+                f"{', '.join(_BLOCKS_READ[command])}"
+            )
 
 
 def _tolerances(spec: dict) -> dict:
@@ -417,8 +575,17 @@ def _search_spaces(spec, cutoff):
     elif "cutoff" in block:
         common["cutoff"] = block["cutoff"]
     if "p_max_grid" in block:
+        if "source_efficiencies" in block:
+            raise ValidationError(
+                "spec field search.source_efficiencies: nogo-search reads "
+                "p_max_grid instead when both are given"
+            )
         num_sources = block.get("num_sources", 2)
         grid = [tuple([p] * num_sources) for p in block["p_max_grid"]]
+    elif "num_sources" in block:
+        raise ValidationError(
+            "spec field search.num_sources: nogo-search reads it only with p_max_grid"
+        )
     elif "source_efficiencies" in block:
         grid = [tuple(block["source_efficiencies"])]
     else:
@@ -523,6 +690,7 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
+    _refuse_unread_blocks(spec)
     tolerances = _tolerances(spec)
     runner = _RUNNERS[spec["command"]]
     return runner(spec, seed, cutoff, threads, **tolerances)
@@ -629,6 +797,17 @@ def emit(document: dict, fmt: str = "json") -> str:
     return buffer.getvalue()
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object of the spec file, refused if it repeats a key: json
+    would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"spec repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pel",
@@ -656,7 +835,7 @@ def main(argv=None) -> int:
         if args.spec is not None:
             try:
                 with open(args.spec, "r", encoding="utf-8") as fh:
-                    spec = json.load(fh)
+                    spec = json.load(fh, object_pairs_hook=_unique_keys)
             except OSError as exc:
                 print(f"error: cannot read spec: {exc}", file=sys.stderr)
                 return _EXIT_GUARD

@@ -1,8 +1,12 @@
+import copy
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
+import pathlib
+import random
 import subprocess
 import sys
 
@@ -605,3 +609,305 @@ def test_search_patterns_field_accepted():
     document, code = run_spec(spec, seed=1, threads=1)
     assert code == 0
     assert document["reports"][0]["best_pattern"] == [0]
+
+
+# --- the compiled schema against jsonschema -----------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: the criterion-9 spec (tests/test_acceptance.py)
+_CRITERION_9 = {
+    "command": "nogo-search",
+    "search": {
+        "source_efficiencies": [0.6, 0.4],
+        "num_coherent": 1,
+        "budget": 400,
+        "cutoff": 9,
+        "min_herald": 1e-3,
+    },
+}
+
+
+class _Taken(Exception):
+    pass
+
+
+def _bench_and_criteria_specs(monkeypatch) -> list:
+    """Every spec that perfbench's workloads hand ``run_spec`` (the search
+    cells at two seeds, two rounds of the dense stream) and the criterion-9
+    spec."""
+    path = ROOT / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    cells = workloads.SEARCH_3M + workloads.SEARCH_4M + (workloads.DENSE_SEARCH,)
+    specs = [cell.spec(seed) for cell in cells for seed in (1, 2)]
+
+    def take(spec, **kwargs):
+        specs.append(spec)
+        raise _Taken
+
+    monkeypatch.setattr(pel.cli, "run_spec", take)
+    stream = workloads.dense_stream(5)
+    for _ in range(2 * len(workloads.DENSE_ROUND)):
+        job = next(stream)
+        if job.kind in ("efficiency", "simulate", "verify", "search"):
+            with pytest.raises(_Taken):
+                job(1)
+    return specs + [_CRITERION_9]
+
+
+#: values a mutation puts in place of another: bools, integral floats, NaN
+#: and infinities, out-of-bound numbers, strings and containers
+_ODD_VALUES = [
+    True, False, None, 0, 1, -1, 3, 0.0, 1.0, 2.0, -0.0, 0.5, -0.5, 1.5, 1e-300,
+    math.nan, math.inf, -math.inf, "", "isps", "coherent", "verify", "commutation",
+    "json", "3", [], {}, [0.5, 0.5], [0.5], [1, 2, 3], [[0.5, 0.5]], {"seed": 1},
+    {"kind": "isps", "p": 0.5},
+]
+
+#: keys a mutation adds: fields of SCHEMA at other places, detector modes and
+#: strangers
+_KEYS = [
+    "command", "seed", "cutoff", "threads", "sources", "interferometer",
+    "measurement", "tolerances", "search", "verify", "output", "kind", "p", "q",
+    "n", "alpha", "mesh", "haar", "matrix", "detect", "tail", "check", "trials",
+    "budget", "patterns", "constraint", "format", "path", "0", "17", "1a", "x",
+]
+
+
+def _odd(rng):
+    # a copy, so that no later edit reaches the table or another spec
+    return copy.deepcopy(rng.choice(_ODD_VALUES))
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        for index, child in enumerate(value):
+            yield from _nodes(child, path + (index,))
+
+
+def _edited(rng, value):
+    """``value`` with one edit of a kind that suits it."""
+    if isinstance(value, dict):
+        choice = rng.randrange(3)
+        if choice == 0 and value:
+            dropped = rng.choice(list(value))
+            return {k: v for k, v in value.items() if k != dropped}
+        if choice == 1:
+            return {**value, rng.choice(_KEYS): _odd(rng)}
+    elif isinstance(value, list):
+        choice = rng.randrange(4)
+        if choice == 0:
+            return tuple(value)
+        if choice == 1 and value:
+            return value[:-1]
+        if choice == 2:
+            return value + [copy.deepcopy(rng.choice(value)) if value else _odd(rng)]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        choice = rng.randrange(4)
+        if choice == 0 and math.isfinite(value):
+            # an integral float, or the int of a float
+            return float(value) if isinstance(value, int) else int(value)
+        if choice == 1:
+            return bool(value)
+        if choice == 2:
+            return rng.choice([math.nan, math.inf, -math.inf, -value, value + 1.0])
+    elif isinstance(value, str) and rng.randrange(2):
+        return rng.choice(["simulate", "efficiency", "nogo-search", "verify", "fock",
+                           "partial_qubit", "bernoulli", "csv", value.upper()])
+    return _odd(rng)
+
+
+def _mutated(rng, spec):
+    """A deep copy of ``spec`` with one or two random edits."""
+    spec = copy.deepcopy(spec)
+    for _ in range(rng.randint(1, 2)):
+        path, value = rng.choice(list(_nodes(spec)))
+        if not path:
+            spec = _edited(rng, spec)
+            continue
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, tuple):
+            continue
+        parent[path[-1]] = _edited(rng, value)
+    return spec
+
+
+def test_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def test_compiled_schema_decides_as_jsonschema(monkeypatch):
+    # the compiled check must accept and refuse exactly what jsonschema does,
+    # on every spec perfbench and the criteria run and on mutations of them:
+    # bools for numbers, integral floats, NaN and infinities, tuples for
+    # lists, extra, missing and retyped fields
+    oracle = jsonschema.Draft202012Validator(SCHEMA)
+    bases = _bench_and_criteria_specs(monkeypatch)
+    assert len(bases) >= 60
+    rng = random.Random(20261019)
+    specs = bases + [_mutated(rng, rng.choice(bases)) for _ in range(6000)]
+    decided = [(pel.cli._spec_is_valid(spec), oracle.is_valid(spec)) for spec in specs]
+    disagree = [spec for spec, (ours, theirs) in zip(specs, decided) if ours != theirs]
+    assert disagree == []
+    accepted = sum(ours for ours, _ in decided)
+    assert all(ours for ours, _ in decided[: len(bases)])
+    refused = len(specs) - accepted
+    assert accepted > 1000 and refused > 2000, (accepted, refused)
+
+
+@pytest.mark.parametrize("schema", [
+    {"enum": [1, "a", None]},
+    {"const": 1.0},
+    {"const": False},
+    {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+    {"oneOf": [{"type": "number", "minimum": 0}, {"type": "number", "maximum": 1}]},
+    {"type": "object", "additionalProperties": False, "patternProperties": {}},
+    {"type": "object", "additionalProperties": False,
+     "patternProperties": {"a": {"type": "integer"}, "b$": {"type": "null"}}},
+])
+def test_compiled_keywords_decide_as_jsonschema_where_schema_cannot_tell(schema):
+    # SCHEMA's enums are strings and its oneOf branches exclude each other,
+    # so jsonschema's equality (True != 1, 1 == 1.0) and its "exactly one"
+    # are checked here
+    oracle = jsonschema.Draft202012Validator(schema)
+    check = pel.cli._compile(schema)
+    values = [True, False, 1, 1.0, 0, 0.0, 2, -0.5, 1.5, math.nan, None, "a", [1], (1,),
+              {}, {"a": 1}, {"xab": 1.0}, {"b": None}, {"b": 0}, {"c": 1}, {"ab": None}]
+    for value in values:
+        assert check(value) == oracle.is_valid(value), value
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "number", "multipleOf": 2},
+    {"type": "object", "properties": {"a": {"type": "string", "format": "date"}}},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"type": "array", "prefixItems": [{"type": "number"}]},
+])
+def test_compile_refuses_what_it_cannot_decide(schema):
+    # jsonschema would apply or ignore these; the compiled check must not
+    # silently do otherwise
+    with pytest.raises(ValueError):
+        pel.cli._compile(schema)
+
+
+def test_a_refusal_jsonschema_does_not_share_is_loud(monkeypatch):
+    monkeypatch.setattr(pel.cli, "_spec_is_valid", lambda spec: False)
+    with pytest.raises(RuntimeError, match="jsonschema accepts"):
+        validate_spec({"command": "verify", "verify": {"check": "bernoulli"}})
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"command": "efficiency", "sources": [{"kind": "isps", "p": 0.5}], '
+     '"sources": [{"kind": "isps", "p": 0.9}]}', "sources"),
+    ('{"command": "efficiency", "sources": [{"kind": "isps", "p": 0.5, "p": 0.9}]}',
+     "p"),
+])
+def test_main_refuses_a_repeated_key(tmp_path, capsys, text, key):
+    # json keeps the last of two equal keys, which would run p = 0.9 and echo
+    # only that block
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["efficiency", "--spec", str(path)]) == 2
+    assert f"repeats the key {key!r}" in capsys.readouterr().err
+
+
+_SEARCH = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}
+_SOURCES = [{"kind": "isps", "p": 0.7}]
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"command": "efficiency", "sources": _SOURCES, "search": _SEARCH}, "search"),
+        ({"command": "efficiency", "sources": _SOURCES,
+          "verify": {"check": "commutation"}}, "verify"),
+        ({"command": "efficiency", "sources": _SOURCES,
+          "interferometer": {"mesh": [0.0]}}, "interferometer"),
+        ({"command": "efficiency", "sources": _SOURCES,
+          "measurement": {"detect": {}}}, "measurement"),
+        ({**_HERALDED, "search": _SEARCH}, "search"),
+        ({**_HERALDED, "verify": {"check": "bernoulli"}}, "verify"),
+        ({"command": "nogo-search", "search": _SEARCH, "sources": _SOURCES}, "sources"),
+        ({"command": "nogo-search", "search": _SEARCH,
+          "interferometer": {"haar": {"seed": 1}}}, "interferometer"),
+        ({"command": "nogo-search", "search": {**_SEARCH, "num_sources": 3}},
+         "search.num_sources"),
+        ({"command": "nogo-search", "search": {**_SEARCH, "p_max_grid": [0.3]}},
+         "search.source_efficiencies"),
+        ({"command": "verify", "verify": {"check": "commutation"}, "sources": _SOURCES},
+         "sources"),
+        ({"command": "verify", "verify": {"check": "commutation"}, "search": _SEARCH},
+         "search"),
+    ],
+    ids=["efficiency-search", "efficiency-verify", "efficiency-interferometer",
+         "efficiency-measurement", "simulate-search", "simulate-verify",
+         "nogo-search-sources", "nogo-search-interferometer",
+         "nogo-search-num_sources", "nogo-search-source_efficiencies",
+         "verify-sources", "verify-search"],
+)
+def test_main_block_rejected_where_nothing_reads_it(
+    tmp_path, capsys, monkeypatch, spec, field
+):
+    # a block or search field the command never reads fails validation,
+    # naming it, instead of being echoed as if it had been applied
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    runners = dict.fromkeys(pel.cli._RUNNERS, no_run)
+    # the search's runner refuses its unread fields before it searches
+    runners["nogo-search"] = pel.cli._run_nogo
+    monkeypatch.setattr(pel.cli, "_RUNNERS", runners)
+    monkeypatch.setattr(pel.cli, "maximize_X", no_run)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([spec["command"], "--spec", str(path)]) == 2
+    assert f"spec field {field}:" in capsys.readouterr().err
+
+
+_FRESH_PROCESS = """
+import sys
+from pel.cli import main, run_spec
+specs = [
+    {"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}]},
+    {"command": "simulate", "sources": [{"kind": "fock", "n": 1}, {"kind": "isps", "p": 0.6}],
+     "interferometer": {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+     "measurement": {"detect": {"1": 1}}, "cutoff": 2},
+    {"command": "nogo-search",
+     "search": {"source_efficiencies": [0.5, 0.5], "budget": 1, "cutoff": 4}},
+    {"command": "verify", "verify": {"check": "commutation", "trials": 1}},
+]
+for spec in specs:
+    document, code = run_spec(spec, threads=1)
+    assert code == 0, spec
+print("jsonschema" in sys.modules)
+sys.exit(main(["simulate", "--spec", sys.argv[1]]))
+"""
+
+
+def test_a_fresh_process_imports_jsonschema_only_to_word_a_refusal(tmp_path):
+    # the valid spec of each command is checked without jsonschema, and a
+    # refused one is worded with the error jsonschema.validate would raise
+    refused = {"command": "simulate", "sources": [{"kind": "isps", "p": 1.5}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(refused))
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(refused, SCHEMA)
+    field = ".".join(str(p) for p in reference.value.absolute_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pel.__file__)))
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout == "False\n", proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: spec field {field}: {reference.value.message}\n"

@@ -607,6 +607,49 @@ def test_search_looks_ahead_on_every_line_of_small_blocks(monkeypatch, space, ro
     assert max(tabulated) <= pel.nogo._LOCKSTEP
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_search_tabulates_one_pattern_count_per_line(monkeypatch, space, rows):
+    # every tabulate call of a line carries the count the line fixed when it
+    # was set up: the rows' own amplitudes on a mesh line, the moved ancilla
+    # at the admitted cap on an amplitude line.  A count per call would let
+    # a looked-ahead probe tabulate other patterns than it does alone
+    engine = pel.nogo._engine(space)
+    lines, current = [], []
+    line_scores, tabulate = pel.nogo._line_scores, engine.tabulate
+
+    def traced_line_scores(space, params, coord):
+        alphas = engine.split_params(np.array(params, dtype=float))[1].copy()
+        if coord >= engine.mesh_len:
+            alphas[:, (coord - engine.mesh_len) // 2] = pel.nogo._admitted_cap(space)
+        calls = []
+        lines.append((coord, engine.reachable(alphas), calls))
+        scores = line_scores(space, params, coord)
+
+        def traced(x):
+            current.append(calls)
+            try:
+                return scores(x)
+            finally:
+                current.pop()
+
+        return traced
+
+    def counted(vectors, alphas, count):
+        if current:
+            current[-1].append(count)
+        return tabulate(vectors, alphas, count)
+
+    monkeypatch.setattr(pel.nogo, "_line_scores", traced_line_scores)
+    monkeypatch.setattr(engine, "tabulate", counted)
+    pel.nogo._run_restarts(space, 3, range(rows))
+    coords = space.modes * (space.modes - 1) + 2 * space.num_coherent
+    assert len(lines) == pel.nogo._REFINE_PASSES * coords
+    for coord, count, calls in lines:
+        # three probes per row fit in a block of one or two rows: 6 calls
+        assert calls == [count] * 6, coord
+
+
 @pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
 def test_index_tables_are_in_range(space):
     # tabulate gathers with take(mode="clip"), which would clamp an index
