@@ -3,8 +3,9 @@
 ``pel <command> --spec FILE [--seed N] [--cutoff N] [--threads N]
 [--out PATH] [--format json|csv]`` with commands ``simulate``,
 ``efficiency``, ``nogo-search`` and ``verify``.  Specs are strict JSON:
-unknown fields, repeated keys and blocks the command never reads are
-rejected so a typo cannot silently change an experiment.
+unknown fields, repeated keys and the blocks, seed and thread count the
+command never reads are rejected so a typo cannot silently change an
+experiment.
 
 A spec is checked against ``SCHEMA``, compiled once at import into a plain
 predicate that decides as jsonschema's Draft 2020-12 validator does.
@@ -410,7 +411,7 @@ def _build_source(entry: dict):
     return PartialQubit(entry["p"], _as_complex(entry["q"]))
 
 
-def _build_unitary(block: dict | None, modes: int, seed: int) -> ModeUnitary:
+def _build_unitary(block: dict | None, modes: int) -> ModeUnitary:
     if block is None:
         return from_mesh([0.0] * (modes * (modes - 1) + modes), modes)
     if "mesh" in block:
@@ -432,24 +433,26 @@ _TOLERANCES_READ = {
 }
 
 
-#: the blocks of a spec each command reads
-_BLOCKS_READ = {
+#: the blocks, seed and thread count of a spec each command reads
+_FIELDS_READ = {
     "efficiency": ("sources",),
     "simulate": ("sources", "interferometer", "measurement"),
-    "nogo-search": ("search",),
-    "verify": ("verify",),
+    "nogo-search": ("search", "seed", "threads"),
+    "verify": ("verify", "seed"),
 }
 
 
-def _refuse_unread_blocks(spec: dict) -> None:
-    """A block the command never reads is refused rather than echoed as if
-    it had been applied, as ``_tolerances`` refuses a tolerance."""
+def _refuse_unread_fields(spec: dict) -> None:
+    """A block, seed or thread count the command never reads is refused
+    rather than echoed as if it had been applied, as ``_tolerances``
+    refuses a tolerance."""
     command = spec["command"]
-    for block in ("sources", "interferometer", "measurement", "search", "verify"):
-        if block in spec and block not in _BLOCKS_READ[command]:
+    for field in ("sources", "interferometer", "measurement", "search", "verify",
+                  "seed", "threads"):
+        if field in spec and field not in _FIELDS_READ[command]:
             raise ValidationError(
-                f"spec field {block}: {command} reads only "
-                f"{', '.join(_BLOCKS_READ[command])}"
+                f"spec field {field}: {command} reads only "
+                f"{', '.join(_FIELDS_READ[command])}"
             )
 
 
@@ -513,7 +516,7 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
     states = [make_state(_build_source(e), single, tail_tol=tail) for e in sources]
     joint = FockBasis(modes, cutoff)
     rho = tensor_all(states, joint, tail_tol=tail) if modes > 1 else states[0]
-    unitary = _build_unitary(spec.get("interferometer"), modes, seed)
+    unitary = _build_unitary(spec.get("interferometer"), modes)
     rho = apply_interferometer(rho, unitary)
     measurement = spec.get("measurement")
     if measurement is not None:
@@ -690,7 +693,7 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    _refuse_unread_blocks(spec)
+    _refuse_unread_fields(spec)
     tolerances = _tolerances(spec)
     runner = _RUNNERS[spec["command"]]
     return runner(spec, seed, cutoff, threads, **tolerances)

@@ -513,6 +513,93 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
 
 # --- composite-state operations --------------------------------------------
 
+@lru_cache(maxsize=64)
+def _product_plan(bases: tuple, joint: FockBasis) -> tuple:
+    """Index tables of the left fold of the tensor product over states on
+    ``bases``, in that order, into ``joint``; built once per shape,
+    read-only.
+
+    Step k >= 1 of the fold joins the product of the factors before k (the
+    first factor on its own basis, or the previous step's result) to factor
+    k in a basis of their modes at the joint cutoff, ``joint`` at the last
+    step.  Of the pairs (i, j) of a left and a right index, in row-major
+    order, those whose total exceeds the cutoff are discarded; the others
+    are the step basis's rows whose left and right parts lie in the two
+    bases.  A step holds the left and right indices of the discarded pairs,
+    the kept rows of the step basis, ascending, their left and right
+    indices, and the step basis's dimension.
+    """
+    modes = [basis.modes for basis in bases]
+    if joint.modes != sum(modes):
+        raise ContractViolation(
+            f"joint basis has {joint.modes} modes, factors have "
+            f"{'+'.join(map(str, modes))}"
+        )
+    cutoffs = [basis.cutoff for basis in bases]
+    if joint.cutoff < max(cutoffs):
+        raise ContractViolation(
+            f"joint cutoff {joint.cutoff} below factor cutoffs "
+            f"({', '.join(map(str, cutoffs))})"
+        )
+    steps, left = [], bases[0]
+    for k, right in enumerate(bases[1:], start=1):
+        last = k == len(bases) - 1
+        step = joint if last else FockBasis(left.modes + right.modes, joint.cutoff)
+        ia = np.repeat(np.arange(left.dimension), right.dimension)
+        ib = np.tile(np.arange(right.dimension), left.dimension)
+        dropped = left.totals[ia] + right.totals[ib] > joint.cutoff
+        occ = step.occupations
+        rows = np.flatnonzero(
+            (occ[:, : left.modes].sum(axis=1) <= left.cutoff)
+            & (occ[:, left.modes :].sum(axis=1) <= right.cutoff)
+        )
+        tables = (
+            ia[dropped], ib[dropped], rows,
+            left.rank(occ[rows, : left.modes]), right.rank(occ[rows, left.modes :]),
+        )
+        for table in tables:
+            table.setflags(write=False)
+        steps.append(tables + (step.dimension,))
+        left = step
+    return tuple(steps)
+
+
+def _product(states, joint: FockBasis, tail_tol: float) -> DensityMatrix:
+    """The left fold of the tensor product over ``states`` into ``joint``,
+    from the tables of one ``_product_plan``.
+
+    At each step the weight of the discarded pairs is summed in row-major
+    pair order and checked against ``tail_tol``, and the kept elements are
+    one gather from each side, multiplied.  An inner step's product is made
+    Hermitian as a validated state would be, which sets the signs of its
+    imaginary zeros; the last one becomes the result.  Elements and tail
+    are thus those of the fold through validated states, bit for bit.
+    """
+    steps = _product_plan(tuple(s.basis for s in states), joint)
+    elements, tail = states[0].elements, states[0].tail
+    for k, (state, step) in enumerate(zip(states[1:], steps), start=1):
+        drop_a, drop_b, rows, left, right, size = step
+        discarded = float(
+            (elements.diagonal().real[drop_a] * state.diagonal()[drop_b]).sum()
+        )
+        if discarded > tail_tol:
+            raise TruncationError(
+                f"tensor product would truncate weight {discarded:.6g} above joint "
+                f"cutoff {joint.cutoff} (tolerance {tail_tol:.1e}); raise the cutoff"
+            )
+        tail = tail + state.tail + discarded
+        product = elements.take(left, axis=0).take(left, axis=1)
+        product *= state.elements.take(right, axis=0).take(right, axis=1)
+        if rows.size < size:
+            elements = np.zeros((size, size), dtype=complex)
+            elements[np.ix_(rows, rows)] = product
+        else:
+            elements = product
+        if k < len(steps):
+            elements = (elements + elements.conj().T) / 2.0
+    return DensityMatrix(joint, elements, tail=tail)
+
+
 def tensor(
     a: DensityMatrix,
     b: DensityMatrix,
@@ -528,39 +615,13 @@ def tensor(
     rather than silently renormalizing, because conditional-probability
     accounting downstream would be corrupted.
 
-    The kept pairs (i, j) are ranked in the joint basis in one call, and the
-    element products a[i, k] b[j, l] of those pairs alone are written into
-    the joint matrix: the full da*db Kronecker product is never formed.
+    The two-state case of ``tensor_all``: the joint elements are the
+    products a[i, k] b[j, l] of one gather from each factor at the indices
+    of the kept pairs, cached per shape, so the full da*db Kronecker
+    product is never formed.
     """
     _check_tail_tol(tail_tol)
-    if joint.modes != a.basis.modes + b.basis.modes:
-        raise ContractViolation(
-            f"joint basis has {joint.modes} modes, factors have "
-            f"{a.basis.modes}+{b.basis.modes}"
-        )
-    if joint.cutoff < max(a.basis.cutoff, b.basis.cutoff):
-        raise ContractViolation(
-            f"joint cutoff {joint.cutoff} below factor cutoffs "
-            f"({a.basis.cutoff}, {b.basis.cutoff})"
-        )
-    da, db = a.basis.dimension, b.basis.dimension
-    ia = np.repeat(np.arange(da), db)
-    ib = np.tile(np.arange(db), da)
-    totals = a.basis.totals[ia] + b.basis.totals[ib]
-    kept = totals <= joint.cutoff
-    discarded = float(
-        (a.diagonal()[ia] * b.diagonal()[ib])[~kept].sum()
-    )
-    if discarded > tail_tol:
-        raise TruncationError(
-            f"tensor product would truncate weight {discarded:.6g} above joint "
-            f"cutoff {joint.cutoff} (tolerance {tail_tol:.1e}); raise the cutoff"
-        )
-    ia, ib = ia[kept], ib[kept]
-    jidx = joint.rank(np.hstack([a.basis.occupations[ia], b.basis.occupations[ib]]))
-    elements = np.zeros((joint.dimension, joint.dimension), dtype=complex)
-    elements[np.ix_(jidx, jidx)] = a.elements[np.ix_(ia, ia)] * b.elements[np.ix_(ib, ib)]
-    return DensityMatrix(joint, elements, tail=a.tail + b.tail + discarded)
+    return _product([a, b], joint, tail_tol)
 
 
 def tensor_all(
@@ -569,54 +630,86 @@ def tensor_all(
     *,
     tail_tol: float = TAIL,
 ) -> DensityMatrix:
-    """Left-fold of ``tensor`` over a sequence of states."""
+    """Left fold of ``tensor`` over a sequence of states, each step in a
+    basis of its modes at the joint cutoff; one state on as many modes as
+    ``joint`` is returned as it is.
+
+    Every index of the fold is read from tables cached per shape
+    (``_product_plan``): a step sums its discarded weight, checks it
+    against ``tail_tol`` and multiplies one gather from each side, with no
+    intermediate basis, state or ``np.ix_`` product.  Each step refuses,
+    and each element and the tail come out, as through validated states.
+    """
     _check_tail_tol(tail_tol)
     states = list(states)
     if not states:
         raise ContractViolation("tensor_all needs at least one state")
-    acc = states[0]
-    modes = acc.basis.modes
-    for nxt in states[1:]:
-        modes += nxt.basis.modes
-        target = joint if modes == joint.modes else FockBasis(modes, joint.cutoff)
-        acc = tensor(acc, nxt, target, tail_tol=tail_tol)
-    if acc.basis.modes != joint.modes:
-        raise ContractViolation(
-            f"states supply {acc.basis.modes} modes, joint basis expects {joint.modes}"
-        )
-    return acc
+    if len(states) == 1 and states[0].basis.modes == joint.modes:
+        return states[0]
+    return _product(states, joint, tail_tol)
 
 
-def _trace_out(rho: DensityMatrix, rows: np.ndarray, keep: tuple,
-               reduced: FockBasis) -> np.ndarray:
-    """Elements on ``reduced`` of the block of ``rho`` on ``rows``, summed over
-    the occupations of every mode not in ``keep``.
+@lru_cache(maxsize=64)
+def _trace_plan(basis: FockBasis, keep: tuple, counted: tuple) -> tuple:
+    """Index tables of the trace-out of ``basis`` onto the ``keep`` modes,
+    on the rows whose modes hold the (mode, count) pairs of ``counted``;
+    built once per shape, read-only.
 
-    The rows fall into groups of equal traced occupations, in lexicographic
-    order, and inside a group each row has its own index in ``reduced``.  A
-    (groups, reduced dimension) plan holds the position in ``rows`` of every
-    (group, reduced index) slot, or a zero pad row past them where a group
-    has no row, so one gather of the padded block and one sum over its
-    group axis give the result, adding the groups in order onto zero.
+    Returns the selected rows, ascending; each row's group of equal traced
+    occupations, the groups in lexicographic order; each row's index in
+    the reduced basis on ``keep``; and the (groups, reduced dimension) slot
+    table, which holds the position in the rows of every (group, reduced
+    index) slot, or the number of rows where a group has no row.
     """
-    occ = rho.basis.occupations[rows]
-    traced = [m for m in range(rho.basis.modes) if m not in keep]
+    occ = basis.occupations
+    selected = np.ones(basis.dimension, dtype=bool)
+    for mode, count in counted:
+        selected &= occ[:, mode] == count
+    rows = np.flatnonzero(selected)
+    occ = occ[rows]
+    traced = [m for m in range(basis.modes) if m not in keep]
     if traced:
         _, group = np.unique(occ[:, traced], axis=0, return_inverse=True)
+        group = group.reshape(-1)
     else:
         group = np.zeros(rows.size, dtype=np.int64)
+    reduced = FockBasis(len(keep), basis.cutoff)
+    ranks = reduced.rank(occ[:, list(keep)])
+    slots = np.full((int(group.max()) + 1, reduced.dimension), rows.size)
+    slots[group, ranks] = np.arange(rows.size)
+    plan = rows, group, ranks, slots
+    for table in plan:
+        table.setflags(write=False)
+    return plan
+
+
+def _trace_out(rho: DensityMatrix, keep: tuple, counted: tuple = ()) -> np.ndarray:
+    """Elements, on a basis of the ``keep`` modes at the cutoff of ``rho``,
+    of the block of ``rho`` on the rows whose modes hold the (mode, count)
+    pairs of ``counted``, summed over the occupations of every mode not in
+    ``keep``.
+
+    The slot table of the cached ``_trace_plan`` gathers a copy of the
+    block, padded with a zero row and column for the slots where a group
+    has no row, and one sum over its group axis gives the result, adding
+    the groups in lexicographic order onto zero.  The block is a plain
+    copy of ``rho`` when every row is selected, and two gathers otherwise.
+    """
+    rows, _, _, slots = _trace_plan(rho.basis, keep, counted)
     size = rows.size
     padded = np.zeros((size + 1, size + 1), dtype=complex)
-    padded[:size, :size] = rho.elements[np.ix_(rows, rows)]
-    plan = np.full((int(group.max()) + 1, reduced.dimension), size)
-    plan[group.reshape(-1), reduced.rank(occ[:, list(keep)])] = np.arange(size)
-    return padded[plan[:, :, None], plan[:, None, :]].sum(axis=0, initial=0)
+    if size == rho.dimension:
+        padded[:size, :size] = rho.elements
+    else:
+        padded[:size, :size] = rho.elements.take(rows, axis=0).take(rows, axis=1)
+    return padded[slots[:, :, None], slots[:, None, :]].sum(axis=0, initial=0)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the ``keep`` modes (0-based indices); trace preserved.
 
-    Keeping every mode returns the input unchanged.
+    Keeping every mode returns the input unchanged.  The index work is
+    cached per (basis, kept modes) shape; see ``_trace_out``.
     """
     modes = rho.basis.modes
     keep = tuple(sorted(set(int(k) for k in keep)))
@@ -627,8 +720,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if len(keep) == modes:
         return rho
     reduced = FockBasis(len(keep), rho.basis.cutoff)
-    elements = _trace_out(rho, np.arange(rho.basis.dimension), keep, reduced)
-    return DensityMatrix(reduced, elements, tail=rho.tail)
+    return DensityMatrix(reduced, _trace_out(rho, keep), tail=rho.tail)
 
 
 def min_eigenvalue(h) -> float:

@@ -224,6 +224,8 @@ def _pair_block_tensors(s: int):
                     * scale
                 )
                 QE[ko, ki, j] = ki + ko - 2 * j
+    for table in (J, QE):
+        table.setflags(write=False)
     return J, QE
 
 
@@ -328,6 +330,8 @@ def _pair_perm(basis: FockBasis, pair: int):
         if s >= 1 and n_orbits:
             segments.append((s, start, n_orbits))
         start += count
+    for table in (perm, inverse):
+        table.setflags(write=False)
     return perm, inverse, tuple(segments)
 
 
@@ -339,6 +343,8 @@ def _mesh_chain(basis: FockBasis, modes: int):
     layout = mesh_layout(modes)
     perms = [_pair_perm(basis, pair) for pair in layout]
     hops = [perms[i][1].take(perms[i + 1][0]) for i in range(len(layout) - 1)]
+    for table in hops:
+        table.setflags(write=False)
     segments = tuple(p[2] for p in perms)
     return perms[0][0], tuple(hops), perms[-1][1], segments
 

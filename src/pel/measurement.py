@@ -86,7 +86,9 @@ def condition(
     Projects the counted modes onto their photon numbers, traces out counted
     and wildcard modes, renormalizes by the outcome probability.  Outcomes
     below ``herald_floor`` (default: ``config.HERALD_FLOOR``) raise rather
-    than divide by almost-zero.
+    than divide by almost-zero.  The selected rows and the index work of
+    the trace-out are cached per (basis, survivors, counts) shape; see
+    ``fock._trace_out``.
     """
     # written so that NaN fails it too
     if not 0.0 < herald_floor < math.inf:
@@ -100,10 +102,9 @@ def condition(
             f"outcome probability {prob:.3e} is below the herald floor "
             f"{herald_floor:.1e}"
         )
-    sel = np.flatnonzero(_selection(rho, pattern))
     survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
     reduced = FockBasis(len(survivors), rho.basis.cutoff)
-    elements = _trace_out(rho, sel, survivors, reduced)
+    elements = _trace_out(rho, survivors, pattern.counted)
     elements /= prob
     out = DensityMatrix(reduced, elements, tail=rho.tail / prob if rho.tail else 0.0)
     return out, prob

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import pel
+from pel.config import TAIL
+from pel.errors import TruncationError
 
 
 def random_density(rng, basis, support=None):
@@ -42,6 +44,41 @@ def loop_trace_out(rho, rows, keep, reduced):
             rho.elements[np.ix_(rows[part], rows[part])]
         )
     return elements
+
+
+def fold_tensor_all(states, joint, tail_tol=TAIL):
+    """Reference product: the left fold of the two-state tensor product over
+    ``states``, each step in a basis of its modes at the joint cutoff and
+    built as a validated state.  A step ranks its kept pairs (i, j) in the
+    step's basis and writes the element products a[i, k] b[j, l] of those
+    pairs there with ``np.ix_``; the weight of the other pairs, summed in
+    row-major pair order, is checked against ``tail_tol`` and added to the
+    tail."""
+    states = list(states)
+    acc = states[0]
+    modes = acc.basis.modes
+    for nxt in states[1:]:
+        modes += nxt.basis.modes
+        step = joint if modes == joint.modes else pel.make_basis(modes, joint.cutoff)
+        a, b = acc, nxt
+        da, db = a.basis.dimension, b.basis.dimension
+        ia = np.repeat(np.arange(da), db)
+        ib = np.tile(np.arange(db), da)
+        kept = a.basis.totals[ia] + b.basis.totals[ib] <= step.cutoff
+        discarded = float((a.diagonal()[ia] * b.diagonal()[ib])[~kept].sum())
+        if discarded > tail_tol:
+            raise TruncationError(
+                f"tensor product would truncate weight {discarded:.6g} above joint "
+                f"cutoff {step.cutoff} (tolerance {tail_tol:.1e}); raise the cutoff"
+            )
+        ia, ib = ia[kept], ib[kept]
+        jidx = step.rank(np.hstack([a.basis.occupations[ia], b.basis.occupations[ib]]))
+        elements = np.zeros((step.dimension, step.dimension), dtype=complex)
+        elements[np.ix_(jidx, jidx)] = (
+            a.elements[np.ix_(ia, ia)] * b.elements[np.ix_(ib, ib)]
+        )
+        acc = pel.DensityMatrix(step, elements, tail=a.tail + b.tail + discarded)
+    return acc
 
 
 def vectorised_golden_max(fun, lo, hi, evals, ahead=False):

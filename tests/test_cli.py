@@ -872,6 +872,53 @@ def test_main_block_rejected_where_nothing_reads_it(
     assert f"spec field {field}:" in capsys.readouterr().err
 
 
+_VERIFY = {"verify": {"check": "commutation", "trials": 1}}
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        ({"command": "efficiency", "sources": _SOURCES, "seed": 3}, "seed"),
+        ({**_HERALDED, "seed": 3}, "seed"),
+        ({"command": "efficiency", "sources": _SOURCES, "threads": 2}, "threads"),
+        ({**_HERALDED, "threads": 2}, "threads"),
+        ({"command": "verify", **_VERIFY, "threads": 2}, "threads"),
+    ],
+    ids=["efficiency-seed", "simulate-seed", "efficiency-threads", "simulate-threads",
+         "verify-threads"],
+)
+def test_main_seed_and_threads_rejected_where_nothing_reads_them(
+    tmp_path, capsys, monkeypatch, spec, field
+):
+    # efficiency and simulate draw nothing at random (a haar block carries
+    # its own seed) and run on one thread, and verify runs on one thread:
+    # the spec's field is refused, naming it, instead of being echoed as if
+    # it had been applied
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([spec["command"], "--spec", str(path)]) == 2
+    assert f"spec field {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,threads", [
+    ({"command": "nogo-search", "search": _SEARCH, "seed": 3, "threads": 2}, 2),
+    ({"command": "verify", **_VERIFY, "seed": 3}, os.cpu_count() or 1),
+], ids=["nogo-search", "verify"])
+def test_seed_and_threads_reach_the_commands_that_read_them(monkeypatch, spec, threads):
+    calls = []
+
+    def record(spec, seed, cutoff, threads):
+        calls.append((seed, threads))
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, record))
+    run_spec(spec)
+    assert calls == [(3, threads)]
+
+
 _FRESH_PROCESS = """
 import sys
 from pel.cli import main, run_spec

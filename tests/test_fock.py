@@ -27,7 +27,7 @@ from pel.errors import (
 )
 from pel.fock import poisson_tails
 
-from conftest import inertia_min_eigenvalue, loop_trace_out, random_density
+from conftest import fold_tensor_all, inertia_min_eigenvalue, loop_trace_out, random_density
 
 
 # --- basis -------------------------------------------------------------------
@@ -501,6 +501,121 @@ def test_partial_trace_against_einsum_on_the_product_space(rng, modes, support):
             outside = np.ones(traced.shape[0], dtype=bool)
             outside[rflat] = False
             assert np.abs(traced[outside]).max(initial=0.0) < 1e-12
+
+
+def _bits(elements):
+    """The elements as integers, so that equality compares every bit, the
+    signs of zeros included."""
+    return np.ascontiguousarray(elements).view(np.uint64)
+
+
+def _product_case(rng, case):
+    """Factors and joint basis of each product case; every factor's
+    diagonal is nonzero up to its support, so a changed summation order
+    shows in the discarded weight."""
+    if case == "coherent":
+        # ISPS, coherent, partial qubit, coherent: each of the three steps
+        # truncates, and the coherent tails ride along
+        single = make_basis(1, 6)
+        specs = [Isps(0.7), Coherent(0.6 + 0.5j), PartialQubit(0.4, 0.3j),
+                 Coherent(-0.45 + 0.55j)]
+        return [make_state(s, single, tail_tol=1e-2) for s in specs], make_basis(4, 6)
+    if case == "multimode":
+        shapes = [(2, 4), (1, 6), (2, 3)]
+        return [random_density(rng, make_basis(*shape)) for shape in shapes], make_basis(5, 6)
+    if case == "second-step":
+        # the first step keeps every pair; the second truncates
+        single = make_basis(1, 1)
+        states = [make_state(Isps(0.6), single), make_state(Isps(0.5), single),
+                  random_density(rng, make_basis(1, 3))]
+        return states, make_basis(3, 3)
+    # factor cutoffs below the joint one: joint rows whose parts do not fit
+    # stay zero
+    shapes = [(1, 2), (2, 1), (1, 3), (1, 2)]
+    return [random_density(rng, make_basis(*shape)) for shape in shapes], make_basis(5, 4)
+
+
+_PRODUCT_CASES = ["coherent", "multimode", "second-step", "short-factors"]
+
+
+@pytest.mark.parametrize("case", _PRODUCT_CASES)
+def test_tensor_all_matches_the_fold_bit_for_bit_cold_and_cached(rng, case):
+    states, joint = _product_case(rng, case)
+    expected = fold_tensor_all(states, joint, tail_tol=1.0)
+    assert expected.tail > 0.0
+    before = [_bits(s.elements).copy() for s in states]
+    pel.fock._product_plan.cache_clear()
+    for _ in range(2):
+        got = pel.tensor_all(states, joint, tail_tol=1.0)
+        assert got.basis == joint
+        assert np.array_equal(_bits(got.elements), _bits(expected.elements))
+        assert got.tail.hex() == expected.tail.hex()
+    assert pel.fock._product_plan.cache_info()[:2] == (1, 1)
+    assert all(np.array_equal(_bits(s.elements), b) for s, b in zip(states, before))
+
+
+@pytest.mark.parametrize("case", _PRODUCT_CASES)
+def test_tensor_matches_the_fold_bit_for_bit_cold_and_cached(rng, case):
+    states, _ = _product_case(rng, case)
+    for a, b in zip(states, states[1:]):
+        joint = make_basis(a.basis.modes + b.basis.modes, max(s.basis.cutoff for s in states))
+        expected = fold_tensor_all([a, b], joint, tail_tol=1.0)
+        pel.fock._product_plan.cache_clear()
+        for _ in range(2):
+            got = tensor(a, b, joint, tail_tol=1.0)
+            assert np.array_equal(_bits(got.elements), _bits(expected.elements))
+            assert got.tail.hex() == expected.tail.hex()
+
+
+@pytest.mark.parametrize("case,truncating", [
+    ("coherent", 3), ("multimode", 2), ("second-step", 1), ("short-factors", 2),
+])
+def test_tensor_all_refuses_at_the_fold_step_with_its_message(rng, case, truncating):
+    # from a zero tolerance up, each just above the weight refused last,
+    # the fold and tensor_all refuse together with the same message until
+    # both return the same state: each step that truncates refuses once
+    states, joint = _product_case(rng, case)
+    if case == "second-step":
+        first = make_basis(2, joint.cutoff)
+        assert fold_tensor_all(states[:2], first, tail_tol=0.0).tail == 0.0
+    messages, tail_tol = [], 0.0
+    while len(messages) <= truncating:
+        pel.fock._product_plan.cache_clear()
+        try:
+            expected = fold_tensor_all(states, joint, tail_tol=tail_tol)
+        except TruncationError as reference:
+            for _ in range(2):
+                with pytest.raises(TruncationError) as raised:
+                    pel.tensor_all(states, joint, tail_tol=tail_tol)
+                assert str(raised.value) == str(reference)
+            messages.append(str(reference))
+            tail_tol = float(str(reference).split()[5]) * (1.0 + 1e-5)
+            continue
+        for _ in range(2):
+            got = pel.tensor_all(states, joint, tail_tol=tail_tol)
+            assert np.array_equal(_bits(got.elements), _bits(expected.elements))
+            assert got.tail.hex() == expected.tail.hex()
+        break
+    assert len(messages) == truncating, messages
+
+
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_partial_trace_cold_and_cached_match_the_loop_reference(rng, modes):
+    basis = make_basis(modes, 6)
+    rho = random_density(rng, basis)
+    before = _bits(rho.elements).copy()
+    rows = np.arange(basis.dimension)
+    for size in range(1, modes):
+        for keep in itertools.combinations(range(modes), size):
+            pel.fock._trace_plan.cache_clear()
+            for _ in range(2):
+                got = partial_trace(rho, keep)
+                expected = DensityMatrix(
+                    got.basis, loop_trace_out(rho, rows, keep, got.basis)
+                )
+                assert np.array_equal(_bits(got.elements), _bits(expected.elements)), keep
+            assert pel.fock._trace_plan.cache_info()[:2] == (1, 1)
+    assert np.array_equal(_bits(rho.elements), before)
 
 
 # --- eigenvalues ---------------------------------------------------------------

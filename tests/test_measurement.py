@@ -162,6 +162,40 @@ def test_condition_matches_the_loop_reference_bit_for_bit(rng, modes, outcomes):
     assert np.array_equal(survivor.elements, expected.elements)
 
 
+@pytest.mark.parametrize("modes,outcomes", [
+    (2, {1: None}),
+    (2, {0: 2}),
+    (3, {1: 1, 2: None}),
+    (3, {1: None, 2: None}),
+    (4, {1: None, 2: None, 3: None}),
+    (4, {0: None, 1: 0, 3: None}),
+    (4, {1: 0, 2: 1, 3: 1}),
+])
+def test_condition_cold_and_cached_match_the_loop_reference(rng, modes, outcomes):
+    # the trace-out plan is built on the first call and read from the cache
+    # on the second; both give the reference's bits and leave rho as it was
+    basis = make_basis(modes, 6)
+    rho = random_density(rng, basis)
+    before = rho.elements.copy()
+    pattern = MeasurementPattern(outcomes)
+    selected = np.ones(basis.dimension, dtype=bool)
+    for mode, count in pattern.counted:
+        selected &= basis.occupations[:, mode] == count
+    rows = np.flatnonzero(selected)
+    keep = tuple(m for m in range(modes) if m not in outcomes)
+    pel.fock._trace_plan.cache_clear()
+    for _ in range(2):
+        survivor, prob = condition(rho, pattern)
+        elements = loop_trace_out(rho, rows, keep, survivor.basis)
+        elements /= prob
+        expected = DensityMatrix(survivor.basis, elements)
+        assert np.array_equal(
+            survivor.elements.view(np.uint64), expected.elements.view(np.uint64)
+        )
+    assert pel.fock._trace_plan.cache_info()[:2] == (1, 1)
+    assert np.array_equal(rho.elements.view(np.uint64), before.view(np.uint64))
+
+
 def test_herald_floor():
     rho = two_mode([Coherent(0.0), Coherent(0.0)])
     with pytest.raises(HeraldImpossibleError, match="floor"):
