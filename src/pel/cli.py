@@ -515,7 +515,7 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
     single = FockBasis(1, cutoff)
     states = [make_state(_build_source(e), single, tail_tol=tail) for e in sources]
     joint = FockBasis(modes, cutoff)
-    rho = tensor_all(states, joint, tail_tol=tail) if modes > 1 else states[0]
+    rho = tensor_all(states, joint, tail_tol=tail)
     unitary = _build_unitary(spec.get("interferometer"), modes)
     rho = apply_interferometer(rho, unitary)
     measurement = spec.get("measurement")
@@ -524,10 +524,7 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
             {int(k): v for k, v in measurement["detect"].items()}
         )
         survivor, prob = condition(rho, pattern, herald_floor=herald_floor)
-        if survivor.basis.modes > 1:
-            marginal = partial_trace(survivor, [0])
-        else:
-            marginal = survivor
+        marginal = partial_trace(survivor, [0])
         document = {
             "spec_echo": spec,
             "herald_probability": prob,
@@ -541,7 +538,7 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
         return document, 0
     per_mode = []
     for m in range(modes):
-        marginal = partial_trace(rho, [m]) if modes > 1 else rho
+        marginal = partial_trace(rho, [m])
         per_mode.append(
             {
                 "mode": m,

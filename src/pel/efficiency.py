@@ -1,27 +1,35 @@
 """Generalized quantum-optical efficiency.
 
-The efficiency E(rho) of a single-mode state is the least loss-channel
-transmissivity p such that the state is the image of some valid (positive
-semidefinite) state under that channel.  Feasibility at a given p is decided
-by constructing the unique Hermitian preimage (the loss channel at 1/p,
-exact for states inside the cutoff, see ``channels.invert_loss``) and
-checking its smallest eigenvalue against -1e-9 * trace, a slack deliberately
-looser than eigensolver accuracy so verdicts at the boundary do not flap.
-Feasibility is monotone in p, since E_p o E_q = E_pq.
+The efficiency E(rho) of a state on M modes is the least transmissivity p
+such that the state is the image of some valid (positive semidefinite)
+state under equal loss p on every mode, E_p^(x M).  Feasibility at a given
+p is decided by constructing the unique Hermitian preimage (the loss
+channel at 1/p on every mode, exact for states inside the cutoff, see
+``channels.invert_loss``) and checking its smallest eigenvalue against
+-1e-9 * trace, a slack deliberately looser than eigensolver accuracy so
+verdicts at the boundary do not flap.  Feasibility is monotone in p, since
+E_p o E_q = E_pq.  One mode is the case M = 1.
 
 Tail-free states (``rho.tail == 0``) get E from one polynomial eigenproblem
-(Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)).  On the support block
-sigma (photon numbers 0..S), congruence by diag(p^(m/2)) turns the preimage
-into A(y) = sum_l y^l S_l, with y = 1 - 1/p and
-S_l[m, m'] = sqrt(C(m+l, l) C(m'+l, l)) sigma[m+l, m'+l].  Row m of A has
-degree S - m, and diag((1 - y)^m) A(y) is similar to the preimage, so
+(Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)).  Rows are graded by the
+total photon number |n|.  On the support block sigma, the rows of
+``FockBasis(M, S)`` with S the numerical support, congruence by
+diag(p^(|n|/2)) turns the preimage into A(y) = sum_k y^k S_k, with
+y = 1 - 1/p and
 
-    P(y) = diag((1 - y)^m) A(y) + s I
+    S_k[n, n'] = sum over |l| = k of sqrt(C(n+l, l) C(n'+l, l)) sigma[n+l, n'+l],
+
+C(n, l) the product of the per-mode binomials: the entries of the loss plan
+of the block on every mode (``channels._loss_plan``), grouped by |l|.  Row n
+of A has degree S - |n|, and diag((1 - y)^|n|) A(y) is similar to the
+preimage, so
+
+    P(y) = diag((1 - y)^|n|) A(y) + s I
 
 has degree S and is singular exactly where the preimage has the eigenvalue
 -s.  E is the largest p < 1 where that happens: the most negative real
-eigenvalue z = 1/y of the block companion of z^S P(1/z), made monic by
-whitening with sigma + s I.
+eigenvalue z = 1/y of the block companion of z^S P(1/z), of S times the
+block's dimension rows, made monic by whitening with sigma + s I.
 
 The shift s is half the feasibility slack.  It keeps the roots simple: at
 s = 0 a state whose preimage at E is singular in several directions (a
@@ -61,10 +69,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import LossChannel, invert_loss
+from .channels import LossChannel, _loss_plan, invert_loss
 from .config import CONDITIONING, FEASIBILITY
 from .errors import ConditioningError, ContractViolation, MonotonicityError, PositivityError
-from .fock import DensityMatrix, min_eigenvalue
+from .fock import DensityMatrix, FockBasis, min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,9 @@ def _probe(rho: DensityMatrix, p: float, support: int, feasibility: float):
 
 
 def is_feasible(rho: DensityMatrix, p: float) -> bool:
-    """True iff some PSD state maps onto ``rho`` under loss of transmissivity p
-    (within tolerance and, for truncated inputs, the truncation allowance)."""
-    if rho.basis.modes != 1:
-        raise ContractViolation("is_feasible expects a single-mode state")
+    """True iff some PSD state maps onto ``rho``, on any number of modes,
+    under equal loss of transmissivity p on every mode (within tolerance
+    and, for truncated inputs, the truncation allowance)."""
     return _probe(rho, p, rho.numerical_support(), FEASIBILITY)[0]
 
 
@@ -139,7 +146,8 @@ def generalized_efficiency(
     *,
     feasibility: float = FEASIBILITY,
 ) -> EfficiencyResult:
-    """Minimal feasible transmissivity of a single-mode state.
+    """Minimal feasible transmissivity of a state on any number of modes:
+    its joint efficiency under equal loss on every mode.
 
     Exact for tail-free states; bisected to a bracket of width ``tol_bisect``
     for states that carry a truncation tail.  When feasibility already holds
@@ -149,8 +157,6 @@ def generalized_efficiency(
     when the preimage's smallest eigenvalue is at least -``feasibility``
     times the trace (default: ``config.FEASIBILITY``).
     """
-    if rho.basis.modes != 1:
-        raise ContractViolation("generalized_efficiency expects a single-mode state")
     # written so that NaN fails them too
     if not 1e-8 <= tol_bisect < math.inf:
         raise ContractViolation(
@@ -177,7 +183,8 @@ def _exact(rho: DensityMatrix, feasibility: float) -> EfficiencyResult:
     support = rho.numerical_support()
     floor = conditioning_floor(rho)
     slack = feasibility * max(abs(rho.trace), 1e-300)
-    sigma = rho.elements[: support + 1, : support + 1]
+    block = FockBasis(rho.basis.modes, support)
+    sigma = rho.elements[: block.dimension, : block.dimension]
     lam, vectors = np.linalg.eigh(sigma)
     if lam[0] < -slack:
         raise PositivityError(
@@ -188,7 +195,7 @@ def _exact(rho: DensityMatrix, feasibility: float) -> EfficiencyResult:
     if lam[0] <= -shift:
         value = 1.0
     else:
-        value = _largest_root(sigma, lam, vectors, shift)
+        value = _largest_root(sigma, block, lam, vectors, shift)
     attained = value > floor
     if not attained:
         value = floor
@@ -208,43 +215,49 @@ def _exact(rho: DensityMatrix, feasibility: float) -> EfficiencyResult:
 
 
 @lru_cache(maxsize=32)
-def _polynomial_tables(support: int) -> tuple:
-    """Index and coefficient tables of P(y) on a support-S block.
+def _polynomial_tables(block: FockBasis) -> tuple:
+    """Index and coefficient tables of P(y) on the support block ``block``.
 
-    ``rows[l, m]`` is m + l (clipped to S) and ``root[l, m]`` is
-    sqrt(C(m+l, l)), zero past the block, so that S_l is
-    sigma[rows[l]][:, rows[l]] weighted by the outer product of ``root[l]``.
-    ``expand[k, l, m]`` is C(m, k - l) (-1)^(k - l), the y^k coefficient of
-    (1 - y)^m y^l.
+    Read off the loss plan of ``block`` on every mode, each entry off the
+    diagonal listed again with row and column swapped: ``src`` is the flat
+    position in sigma that an entry reads and ``coef`` its
+    sqrt(C(n_i, l) C(n_j, l)).  The plan lists a target's entries in graded
+    order of l, so the entries of one slot of the (S + 1, n, n) stack of
+    S_|l| are contiguous: ``starts`` opens each such run and ``slots`` names
+    its slot.  ``expand[k, l, r]`` is C(|r|, k - l) (-1)^(k - l), the y^k
+    coefficient of (1 - y)^|r| y^l.
     """
-    n = support + 1
-    levels = np.arange(n)
-    rows = np.minimum(levels[:, None] + levels[None, :], support)
-    root = np.array([
-        [math.sqrt(math.comb(m + l, l)) if m + l <= support else 0.0 for m in levels]
-        for l in levels
-    ])
-    expand = np.zeros((n, n, n))
-    for k in range(n):
-        for l in range(k + 1):
-            expand[k, l] = [math.comb(m, k - l) * (-1) ** (k - l) for m in levels]
-    for table in (rows, root, expand):
+    src, coef, losses, starts, upper, _ = _loss_plan(block, tuple(range(block.modes)))
+    n = block.dimension
+    tgt = np.repeat(np.flatnonzero(upper), np.diff(starts, append=src.size))
+    mirror = tgt // n < tgt % n
+    src = np.concatenate([src, src[mirror] % n * n + src[mirror] // n])
+    coef = np.concatenate([coef, coef[mirror]])
+    tgt = np.concatenate([tgt, tgt[mirror] % n * n + tgt[mirror] // n])
+    slot = np.concatenate([losses, losses[mirror]]) * n * n + tgt
+    starts = np.flatnonzero(np.diff(slot, prepend=-1))
+    degree = block.cutoff + 1
+    expand = np.zeros((degree, degree, n))
+    for k, l in zip(*np.tril_indices(degree)):
+        expand[k, l] = [math.comb(t, k - l) * (-1) ** (k - l) for t in block.totals]
+    tables = src, coef, starts, slot[starts], expand
+    for table in tables:
         table.setflags(write=False)
-    return rows, root, expand
+    return tables
 
 
-def _largest_root(sigma, lam, vectors, shift: float) -> float:
-    """Largest p < 1 at which the preimage of the support block ``sigma`` has
-    the eigenvalue -shift, or 0.0 if there is none; ``lam`` and ``vectors``
-    are the eigendecomposition of ``sigma``."""
-    support = sigma.shape[0] - 1
+def _largest_root(sigma, block: FockBasis, lam, vectors, shift: float) -> float:
+    """Largest p < 1 at which the preimage of the support block ``sigma``, on
+    the basis ``block``, has the eigenvalue -shift, or 0.0 if there is none;
+    ``lam`` and ``vectors`` are the eigendecomposition of ``sigma``."""
+    support = block.cutoff
     if support == 0:
         return 0.0
-    n = support + 1
-    rows, root, expand = _polynomial_tables(support)
-    weights = root[:, :, None] * root[:, None, :]
-    terms = sigma[rows[:, :, None], rows[:, None, :]] * weights
-    coeffs = np.einsum("klm,lmj->kmj", expand, terms)
+    n = block.dimension
+    src, coef, starts, slots, expand = _polynomial_tables(block)
+    terms = np.zeros((support + 1) * n * n, dtype=complex)
+    terms[slots] = np.add.reduceat(sigma.take(src) * coef, starts)
+    coeffs = np.einsum("klm,lmj->kmj", expand, terms.reshape(support + 1, n, n))
     # the leading coefficient of z^S P(1/z) is coeffs[0] + shift * I, that
     # is sigma + shift * I; whitening by it makes the polynomial monic
     white = vectors / np.sqrt(lam + shift)
@@ -316,7 +329,15 @@ def _bisect(
 
 
 def multimode_efficiency(states, tol_bisect: float = 1e-6) -> float:
-    """Efficiency of a product of single-mode states: the per-mode maximum."""
+    """Efficiency of a product of single-mode states: the per-mode maximum.
+
+    The preimage of a product under equal loss is the product of the
+    factors' preimages, so this is the joint efficiency of the product.  It
+    stays beside ``generalized_efficiency`` of the joint state because a
+    coherent factor carries a truncation tail, and the joint state of such
+    a product is bisected and reads the conditioning floor: Coherent(1.0)
+    with Isps(0.4) at cutoff 10 reads 0.001 jointly and 0.4 here.
+    """
     states = list(states)
     if not states:
         raise ContractViolation("multimode_efficiency needs at least one state")

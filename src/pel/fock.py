@@ -675,7 +675,8 @@ def _trace_plan(basis: FockBasis, keep: tuple, counted: tuple) -> tuple:
         group = np.zeros(rows.size, dtype=np.int64)
     reduced = FockBasis(len(keep), basis.cutoff)
     ranks = reduced.rank(occ[:, list(keep)])
-    slots = np.full((int(group.max()) + 1, reduced.dimension), rows.size)
+    # a count beyond the cutoff selects no row, and the plan has no group
+    slots = np.full((group.max(initial=-1) + 1, reduced.dimension), rows.size)
     slots[group, ranks] = np.arange(rows.size)
     plan = rows, group, ranks, slots
     for table in plan:
@@ -683,19 +684,19 @@ def _trace_plan(basis: FockBasis, keep: tuple, counted: tuple) -> tuple:
     return plan
 
 
-def _trace_out(rho: DensityMatrix, keep: tuple, counted: tuple = ()) -> np.ndarray:
-    """Elements, on a basis of the ``keep`` modes at the cutoff of ``rho``,
-    of the block of ``rho`` on the rows whose modes hold the (mode, count)
-    pairs of ``counted``, summed over the occupations of every mode not in
-    ``keep``.
+def _trace_out(rho: DensityMatrix, plan: tuple) -> np.ndarray:
+    """Elements, on a basis of the kept modes at the cutoff of ``rho``, of
+    the block of ``rho`` on the selected rows of ``plan``, a
+    ``_trace_plan(rho.basis, keep, counted)``, summed over the occupations
+    of every mode not kept.
 
-    The slot table of the cached ``_trace_plan`` gathers a copy of the
-    block, padded with a zero row and column for the slots where a group
-    has no row, and one sum over its group axis gives the result, adding
-    the groups in lexicographic order onto zero.  The block is a plain
-    copy of ``rho`` when every row is selected, and two gathers otherwise.
+    The plan's slot table gathers a copy of the block, padded with a zero
+    row and column for the slots where a group has no row, and one sum
+    over its group axis gives the result, adding the groups in
+    lexicographic order onto zero.  The block is a plain copy of ``rho``
+    when every row is selected, and two gathers otherwise.
     """
-    rows, _, _, slots = _trace_plan(rho.basis, keep, counted)
+    rows, _, _, slots = plan
     size = rows.size
     padded = np.zeros((size + 1, size + 1), dtype=complex)
     if size == rho.dimension:
@@ -720,7 +721,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if len(keep) == modes:
         return rho
     reduced = FockBasis(len(keep), rho.basis.cutoff)
-    return DensityMatrix(reduced, _trace_out(rho, keep), tail=rho.tail)
+    elements = _trace_out(rho, _trace_plan(rho.basis, keep, ()))
+    return DensityMatrix(reduced, elements, tail=rho.tail)
 
 
 def min_eigenvalue(h) -> float:

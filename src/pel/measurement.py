@@ -9,11 +9,9 @@ channel in front of an ideal detector instead, which is equivalent.
 
 import math
 
-import numpy as np
-
 from .config import HERALD_FLOOR
 from .errors import ContractViolation, HeraldImpossibleError
-from .fock import DensityMatrix, FockBasis, _trace_out
+from .fock import DensityMatrix, FockBasis, _trace_out, _trace_plan
 
 
 class MeasurementPattern:
@@ -60,18 +58,19 @@ class MeasurementPattern:
         return f"MeasurementPattern({dict(self.outcomes)!r})"
 
 
-def _selection(rho: DensityMatrix, pattern: MeasurementPattern) -> np.ndarray:
-    occ = rho.basis.occupations
-    mask = np.ones(rho.basis.dimension, dtype=bool)
-    for mode, count in pattern.counted:
-        mask &= occ[:, mode] == count
-    return mask
+def _outcome(rho: DensityMatrix, pattern: MeasurementPattern) -> tuple:
+    """The surviving modes of a valid ``pattern`` on ``rho``, the cached
+    trace-out plan of its counts (``fock._trace_plan``) and its probability,
+    the diagonal summed over the plan's selected rows."""
+    pattern.validate(rho.basis)
+    survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
+    plan = _trace_plan(rho.basis, survivors, pattern.counted)
+    return survivors, plan, float(rho.diagonal()[plan[0]].sum())
 
 
 def outcome_probability(rho: DensityMatrix, pattern: MeasurementPattern) -> float:
     """Probability of reading the pattern's counts (wildcards unrestricted)."""
-    pattern.validate(rho.basis)
-    return float(rho.diagonal()[_selection(rho, pattern)].sum())
+    return _outcome(rho, pattern)[2]
 
 
 def condition(
@@ -86,25 +85,24 @@ def condition(
     Projects the counted modes onto their photon numbers, traces out counted
     and wildcard modes, renormalizes by the outcome probability.  Outcomes
     below ``herald_floor`` (default: ``config.HERALD_FLOOR``) raise rather
-    than divide by almost-zero.  The selected rows and the index work of
-    the trace-out are cached per (basis, survivors, counts) shape; see
-    ``fock._trace_out``.
+    than divide by almost-zero.  The pattern is validated once, and one
+    plan cached per (basis, survivors, counts) shape gives the selected rows,
+    whose diagonal sums to the probability, and the index work of the
+    trace-out; see ``fock._trace_plan`` and ``fock._trace_out``.
     """
     # written so that NaN fails it too
     if not 0.0 < herald_floor < math.inf:
         raise ContractViolation(
             f"herald_floor must be finite and positive, got {herald_floor!r}"
         )
-    pattern.validate(rho.basis)
-    prob = outcome_probability(rho, pattern)
+    survivors, plan, prob = _outcome(rho, pattern)
     if prob < herald_floor:
         raise HeraldImpossibleError(
             f"outcome probability {prob:.3e} is below the herald floor "
             f"{herald_floor:.1e}"
         )
-    survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
     reduced = FockBasis(len(survivors), rho.basis.cutoff)
-    elements = _trace_out(rho, survivors, pattern.counted)
+    elements = _trace_out(rho, plan)
     elements /= prob
     out = DensityMatrix(reduced, elements, tail=rho.tail / prob if rho.tail else 0.0)
     return out, prob

@@ -465,6 +465,10 @@ class _SchemeEngine:
         # sums the squared parts of c; its first 2B entries weigh the
         # (part, b) rows of the survivor's amplitudes the same way
         self.row_weights = np.tile(self.branch_weights, 2 * (S + 1))
+        # shared by every evaluation and by the threads of ``maximize_X``
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)

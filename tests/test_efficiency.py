@@ -9,15 +9,22 @@ from pel import (
     Fock,
     Isps,
     LossChannel,
+    MeasurementPattern,
+    ModeUnitary,
     PartialQubit,
     DensityMatrix,
+    apply_interferometer,
     apply_loss,
+    condition,
     generalized_efficiency,
+    haar_random,
     is_feasible,
     make_basis,
     make_state,
     multimode_efficiency,
+    partial_trace,
     qubit_efficiency_formula,
+    tensor_all,
 )
 from pel import efficiency
 from pel.config import FEASIBILITY
@@ -186,8 +193,8 @@ def test_result_reports_feasible_witness(rng):
 
 def test_requires_single_mode_normalized_state(rng):
     joint = random_density(rng, make_basis(2, 2))
-    with pytest.raises(ContractViolation):
-        generalized_efficiency(joint)
+    oracle = efficiency._bisect(joint, 1e-9, FEASIBILITY)
+    assert abs(generalized_efficiency(joint).value - oracle.value) <= 1e-8
     rho = make_state(Isps(0.5), make_basis(1, 3))
     with pytest.raises(ContractViolation, match="tolerance"):
         generalized_efficiency(rho, 1e-9)
@@ -323,3 +330,121 @@ def test_infeasible_exact_value_raises(monkeypatch):
     )
     with pytest.raises(MonotonicityError, match="0.5"):
         generalized_efficiency(rho)
+
+
+def _pinned_states():
+    b = make_basis(1, 8)
+    states = {
+        "isps": make_state(Isps(0.37), b),
+        "partial_qubit": make_state(PartialQubit(0.6, 0.3 * np.exp(0.5j)), b),
+        "fock2": make_state(Fock(2), b),
+        "lossy_fock3": apply_loss(make_state(Fock(3), b), LossChannel(0.45)),
+    }
+    rng = np.random.default_rng(2024)
+    for support in (2, 3, 4, 8):
+        rho = random_density(rng, b, support=support)
+        states[f"random{support}"] = rho
+        states[f"lossy_random{support}"] = apply_loss(rho, LossChannel(0.7))
+    return states
+
+
+#: ``float.hex`` of the value (both bracket ends) and the witness of each
+#: pinned state, from the solve built on the single-mode index tables
+_PINS = {
+    "isps": ("0x1.7ae147aae6d77p-2", "-0x1.12e0b80000000p-31"),
+    "partial_qubit": ("0x1.6969696537308p-1", "-0x1.12e0b60000000p-31"),
+    "fock2": ("0x1.fffffffdda3e8p-1", "-0x1.12e0c0012725fp-31"),
+    "lossy_fock3": ("0x1.cccccccb82f25p-2", "-0x1.12e0c0018987ep-31"),
+    "random2": ("0x1.ccf60a8307c7fp-1", "-0x1.12e0bc91d6e62p-31"),
+    "lossy_random2": ("0x1.42ac3a8eebd8fp-1", "-0x1.12e0bb1fd6e62p-31"),
+    "random3": ("0x1.fae70fb37d713p-1", "-0x1.12e0b9ca00000p-31"),
+    "lossy_random3": ("0x1.62d4f1640b026p-1", "-0x1.12e0bc2700000p-31"),
+    "random4": ("0x1.fef99033e2170p-1", "-0x1.12e0bcd5f8204p-31"),
+    "lossy_random4": ("0x1.65aeb1bdeb107p-1", "-0x1.12e0ad8d5bb84p-31"),
+    "random8": ("0x1.ffd145494528ap-1", "-0x1.12e0bdd4ec7a6p-31"),
+    "lossy_random8": ("0x1.6645b08016d01p-1", "-0x1.12e09b94ea6f0p-31"),
+}
+
+
+def test_single_mode_efficiency_keeps_its_bits():
+    # the multimode solve reads S_l off the loss plan; on one mode it must
+    # give the single-mode solve's bits
+    for name, rho in _pinned_states().items():
+        result = generalized_efficiency(rho)
+        value, witness = _PINS[name]
+        assert result.value.hex() == value, name
+        assert [end.hex() for end in result.bracket] == [value, value], name
+        assert result.witness_eigenvalue.hex() == witness, name
+
+
+@pytest.mark.parametrize("modes,support", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+def test_joint_efficiency_matches_bisection(rng, modes, support):
+    basis = make_basis(modes, support)
+    for _ in range(2):
+        rho = random_density(rng, basis)
+        for state in (rho, apply_loss(rho, LossChannel(0.6))):
+            exact = generalized_efficiency(state)
+            oracle = efficiency._bisect(state, 1e-9, FEASIBILITY)
+            assert exact.attained and exact.bracket == (exact.value, exact.value)
+            assert abs(exact.value - oracle.value) <= 1e-8
+
+
+@pytest.mark.parametrize("modes,support", [(2, 2), (2, 3), (3, 2)])
+def test_joint_efficiency_is_invariant_under_interferometers_and_covariant_under_loss(
+    rng, modes, support
+):
+    # equal loss on every mode commutes with every interferometer, and
+    # E_q o E_p = E_qp
+    basis = make_basis(modes, support)
+    for seed in range(2):
+        rho = random_density(rng, basis)
+        base = generalized_efficiency(rho).value
+        turned = apply_interferometer(rho, haar_random(modes, seed))
+        assert abs(generalized_efficiency(turned).value - base) <= 1e-9
+        for q in (0.5, 0.8):
+            lossy = apply_loss(rho, LossChannel(q))
+            assert abs(generalized_efficiency(lossy).value - q * base) <= 1e-9
+
+
+@pytest.mark.parametrize("weights,marginal", [
+    ((0.7, 0.7), 0.7), ((0.7, 0.5), 7.0 / 12.0), ((0.4, 0.3), 12.0 / 35.0),
+])
+def test_isps_pairs_read_the_larger_weight_before_and_after_a_splitter(weights, marginal):
+    single, joint = make_basis(1, 2), make_basis(2, 2)
+    rho = tensor_all([make_state(Isps(p), single) for p in weights], joint)
+    splitter = ModeUnitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    out = apply_interferometer(rho, splitter)
+    for state in (rho, out):
+        assert abs(generalized_efficiency(state).value - max(weights)) <= 1e-9
+    for mode in (0, 1):
+        reduced = partial_trace(out, [mode])
+        assert abs(generalized_efficiency(reduced).value - marginal) <= 1e-9
+
+
+def test_is_feasible_on_a_two_mode_state():
+    single, joint = make_basis(1, 2), make_basis(2, 2)
+    rho = tensor_all([make_state(Isps(0.7), single), make_state(Isps(0.5), single)], joint)
+    out = apply_interferometer(rho, haar_random(2, 5))
+    for state in (rho, out):
+        assert is_feasible(state, 1.0)
+        assert is_feasible(state, 0.7)
+        assert not is_feasible(state, 0.69)
+        assert not is_feasible(state, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_heralded_two_mode_outputs_stay_below_the_best_source(seed):
+    # ISPS (0.6, 0.5, 0.4) and a vacuum ancilla through a Haar mesh, modes 2
+    # and 3 detected: the joint E of the two kept modes is at most 0.6, and
+    # at least the E of either marginal
+    single, joint = make_basis(1, 3), make_basis(4, 3)
+    states = [make_state(Isps(p), single) for p in (0.6, 0.5, 0.4)]
+    rho = tensor_all(states + [make_state(Fock(0), single)], joint)
+    rho = apply_interferometer(rho, haar_random(4, seed))
+    for counts in ((1, 0), (1, 1), (0, 1)):
+        out, _ = condition(rho, MeasurementPattern({2: counts[0], 3: counts[1]}))
+        value = generalized_efficiency(out).value
+        assert value <= 0.6 + 1e-9
+        for mode in (0, 1):
+            assert value >= generalized_efficiency(partial_trace(out, [mode])).value
+        assert abs(value - efficiency._bisect(out, 1e-9, FEASIBILITY).value) <= 1e-8
