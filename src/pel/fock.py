@@ -29,6 +29,9 @@ from .errors import (
 #: refuse to build bases larger than this
 MAX_DIMENSION = 20_000
 
+#: complex entries of E - E^dag that ``DensityMatrix`` forms at once
+_SYMMETRISE_CHUNK = 1 << 13
+
 #: largest |alpha|^2 whose vacuum amplitude exp(-|alpha|^2 / 2) is a normal
 #: float (about 1417): past it a displacement table would underflow to zero
 MAX_DISPLACEMENT_MEAN = -2.0 * math.log(np.finfo(float).tiny)
@@ -188,16 +191,28 @@ class DensityMatrix:
         # NaN fails every comparison below, so it has to be refused
         # explicitly; the largest modulus is NaN or inf exactly when some
         # element is
-        largest = float(np.abs(elements).max())
+        modulus = np.abs(elements)
+        largest = float(modulus.max())
         if not math.isfinite(largest):
             raise ContractViolation("matrix has non-finite elements")
-        adjoint = elements.conj().T
-        herm_defect = float(np.abs(elements - adjoint).max())
+        # the adjoint is formed once, contiguously, in the result buffer,
+        # and symmetrised there: (E + E^dag) / 2 with the same bits.  E -
+        # E^dag is formed a few rows at a time, its moduli into ``modulus``,
+        # so no other full-size temporary takes fresh pages
+        symmetric = np.empty((dim, dim), dtype=complex)
+        np.conjugate(elements.T, out=symmetric)
+        step = max(1, _SYMMETRISE_CHUNK // dim)
+        for a in range(0, dim, step):
+            rows = slice(a, a + step)
+            np.abs(elements[rows] - symmetric[rows], out=modulus[rows])
+        herm_defect = float(modulus.max())
         if herm_defect > HERMITICITY * max(1.0, largest):
             raise ContractViolation(
                 f"matrix is not Hermitian: max |E - E^dag| = {herm_defect:.3e}"
             )
-        elements = (elements + adjoint) / 2.0
+        symmetric += elements
+        symmetric /= 2.0
+        elements = symmetric
         trace = float(elements.trace().real)
         # recorded truncation weight is exactly the trace that may be missing
         if abs(trace - 1.0) > UNIT_TRACE + tail:

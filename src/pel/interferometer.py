@@ -12,12 +12,13 @@ Conventions (fixed once, everything else follows from them):
   ``from_mesh`` consumes parameters as (theta, phi) per rotation in that
   order followed by one output phase per mode, ``decompose`` produces them.
 
-Two independent Fock-lift constructions are kept permanently: composition of
-two-mode rotation blocks along the mesh (the default) and the
-permanent-based matrix-element formula (the oracle), which evaluates Ryser's
-formula for every element of a photon block at once; its cost grows as
-2^n per element of the n-photon block.  The two share no code, and tests
-hold them to 1e-9 agreement.
+The Fock lift is built by the creation-operator ladder, each photon block
+from the one before; ``apply_interferometer`` runs it.  Two independent
+constructions stay as its oracles: composition of two-mode rotation blocks
+along the mesh (the kernel the no-go search runs), and the permanent-based
+matrix-element formula, which evaluates Ryser's formula for every element
+of a photon block at once; its cost grows as 2^n per element of the n-photon
+block.  The three share no code, and tests hold the ladder to 1e-12 of both.
 """
 
 import math
@@ -430,19 +431,69 @@ def _permanents(subs: np.ndarray) -> np.ndarray:
     return (subs @ masks).prod(axis=-2) @ signs
 
 
-def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
+@lru_cache(maxsize=64)
+def _ladder_plan(basis: FockBasis) -> tuple:
+    """Index and square-root tables of the creation-operator ladder on
+    ``basis``, one step per photon block n = 1..cutoff (see
+    ``_ladder_blocks``).  Over the occupations r of block n and the modes
+    i, a step holds ``lowered[r, i]``, the index of r - e_i in block n - 1
+    (0 where r_i = 0, whose weight is 0), and ``weights[r, 0, i]`` =
+    sqrt(r_i); over the occupations m, the first occupied mode j of m, the
+    index of m - e_j in block n - 1 and 1 / sqrt(m_j)."""
+    eye = np.eye(basis.modes, dtype=np.int64)
+    steps = []
+    for n in range(1, basis.cutoff + 1):
+        block = basis.occupations[basis.block(n)]
+        rows = np.arange(block.shape[0])
+        occupied = block > 0
+        lowered = np.zeros(block.shape, dtype=np.int64)
+        lowered[occupied] = (
+            basis.rank((block[:, None] - eye)[occupied]) - basis.block(n - 1).start
+        )
+        firsts = np.argmax(occupied, axis=1)
+        step = (lowered, np.sqrt(block[:, None]), firsts, lowered[rows, firsts],
+                1.0 / np.sqrt(block[rows, firsts]))
+        for table in step:
+            table.setflags(write=False)
+        steps.append(step)
+    return tuple(steps)
+
+
+def _ladder_blocks(matrix: np.ndarray, basis: FockBasis) -> list:
+    """The photon blocks V_0..V_cutoff of the Fock lift of ``matrix``, each
+    built from the one before by the creation-operator ladder: with j the
+    first occupied mode of m,
+    V|m> = m_j^(-1/2) (sum_i U[i, j] a_i^dag) V|m - e_j>.
+    A step gathers the columns m - e_j of V_(n-1), raises them along every
+    mode at once and sums over the modes."""
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for lowered, weights, firsts, parents, scales in _ladder_plan(basis):
+        coefficients = matrix.take(firsts, axis=1)
+        coefficients *= scales
+        raised = blocks[-1].take(parents, axis=1).take(lowered, axis=0)
+        raised *= coefficients
+        blocks.append(np.matmul(weights, raised)[:, 0])
+    return blocks
+
+
+def lift(u: ModeUnitary, basis: FockBasis, method: str = "ladder") -> FockLift:
     """Fock representation of ``u`` on the given basis.
 
-    method="mesh" composes two-mode rotation blocks along the mesh
-    decomposition; method="permanent" evaluates matrix elements
+    method="ladder" (the default, and what ``apply_interferometer`` runs)
+    builds each photon block from the one before by the creation-operator
+    ladder (``_ladder_blocks``).  Two independent constructions stay as its
+    oracles: method="mesh" runs the search's mesh kernel on the identity,
+    composing two-mode rotation blocks along the mesh decomposition, and
+    method="permanent" evaluates matrix elements
     <m|V|n> = perm(U[m, n]) / sqrt(prod m! prod n!) directly, every element
-    of a photon block in one batched Ryser sum, chunked over its rows.  The
-    two must agree to 1e-9 and serve as each other's oracle.
+    of a photon block in one batched Ryser sum, chunked over its rows.
     """
     if u.modes != basis.modes:
         raise ContractViolation(
             f"unitary has {u.modes} modes, basis has {basis.modes}"
         )
+    if method == "ladder":
+        return FockLift(basis, _ladder_blocks(u.matrix, basis))
     if method == "mesh":
         params = u.params if u.params is not None else decompose(u.matrix)
         full = np.eye(basis.dimension, dtype=complex)[None]
@@ -471,18 +522,21 @@ def lift(u: ModeUnitary, basis: FockBasis, method: str = "mesh") -> FockLift:
 
 
 def apply_interferometer(rho: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
-    """V rho V^dag with V the Fock lift of ``u``, by the mesh kernel: V acts
-    on the columns of rho, then on the columns of (V rho)^dag = rho V^dag.
-    V conserves total photon number, so the trace and the
-    total-photon-number distribution are preserved up to rounding."""
+    """V rho V^dag with V the Fock lift of ``u``, one photon block at a
+    time.  V conserves total photon number, so it is block diagonal with
+    one block V_n per total n, from the creation-operator ladder on
+    ``u.matrix``: V_n acts on the rows of block n of rho, then V_m^dag on
+    the columns of block m.  The trace and the total-photon-number
+    distribution are preserved up to rounding."""
     if u.modes != rho.basis.modes:
         raise ContractViolation(
             f"unitary has {u.modes} modes, state has {rho.basis.modes}"
         )
     basis = rho.basis
-    params = [u.params if u.params is not None else decompose(u.matrix)]
-    work = rho.elements[None].copy()
-    apply_mesh_to_vectors(work, params, basis.modes, basis)
-    work = work.conj().transpose(0, 2, 1)
-    apply_mesh_to_vectors(work, params, basis.modes, basis)
-    return DensityMatrix(basis, work[0], tail=rho.tail)
+    blocks = _ladder_blocks(u.matrix, basis)
+    work = np.empty_like(rho.elements)
+    for sl, block in zip(basis.block_slices, blocks):
+        np.matmul(block, rho.elements[sl], out=work[sl])
+    for sl, block in zip(basis.block_slices, blocks):
+        work[:, sl] = work[:, sl] @ block.conj().T
+    return DensityMatrix(basis, work, tail=rho.tail)

@@ -2,8 +2,9 @@
 
 Random schemes run through the dense pipeline: two or three sources, each an
 ISPS or a partial qubit of photon weight p in [0.05, 0.95], one vacuum
-ancilla and a Haar mesh.  One or two modes are kept; every other mode is
-detected as 0 or 1 photon or, with chance 0.3, discarded unread.  All inputs
+ancilla and a mesh, Haar or from uniform ``from_mesh`` angles.  One or two
+modes are kept; every other mode is detected as 0 or 1 photon or, with
+chance 0.3, discarded unread.  All inputs
 are tail-free, so every E comes from the exact solve.  On each heralded
 output sigma:
 
@@ -15,9 +16,13 @@ output sigma:
 * with one kept mode and no multiphoton weight, X <= max_i E(rho_i);
 * a herald below the floor raises, and is never a number.
 
-A suite that never fails proves little: the negative control states every
-source's efficiency 10% below its true value, and the E claim must then fail
-on some drawn scheme.
+Before heralding, equal loss on every mode commutes with the drawn mesh.
+
+A suite that never fails proves little, so each claim has a negative
+control: stating every source's efficiency 10% below its true value must
+make the E claim fail on some drawn scheme, and unequal loss must break the
+commutation, on some drawn scheme and macroscopically on
+``unequal_loss_counterexample``.
 """
 
 import cmath
@@ -29,19 +34,25 @@ import pytest
 from pel import (
     Fock,
     Isps,
+    LossChannel,
     MeasurementPattern,
     PartialQubit,
     apply_interferometer,
+    apply_loss,
     condition,
+    from_mesh,
     generalized_efficiency,
     haar_random,
     make_basis,
     make_state,
+    mesh_param_count,
     multiphoton_weight,
     outcome_probability,
     qubit_efficiency_formula,
     single_photon_probability,
     tensor_all,
+    trace_distance,
+    unequal_loss_counterexample,
 )
 from pel.config import HERALD_FLOOR
 from pel.errors import HeraldImpossibleError
@@ -50,9 +61,9 @@ from pel.errors import HeraldImpossibleError
 _SCHEMES = 120
 
 
-def _scheme(rng, kept: int):
-    """One random scheme: its state after the mesh, a heralding pattern
-    that keeps ``kept`` modes, and its sources' efficiencies."""
+def _circuit(rng):
+    """Random sources and a vacuum ancilla, and a mesh: their product
+    state, the mesh's unitary and the sources' efficiencies."""
     sources = int(rng.integers(2, 4))
     modes = sources + 1
     specs, efficiencies = [], []
@@ -69,7 +80,19 @@ def _scheme(rng, kept: int):
     single = make_basis(1, sources)
     states = [make_state(spec, single) for spec in specs + [Fock(0)]]
     rho = tensor_all(states, make_basis(modes, sources))
-    rho = apply_interferometer(rho, haar_random(modes, rng))
+    if rng.random() < 0.5:
+        u = haar_random(modes, rng)
+    else:
+        u = from_mesh(rng.uniform(-math.pi, math.pi, mesh_param_count(modes)), modes)
+    return rho, u, efficiencies
+
+
+def _scheme(rng, kept: int):
+    """One random scheme: its state after the mesh, a heralding pattern
+    that keeps ``kept`` modes, and its sources' efficiencies."""
+    rho, u, efficiencies = _circuit(rng)
+    rho = apply_interferometer(rho, u)
+    modes = rho.basis.modes
     keep = set(rng.choice(modes, size=kept, replace=False).tolist())
     outcomes = {
         m: None if rng.random() < 0.3 else int(rng.integers(0, 2))
@@ -140,3 +163,32 @@ def test_mislabeled_sources_break_the_efficiency_claim(outputs):
     # them, or the claim's test has no power
     with pytest.raises(AssertionError):
         _efficiency_claim(outputs, scale=0.9)
+
+
+def _commutation_gaps(rng, schemes: int, spread: float):
+    """Trace distance between loss before and after the mesh on drawn
+    circuits: loss q on mode 0 and q * (1 - spread) on every other mode."""
+    for _ in range(schemes):
+        rho, u, _ = _circuit(rng)
+        q = float(rng.uniform(0.05, 0.95))
+        rest = tuple(range(1, rho.basis.modes))
+
+        def lossy(state):
+            state = apply_loss(state, LossChannel(q, modes=(0,)))
+            return apply_loss(state, LossChannel(q * (1.0 - spread), modes=rest))
+
+        yield trace_distance(lossy(apply_interferometer(rho, u)),
+                             apply_interferometer(lossy(rho), u))
+
+
+def test_equal_loss_commutes_with_every_drawn_mesh():
+    assert max(_commutation_gaps(np.random.default_rng(20261021), 40, 0.0)) < 1e-10
+
+
+def test_unequal_loss_breaks_the_commutation():
+    # the same check with mode 0 attenuated less than the others must fail
+    # on some drawn circuit, and the two-mode counterexample is macroscopic
+    gaps = _commutation_gaps(np.random.default_rng(20261021), 40, 0.5)
+    with pytest.raises(AssertionError):
+        assert max(gaps) < 1e-10
+    assert unequal_loss_counterexample() > 0.1

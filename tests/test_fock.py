@@ -332,6 +332,35 @@ def test_density_matrix_rejects_non_finite(bad):
         DensityMatrix(b, np.diag([1.0, bad]))
 
 
+@pytest.mark.parametrize("modes,cutoff", [(1, 3), (2, 6), (4, 6), (5, 6)])
+def test_density_matrix_keeps_the_bits_of_the_halved_sum(rng, modes, cutoff):
+    # the stored elements are (E + E^dag) / 2.0 element for element, signed
+    # zeros included, on bases whose E - E^dag takes one or many row chunks
+    basis = make_basis(modes, cutoff)
+    base = random_density(rng, basis, support=min(cutoff, 3)).elements
+    noise = rng.standard_normal(base.shape) + 1j * rng.standard_normal(base.shape)
+    signed = [np.where(base == 0, zero, base) for zero in (complex(-0.0, 0.0), -0.0j)]
+    for elements in (base, base + 1e-17 * noise, base.T.copy(), *signed):
+        before = elements.copy()
+        expected = (elements + elements.conj().T) / 2.0
+        got = DensityMatrix(basis, elements).elements
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(elements.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 3), (4, 6), (5, 6)])
+def test_density_matrix_checks_every_row(rng, modes, cutoff):
+    # an asymmetric or non-finite element in the last row is refused too
+    basis = make_basis(modes, cutoff)
+    elements = random_density(rng, basis).elements.copy()
+    elements[-1, 0] += 1e-6
+    with pytest.raises(ContractViolation, match="Hermitian"):
+        DensityMatrix(basis, elements)
+    elements[-1, 0] = np.nan
+    with pytest.raises(ContractViolation, match="non-finite"):
+        DensityMatrix(basis, elements)
+
+
 # --- tensor and partial trace --------------------------------------------------
 
 def test_tensor_vacuum():

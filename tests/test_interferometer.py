@@ -143,6 +143,37 @@ def test_lift_methods_agree(modes, cutoff):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 4), (4, 3), (4, 6), (5, 4)])
+def test_ladder_lift_matches_the_permanent_and_mesh_lifts(rng, modes, cutoff):
+    basis = make_basis(modes, cutoff)
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(modes))
+    for u in (haar_random(modes, rng), from_mesh(params, modes)):
+        ladder = lift(u, basis).blocks
+        assert len(ladder) == cutoff + 1
+        for method in ("permanent", "mesh"):
+            other = lift(u, basis, method).blocks
+            assert max(np.abs(a - b).max() for a, b in zip(ladder, other)) < 1e-12
+
+
+def test_apply_interferometer_runs_neither_the_mesh_kernel_nor_decompose(
+        monkeypatch, rng):
+    calls = dict.fromkeys(("apply_mesh_to_vectors", "decompose"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(pel.interferometer, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(pel.interferometer, name, counted)
+    basis = make_basis(3, 3)
+    rho = random_density(rng, basis)
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(3))
+    for u in (haar_random(3, rng), from_mesh(params, 3)):
+        apply_interferometer(rho, u)
+    assert calls == {"apply_mesh_to_vectors": 0, "decompose": 0}
+    # the counters do see the mesh lift of a Haar U, which runs both
+    lift(haar_random(3, rng), basis, "mesh")
+    assert calls == {"apply_mesh_to_vectors": 1, "decompose": 1}
+
+
 def brute_force_permanent(mat):
     """sum over permutations s of prod_i mat[i, s(i)]."""
     n = mat.shape[0]
@@ -241,7 +272,7 @@ def test_coherent_amplitudes_transform_linearly(rng):
 @pytest.mark.parametrize("modes,cutoff", [(2, 4), (3, 4), (4, 3)])
 def test_apply_interferometer_matches_the_permanent_lift(rng, modes, cutoff):
     # V rho V^dag with V from the permanent formula, which shares no code
-    # with the mesh kernel that apply_interferometer runs
+    # with the creation-operator ladder that apply_interferometer runs
     basis = make_basis(modes, cutoff)
     params = rng.uniform(-math.pi, math.pi, mesh_param_count(modes))
     for u in (haar_random(modes, rng), haar_random(modes, rng), from_mesh(params, modes)):

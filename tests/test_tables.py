@@ -28,6 +28,7 @@ _CALLS = {
     "pel.interferometer._pair_block_tables": lambda m: m._pair_block_tables(4),
     "pel.interferometer._pair_perm": lambda m: m._pair_perm(FockBasis(4, 3), 1),
     "pel.interferometer._mesh_chain": lambda m: m._mesh_chain(FockBasis(4, 3), 4),
+    "pel.interferometer._ladder_plan": lambda m: m._ladder_plan(FockBasis(3, 4)),
     "pel.interferometer._ryser_tables": lambda m: m._ryser_tables(3),
     "pel.nogo._engine": lambda m: m._engine(SearchSpace((0.3, 0.3))),
 }
