@@ -1,9 +1,10 @@
 """Interferometers: rectangular meshes, Haar sampling, and the Fock lift.
 
 Shows the two-photon interference dip (two photons entering a balanced
-coupler never exit one per port) and the default lift, the creation-operator
-ladder, against its two oracles: the mesh composition and the permanent
-formula.
+coupler never exit one per port) and the Fock lift, built by the
+creation-operator ladder, against its oracle, the permanent formula.  The
+"mesh" lift is the same ladder on the unitary of a decompose / from_mesh
+round trip.
 """
 
 import numpy as np
@@ -31,12 +32,13 @@ for i, amp in enumerate(out):
 print("the (1,1) output amplitude vanishes: photons bunch")
 
 print()
-print("== lift oracles ==")
+print("== the lift and its oracle ==")
 basis = pel.make_basis(3, 4)
 ladder_blocks = pel.lift(u, basis).blocks
-for method in ("mesh", "permanent"):
+for method, name in (("permanent", "permanent formula"),
+                     ("mesh", "ladder of the mesh round trip")):
     other = pel.lift(u, basis, method).blocks
     worst = max(np.abs(a - b).max() for a, b in zip(ladder_blocks, other))
-    print(f"creation-operator ladder vs {method} lift, max difference:", worst)
+    print(f"creation-operator ladder vs {name}, max difference:", worst)
 print("block sizes per total photon number:",
       [b.shape[0] for b in ladder_blocks])

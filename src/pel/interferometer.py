@@ -12,13 +12,14 @@ Conventions (fixed once, everything else follows from them):
   ``from_mesh`` consumes parameters as (theta, phi) per rotation in that
   order followed by one output phase per mode, ``decompose`` produces them.
 
-The Fock lift is built by the creation-operator ladder, each photon block
-from the one before; ``apply_interferometer`` runs it.  Two independent
-constructions stay as its oracles: composition of two-mode rotation blocks
-along the mesh (the kernel the no-go search runs), and the permanent-based
-matrix-element formula, which evaluates Ryser's formula for every element
-of a photon block at once; its cost grows as 2^n per element of the n-photon
-block.  The three share no code, and tests hold the ladder to 1e-12 of both.
+The Fock lift has one construction, the creation-operator ladder, which
+builds each photon block from the one before (``_ladder_blocks``).  It runs
+V rho V^dag in ``apply_interferometer`` and the search's mesh action in
+``apply_mesh_to_vectors``, there for a whole stack of mesh unitaries at
+once.  Its library oracle is the permanent-based matrix-element formula,
+which evaluates Ryser's formula for every element of a photon block at once
+and shares no code with the ladder; its cost grows as 2^n per element of
+the n-photon block.
 """
 
 import math
@@ -94,10 +95,40 @@ def mesh_param_count(modes: int) -> int:
     return modes * (modes - 1) + modes
 
 
-def _embed(modes: int, pair: int, block: np.ndarray) -> np.ndarray:
-    t = np.eye(modes, dtype=complex)
-    t[pair : pair + 2, pair : pair + 2] = block
-    return t
+def _unit_phases(angles: np.ndarray) -> np.ndarray:
+    """exp(i angles) from the real sine and cosine, which run as vector
+    loops; complex exp is several times slower after a complex GEMM on
+    some BLAS builds."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
+def _mesh_unitaries(params: np.ndarray, modes: int) -> np.ndarray:
+    """Unitaries of the rows of an (R, parameters) array of mesh parameters,
+    shape (R, modes, modes).  From the identity, each rotation of
+    ``mesh_layout`` replaces rows (pair, pair + 1) of every matrix by the
+    rotation applied to them, and the output phases then scale the rows.
+    Row r of the result depends on row r of ``params`` alone."""
+    rows = params.shape[0]
+    layout = mesh_layout(modes)
+    # e^{i theta} and e^{i phi} per rotation, then the output phases
+    phases = _unit_phases(params)
+    turns = phases[:, : 2 * len(layout)].reshape(rows, len(layout), 2)
+    coupling = turns[..., 1] * turns[..., 0].imag
+    rotations = np.empty((rows, len(layout), 2, 2, 1), dtype=complex)
+    rotations[..., 0, 0, 0] = rotations[..., 1, 1, 0] = turns[..., 0].real
+    np.negative(coupling, out=rotations[..., 0, 1, 0])
+    np.conjugate(coupling, out=rotations[..., 1, 0, 0])
+    u = np.zeros((rows, modes, modes), dtype=complex)
+    u.reshape(rows, -1)[:, :: modes + 1] = 1.0
+    for slot, pair in enumerate(layout):
+        # the two terms of each new row, summed into the rows they replace
+        terms = rotations[:, slot] * u[:, None, pair : pair + 2]
+        np.add(terms[:, :, 0], terms[:, :, 1], out=u[:, pair : pair + 2])
+    u *= phases[:, 2 * len(layout) :, None]
+    return u
 
 
 def from_mesh(params, modes: int) -> ModeUnitary:
@@ -113,14 +144,7 @@ def from_mesh(params, modes: int) -> ModeUnitary:
             f"mesh for {modes} modes needs {expected} parameters "
             f"({modes * (modes - 1) // 2} rotations + {modes} phases), got {len(params)}"
         )
-    layout = mesh_layout(modes)
-    u = np.eye(modes, dtype=complex)
-    for slot, pair in enumerate(layout):
-        theta, phi = params[2 * slot], params[2 * slot + 1]
-        u = _embed(modes, pair, rotation_matrix(theta, phi)) @ u
-    phases = np.exp(1j * np.array(params[2 * len(layout) :]))
-    u = phases[:, None] * u
-    return ModeUnitary(u, params=params)
+    return ModeUnitary(_mesh_unitaries(np.array([params]), modes)[0], params=params)
 
 
 def _factor_two_by_two(a: np.ndarray):
@@ -204,158 +228,14 @@ def decompose(u) -> list:
 
 # --- Fock-space representation ----------------------------------------------
 
-@lru_cache(maxsize=512)
-def _pair_block_tensors(s: int):
-    """Combinatorial tensors for the total-photon-number-s block of a two-mode
-    rotation: coefficient J and the sin exponent table (the cos exponent is
-    s minus it), indexed [k_out, k_in, j]."""
-    size = s + 1
-    J = np.zeros((size, size, size))
-    QE = np.zeros((size, size, size), dtype=np.int64)
-    for ko in range(size):
-        norm_o = math.lgamma(ko + 1) + math.lgamma(s - ko + 1)
-        for ki in range(size):
-            norm_i = math.lgamma(ki + 1) + math.lgamma(s - ki + 1)
-            scale = math.exp((norm_o - norm_i) / 2.0)
-            for j in range(max(0, ko + ki - s), min(ko, ki) + 1):
-                J[ko, ki, j] = (
-                    (-1) ** (ko - j)
-                    * math.comb(ki, j)
-                    * math.comb(s - ki, ko - j)
-                    * scale
-                )
-                QE[ko, ki, j] = ki + ko - 2 * j
-    for table in (J, QE):
-        table.setflags(write=False)
-    return J, QE
-
-
-@lru_cache(maxsize=64)
-def _pair_block_tables(cutoff: int):
-    """Tables for the s = 0..cutoff blocks of a two-mode rotation, their
-    entries concatenated row-major.
-
-    With z = e^{i theta}, cos^a sin^b = ((z + 1/z) / 2)^a ((z - 1/z) / 2i)^b,
-    so entry (k_out, k_in) of block s is e^{i t phi} times a sum of terms
-    coefficient * e^{i k theta}, k = -s..s, with t = k_out - k_in.  Returns
-    the (2, 2 (2 cutoff + 1)) matrix taking (theta, phi) to the angles
-    k theta and then t phi, k and t in -cutoff..cutoff; the (2 cutoff + 1,
-    entries) coefficient matrix; the index of each entry's phase among the
-    angles; and the offset of each block."""
-    size = 2 * cutoff + 1
-    offsets = np.cumsum([0] + [(s + 1) ** 2 for s in range(cutoff + 1)])
-    coefficients = np.zeros((size, offsets[-1]), dtype=complex)
-    turns = np.empty(offsets[-1], dtype=np.int64)
-    cos_factor = np.array([0.5, 0.0, 0.5])
-    sin_factor = np.array([0.5j, 0.0, -0.5j])
-    for s in range(cutoff + 1):
-        J, QE = _pair_block_tensors(s)
-        for ko in range(s + 1):
-            for ki in range(s + 1):
-                entry = offsets[s] + ko * (s + 1) + ki
-                turns[entry] = size + ko - ki + cutoff
-                for j in range(s + 1):
-                    if not J[ko, ki, j]:
-                        continue
-                    # z-polynomial of cos^(s - b) sin^b, exponents -s..s
-                    poly = np.ones(1, dtype=complex)
-                    for _ in range(s - QE[ko, ki, j]):
-                        poly = np.convolve(poly, cos_factor)
-                    for _ in range(QE[ko, ki, j]):
-                        poly = np.convolve(poly, sin_factor)
-                    coefficients[cutoff - s : cutoff + s + 1, entry] += J[ko, ki, j] * poly
-    steps = np.arange(-cutoff, cutoff + 1, dtype=float)
-    terms = np.zeros((2, 2 * size))
-    terms[0, :size] = steps
-    terms[1, size:] = steps
-    for table in (terms, coefficients, turns):
-        table.setflags(write=False)
-    return terms, coefficients, turns, tuple(int(v) for v in offsets)
-
-
-def _unit_phases(angles: np.ndarray) -> np.ndarray:
-    """exp(i angles) from the real sine and cosine, which run as vector
-    loops; complex exp is several times slower after a complex GEMM on
-    some BLAS builds."""
-    out = np.empty(angles.shape, dtype=complex)
-    np.cos(angles, out=out.real)
-    np.sin(angles, out=out.imag)
-    return out
-
-
-def _pair_rotation_blocks(angles, cutoff: int) -> list:
-    """Matrices of R(theta, phi) on the (k, s-k) occupation ladder, s = 0..cutoff,
-    for an (R, L, 2) array of (theta, phi) pairs: entry s has shape
-    (R, L, s+1, s+1).  Row r of each entry depends on row r of the angles
-    alone."""
-    angles = np.asarray(angles, dtype=float)
-    terms, coefficients, turns, offsets = _pair_block_tables(cutoff)
-    phases = _unit_phases(np.matmul(angles, terms))
-    entries = np.matmul(phases[..., : 2 * cutoff + 1], coefficients)
-    entries *= phases.take(turns, axis=-1)
-    rows, slots = angles.shape[:2]
-    return [
-        entries[..., offsets[s] : offsets[s + 1]].reshape(rows, slots, s + 1, s + 1)
-        for s in range(cutoff + 1)
-    ]
-
-
-@lru_cache(maxsize=256)
-def _pair_perm(basis: FockBasis, pair: int):
-    """Permutation bringing basis indices into (s, k, orbit) order for modes
-    (pair, pair+1), where s = combined pair occupation and k = occupation of
-    mode ``pair``.  In that layout the s-segment is a contiguous
-    (s+1, n_orbits) block, so the rotation becomes one GEMM per s.
-
-    Returns (perm, inverse_perm, segments) with segments a tuple of
-    (s, start_row, n_orbits)."""
-    occ = basis.occupations
-    x, y = pair, pair + 1
-    s_val = occ[:, x] + occ[:, y]
-    k_val = occ[:, x]
-    rest = occ.copy()
-    rest[:, x] = 0
-    rest[:, y] = 0
-    _, orbit_id = np.unique(
-        np.column_stack([s_val, rest]), axis=0, return_inverse=True
-    )
-    order = np.lexsort((orbit_id, k_val, s_val))
-    perm = order.astype(np.int64)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(basis.dimension)
-    segments = []
-    start = 0
-    for s in range(basis.cutoff + 1):
-        count = int((s_val == s).sum())
-        n_orbits = count // (s + 1)
-        if s >= 1 and n_orbits:
-            segments.append((s, start, n_orbits))
-        start += count
-    for table in (perm, inverse):
-        table.setflags(write=False)
-    return perm, inverse, tuple(segments)
-
-
-@lru_cache(maxsize=64)
-def _mesh_chain(basis: FockBasis, modes: int):
-    """Permutation chain for the whole mesh: the inverse permutation of each
-    rotation composed with the next rotation's permutation, so the batch is
-    re-sorted once per rotation instead of twice."""
-    layout = mesh_layout(modes)
-    perms = [_pair_perm(basis, pair) for pair in layout]
-    hops = [perms[i][1].take(perms[i + 1][0]) for i in range(len(layout) - 1)]
-    for table in hops:
-        table.setflags(write=False)
-    segments = tuple(p[2] for p in perms)
-    return perms[0][0], tuple(hops), perms[-1][1], segments
-
-
 def apply_mesh_to_vectors(vectors: np.ndarray, params, modes: int,
                           basis: FockBasis) -> None:
-    """In-place mesh action (rotations in layout order, then output phases)
-    on an (R, dimension, columns) array of state vectors: row r of the
-    (R, parameters) array ``params`` acts on ``vectors[r]``.  Each row's
-    result is the same whatever R is."""
+    """In-place mesh action on an (R, dimension, columns) array of state
+    vectors: row r of the (R, parameters) array ``params`` acts on
+    ``vectors[r]``.  Each row's mesh unitary is lifted by the
+    creation-operator ladder, and each photon block of the vectors is
+    multiplied by its block of the lift.  Each row's result is the same
+    whatever R is."""
     params = np.asarray(params, dtype=float)
     expected = mesh_param_count(modes)
     if params.ndim != 2 or params.shape[1] != expected:
@@ -363,32 +243,21 @@ def apply_mesh_to_vectors(vectors: np.ndarray, params, modes: int,
             f"mesh for {modes} modes needs rows of {expected} parameters, "
             f"got shape {params.shape}"
         )
-    rows, _, columns = vectors.shape
+    if basis.modes != modes:
+        raise ContractViolation(f"mesh has {modes} modes, basis has {basis.modes}")
+    rows, dimension, _ = vectors.shape
     if params.shape[0] != rows:
         raise ContractViolation(
             f"{params.shape[0]} parameter rows for {rows} rows of vectors"
         )
-    layout = mesh_layout(modes)
-    rotations = 2 * len(layout)
-    if layout:
-        first, hops, last_inverse, segments = _mesh_chain(basis, modes)
-        blocks = _pair_rotation_blocks(
-            params[:, :rotations].reshape(rows, len(layout), 2), basis.cutoff
+    if dimension != basis.dimension:
+        raise ContractViolation(
+            f"vectors have {dimension} basis rows, basis has {basis.dimension}"
         )
-        work = vectors.take(first, axis=1)
-        for slot in range(len(layout)):
-            for s, start, n_orbits in segments[slot]:
-                stop = start + (s + 1) * n_orbits
-                segment = work[:, start:stop].reshape(rows, s + 1, n_orbits * columns)
-                work[:, start:stop] = np.matmul(blocks[s][:, slot], segment).reshape(
-                    rows, (s + 1) * n_orbits, columns
-                )
-            if slot + 1 < len(layout):
-                work = work.take(hops[slot], axis=1)
-        vectors[:] = work.take(last_inverse, axis=1)
-    phases = params[:, rotations:]
-    if np.any(phases):
-        vectors *= _unit_phases(np.matmul(basis.occupations, phases[:, :, None]))
+    blocks = _ladder_blocks(_mesh_unitaries(params, modes), basis)
+    # V_0 is 1
+    for sl, block in zip(basis.block_slices[1:], blocks[1:]):
+        vectors[:, sl] = np.matmul(block, vectors[:, sl])
 
 
 class FockLift:
@@ -459,34 +328,37 @@ def _ladder_plan(basis: FockBasis) -> tuple:
     return tuple(steps)
 
 
-def _ladder_blocks(matrix: np.ndarray, basis: FockBasis) -> list:
-    """The photon blocks V_0..V_cutoff of the Fock lift of ``matrix``, each
-    built from the one before by the creation-operator ladder: with j the
-    first occupied mode of m,
+def _ladder_blocks(matrices: np.ndarray, basis: FockBasis) -> list:
+    """The photon blocks V_0..V_cutoff of the Fock lift of each matrix of a
+    (..., modes, modes) stack, V_n of shape (..., d_n, d_n), each built from
+    the one before by the creation-operator ladder: with j the first
+    occupied mode of m,
     V|m> = m_j^(-1/2) (sum_i U[i, j] a_i^dag) V|m - e_j>.
     A step gathers the columns m - e_j of V_(n-1), raises them along every
     mode at once and sums over the modes."""
-    blocks = [np.ones((1, 1), dtype=complex)]
+    blocks = [np.ones(matrices.shape[:-2] + (1, 1), dtype=complex)]
     for lowered, weights, firsts, parents, scales in _ladder_plan(basis):
-        coefficients = matrix.take(firsts, axis=1)
+        coefficients = matrices.take(firsts, axis=-1)
         coefficients *= scales
-        raised = blocks[-1].take(parents, axis=1).take(lowered, axis=0)
-        raised *= coefficients
-        blocks.append(np.matmul(weights, raised)[:, 0])
+        raised = blocks[-1].take(parents, axis=-1).take(lowered, axis=-2)
+        raised *= coefficients[..., None, :, :]
+        blocks.append(np.matmul(weights, raised)[..., 0, :])
     return blocks
 
 
 def lift(u: ModeUnitary, basis: FockBasis, method: str = "ladder") -> FockLift:
     """Fock representation of ``u`` on the given basis.
 
-    method="ladder" (the default, and what ``apply_interferometer`` runs)
-    builds each photon block from the one before by the creation-operator
-    ladder (``_ladder_blocks``).  Two independent constructions stay as its
-    oracles: method="mesh" runs the search's mesh kernel on the identity,
-    composing two-mode rotation blocks along the mesh decomposition, and
-    method="permanent" evaluates matrix elements
-    <m|V|n> = perm(U[m, n]) / sqrt(prod m! prod n!) directly, every element
-    of a photon block in one batched Ryser sum, chunked over its rows.
+    method="ladder" (the default, and the one construction that
+    ``apply_interferometer`` and ``apply_mesh_to_vectors`` run) builds each
+    photon block from the one before by the creation-operator ladder
+    (``_ladder_blocks``).  method="permanent" is its oracle: it evaluates
+    matrix elements <m|V|n> = perm(U[m, n]) / sqrt(prod m! prod n!)
+    directly, every element of a photon block in one batched Ryser sum,
+    chunked over its rows.  method="mesh" runs ``apply_mesh_to_vectors`` on
+    the identity with the mesh parameters of ``u`` (``decompose`` when it
+    has none): the ladder of the mesh's unitary, a ``decompose`` /
+    ``from_mesh`` round trip.
     """
     if u.modes != basis.modes:
         raise ContractViolation(

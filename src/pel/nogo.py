@@ -32,9 +32,10 @@ The mesh runs once per golden-section line, not once per evaluation
 (``_line_scores``).  A line moves one coordinate.  On an amplitude line the
 mesh output does not move at all.  On a mesh line it moves with one angle or
 phase, and each amplitude of the S-photon basis is a trigonometric
-polynomial of degree <= S in it: a two-mode rotation acts on s <= S photons
-through entries e^{it phi} sum_k a_k e^{ik theta} with |t|, |k| <= s, and
-every other element of the mesh is fixed and linear.  So the line applies
+polynomial of degree <= S in it.  That is a fact about the Fock lift V, not
+about how V is built: every entry of the mesh unitary U is one of degree
+<= 1 in any single angle or phase, and the entries of V on n photons are
+polynomials of degree n in the entries of U.  So the line applies
 the mesh at the 2S + 1 nodes x_c + 2 pi j / (2S + 1), takes one DFT, and
 rebuilds the output at each probe x from e^{iq (x - x_c)}, q = -S..S.  The
 scores so found agree with a direct evaluation to rounding; the start point,
@@ -541,7 +542,9 @@ class _SchemeEngine:
 
     def propagate(self, mesh):
         """The mesh stage: every input column through the mesh of each row of
-        an (R, mesh parameters) array, as (R, dimension, columns) vectors."""
+        an (R, mesh parameters) array, as (R, dimension, columns) vectors;
+        ``apply_mesh_to_vectors`` lifts each row's unitary by the
+        creation-operator ladder."""
         vectors = np.repeat(self.inputs[None], mesh.shape[0], axis=0)
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
         return vectors

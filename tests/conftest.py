@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +166,32 @@ def inertia_min_eigenvalue(h, tol=1e-9):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def generator_lift(u, basis):
+    """Independent Fock-lift oracle, one photon block at a time: the
+    exponential of the one-body generator, V = expm(sum_jk h_jk a_j^dag a_k)
+    with h = logm(U).  Since [a_j^dag a_k, a_l^dag] = delta_kl a_j^dag, this
+    V maps a_k^dag to sum_j (e^h)[j, k] a_j^dag, as the lift of U must; it
+    builds no ladder and no permanent."""
+    from scipy.linalg import expm, logm
+
+    h = logm(u.matrix)
+    eye = np.eye(basis.modes, dtype=np.int64)
+    blocks = []
+    for sl in basis.block_slices:
+        occupations = basis.occupations[sl]
+        generator = np.zeros((occupations.shape[0],) * 2, dtype=complex)
+        for j, k in itertools.product(range(basis.modes), repeat=2):
+            # a_j^dag a_k |m> = sqrt(m_k (m_j + 1 - delta_jk)) |m - e_k + e_j>
+            columns = np.flatnonzero(occupations[:, k] > 0)
+            moved = occupations[columns] - eye[k] + eye[j]
+            rows = basis.rank(moved) - sl.start
+            generator[rows, columns] += h[j, k] * np.sqrt(
+                occupations[columns, k] * moved[:, j]
+            )
+        blocks.append(expm(generator))
+    return blocks
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from pel import (
 )
 from pel.errors import ArityError, ContractViolation
 
-from conftest import random_density
+from conftest import generator_lift, random_density
 
 
 # --- sampling and parametrization ---------------------------------------------
@@ -155,6 +155,18 @@ def test_ladder_lift_matches_the_permanent_and_mesh_lifts(rng, modes, cutoff):
             assert max(np.abs(a - b).max() for a, b in zip(ladder, other)) < 1e-12
 
 
+@pytest.mark.parametrize("modes,cutoff", [(3, 4), (4, 6), (4, 10), (3, 12)])
+def test_ladder_lift_matches_the_one_body_generator(rng, modes, cutoff):
+    # at (4, 10) and (3, 12) the permanent lift is itself off by 1e-11 to
+    # 1e-10, so only an oracle without Ryser sums can hold the ladder there
+    basis = make_basis(modes, cutoff)
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(modes))
+    for u in (haar_random(modes, rng), from_mesh(params, modes)):
+        ladder = lift(u, basis).blocks
+        oracle = generator_lift(u, basis)
+        assert max(np.abs(a - b).max() for a, b in zip(ladder, oracle)) < 1e-12
+
+
 def test_apply_interferometer_runs_neither_the_mesh_kernel_nor_decompose(
         monkeypatch, rng):
     calls = dict.fromkeys(("apply_mesh_to_vectors", "decompose"), 0)
@@ -226,6 +238,21 @@ def test_batched_mesh_matches_single_calls(rng):
         assert np.array_equal(batched[row], single[0])
     with pytest.raises(ArityError):
         pel.interferometer.apply_mesh_to_vectors(vectors, params[0], 3, basis)
+
+
+def test_mesh_action_refuses_a_basis_it_does_not_fit(rng):
+    params = rng.uniform(-math.pi, math.pi, (1, mesh_param_count(2)))
+    basis = make_basis(3, 2)
+    vectors = np.zeros((1, basis.dimension, 1), dtype=complex)
+    # a 2-mode mesh, even the identity, on a 3-mode basis
+    for mesh in (params, np.zeros_like(params)):
+        with pytest.raises(ContractViolation):
+            pel.interferometer.apply_mesh_to_vectors(vectors, mesh, 2, basis)
+    # one vector row more than the basis has
+    mesh = rng.uniform(-math.pi, math.pi, (1, mesh_param_count(3)))
+    longer = np.zeros((1, basis.dimension + 1, 1), dtype=complex)
+    with pytest.raises(ContractViolation):
+        pel.interferometer.apply_mesh_to_vectors(longer, mesh, 3, basis)
 
 
 def test_lift_blocks_unitary(rng):

@@ -24,10 +24,6 @@ _CALLS = {
     ),
     "pel.fock._trace_plan": lambda m: m._trace_plan(FockBasis(4, 3), (0, 2), ((1, 1),)),
     "pel.interferometer.mesh_layout": lambda m: m.mesh_layout(4),
-    "pel.interferometer._pair_block_tensors": lambda m: m._pair_block_tensors(3),
-    "pel.interferometer._pair_block_tables": lambda m: m._pair_block_tables(4),
-    "pel.interferometer._pair_perm": lambda m: m._pair_perm(FockBasis(4, 3), 1),
-    "pel.interferometer._mesh_chain": lambda m: m._mesh_chain(FockBasis(4, 3), 4),
     "pel.interferometer._ladder_plan": lambda m: m._ladder_plan(FockBasis(3, 4)),
     "pel.interferometer._ryser_tables": lambda m: m._ryser_tables(3),
     "pel.nogo._engine": lambda m: m._engine(SearchSpace((0.3, 0.3))),
