@@ -65,10 +65,13 @@ from .interferometer import (
     lift,
     mesh_layout,
     mesh_param_count,
+    output_diagonal,
 )
 from .measurement import (
     MeasurementPattern,
     condition,
+    heralded_distribution,
+    mode_distribution,
     multiphoton_weight,
     outcome_probability,
     single_photon_probability,

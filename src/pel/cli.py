@@ -43,16 +43,10 @@ from .fock import (
     Isps,
     PartialQubit,
     make_state,
-    partial_trace,
     tensor_all,
 )
-from .interferometer import ModeUnitary, from_mesh, haar_random, apply_interferometer
-from .measurement import (
-    MeasurementPattern,
-    condition,
-    multiphoton_weight,
-    single_photon_probability,
-)
+from .interferometer import ModeUnitary, from_mesh, haar_random, output_diagonal
+from .measurement import MeasurementPattern, heralded_distribution, mode_distribution
 from .nogo import (
     SearchSpace,
     maximize_X,
@@ -506,7 +500,20 @@ def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASI
     return document, 0
 
 
+def _photon_statistics(distribution) -> dict:
+    """The single-photon probability and multiphoton weight of one mode's
+    photon-number distribution."""
+    single = float(distribution[1]) if distribution.size > 1 else 0.0
+    return {
+        "single_photon_probability": single,
+        "multiphoton_weight": float(distribution[2:].sum()),
+    }
+
+
 def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD_FLOOR):
+    """Every field is a photon-number statistic of V rho V^dag, so it is
+    read off the output's diagonal (``output_diagonal``); the full output
+    state is never formed."""
     sources = spec.get("sources") or []
     if not sources:
         raise ValidationError("sources: at least one source is required for simulate")
@@ -516,41 +523,33 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
     states = [make_state(_build_source(e), single, tail_tol=tail) for e in sources]
     joint = FockBasis(modes, cutoff)
     rho = tensor_all(states, joint, tail_tol=tail)
-    unitary = _build_unitary(spec.get("interferometer"), modes)
-    rho = apply_interferometer(rho, unitary)
+    diagonal = output_diagonal(rho, _build_unitary(spec.get("interferometer"), modes))
     measurement = spec.get("measurement")
     if measurement is not None:
         pattern = MeasurementPattern(
             {int(k): v for k, v in measurement["detect"].items()}
         )
-        survivor, prob = condition(rho, pattern, herald_floor=herald_floor)
-        marginal = partial_trace(survivor, [0])
+        prob, marginal = heralded_distribution(joint, diagonal, pattern, herald_floor)
         document = {
             "spec_echo": spec,
             "herald_probability": prob,
-            "single_photon_probability": single_photon_probability(marginal),
-            "multiphoton_weight": multiphoton_weight(marginal),
-            "survivor_diagonal": [float(x) for x in marginal.diagonal()],
-            "truncation_weight": rho.tail,
+            **_photon_statistics(marginal),
+            "survivor_diagonal": [float(x) for x in marginal],
+            # heralding divides the joint tail by the outcome probability
+            "truncation_weight": rho.tail / prob if rho.tail else 0.0,
             "seed": seed,
             "version": __version__,
         }
         return document, 0
-    per_mode = []
-    for m in range(modes):
-        marginal = partial_trace(rho, [m])
-        per_mode.append(
-            {
-                "mode": m,
-                "single_photon_probability": single_photon_probability(marginal),
-                "multiphoton_weight": multiphoton_weight(marginal),
-            }
-        )
+    per_mode = [
+        {"mode": m, **_photon_statistics(mode_distribution(joint, diagonal, m))}
+        for m in range(modes)
+    ]
     document = {
         "spec_echo": spec,
         "per_mode": per_mode,
         "total_photon_distribution": [
-            float(x) for x in rho.total_photon_distribution()
+            float(diagonal[sl].sum()) for sl in joint.block_slices
         ],
         "truncation_weight": rho.tail,
         "seed": seed,

@@ -721,6 +721,17 @@ def _trace_out(rho: DensityMatrix, plan: tuple) -> np.ndarray:
     return padded[slots[:, :, None], slots[:, None, :]].sum(axis=0, initial=0)
 
 
+def _trace_out_diagonal(diagonal: np.ndarray, plan: tuple) -> np.ndarray:
+    """The diagonal of ``_trace_out`` from the real diagonal of the state
+    alone: its selected rows, gathered through the same slot table (a zero
+    where a group has no row) and summed over the group axis in the same
+    order."""
+    rows, _, _, slots = plan
+    padded = np.zeros(rows.size + 1)
+    padded[:-1] = diagonal.take(rows)
+    return padded[slots].sum(axis=0, initial=0)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the ``keep`` modes (0-based indices); trace preserved.
 

@@ -9,9 +9,17 @@ channel in front of an ideal detector instead, which is equivalent.
 
 import math
 
+import numpy as np
+
 from .config import HERALD_FLOOR
 from .errors import ContractViolation, HeraldImpossibleError
-from .fock import DensityMatrix, FockBasis, _trace_out, _trace_plan
+from .fock import (
+    DensityMatrix,
+    FockBasis,
+    _trace_out,
+    _trace_out_diagonal,
+    _trace_plan,
+)
 
 
 class MeasurementPattern:
@@ -58,19 +66,40 @@ class MeasurementPattern:
         return f"MeasurementPattern({dict(self.outcomes)!r})"
 
 
-def _outcome(rho: DensityMatrix, pattern: MeasurementPattern) -> tuple:
-    """The surviving modes of a valid ``pattern`` on ``rho``, the cached
-    trace-out plan of its counts (``fock._trace_plan``) and its probability,
-    the diagonal summed over the plan's selected rows."""
-    pattern.validate(rho.basis)
-    survivors = tuple(m for m in range(rho.basis.modes) if m not in pattern.modes)
-    plan = _trace_plan(rho.basis, survivors, pattern.counted)
-    return survivors, plan, float(rho.diagonal()[plan[0]].sum())
+def _outcome(basis: FockBasis, diagonal, pattern: MeasurementPattern,
+             kept=None) -> tuple:
+    """The surviving modes of a valid ``pattern`` on a state of ``basis``,
+    the cached trace-out plan (``fock._trace_plan``) of its counts onto the
+    first ``kept`` survivors (every survivor by default) and its
+    probability: the state's real diagonal ``diagonal`` summed over the
+    plan's selected rows, which are the same whatever ``kept`` is."""
+    pattern.validate(basis)
+    survivors = tuple(m for m in range(basis.modes) if m not in pattern.modes)
+    plan = _trace_plan(basis, survivors[:kept], pattern.counted)
+    return survivors, plan, float(diagonal[plan[0]].sum())
+
+
+def _heralded(basis: FockBasis, diagonal, pattern: MeasurementPattern,
+              herald_floor: float, kept=None) -> tuple:
+    """``_outcome``, refused when the outcome is rarer than ``herald_floor``
+    rather than divided by almost-zero."""
+    # written so that NaN fails it too
+    if not 0.0 < herald_floor < math.inf:
+        raise ContractViolation(
+            f"herald_floor must be finite and positive, got {herald_floor!r}"
+        )
+    survivors, plan, prob = _outcome(basis, diagonal, pattern, kept)
+    if prob < herald_floor:
+        raise HeraldImpossibleError(
+            f"outcome probability {prob:.3e} is below the herald floor "
+            f"{herald_floor:.1e}"
+        )
+    return survivors, plan, prob
 
 
 def outcome_probability(rho: DensityMatrix, pattern: MeasurementPattern) -> float:
     """Probability of reading the pattern's counts (wildcards unrestricted)."""
-    return _outcome(rho, pattern)[2]
+    return _outcome(rho.basis, rho.diagonal(), pattern)[2]
 
 
 def condition(
@@ -90,22 +119,33 @@ def condition(
     whose diagonal sums to the probability, and the index work of the
     trace-out; see ``fock._trace_plan`` and ``fock._trace_out``.
     """
-    # written so that NaN fails it too
-    if not 0.0 < herald_floor < math.inf:
-        raise ContractViolation(
-            f"herald_floor must be finite and positive, got {herald_floor!r}"
-        )
-    survivors, plan, prob = _outcome(rho, pattern)
-    if prob < herald_floor:
-        raise HeraldImpossibleError(
-            f"outcome probability {prob:.3e} is below the herald floor "
-            f"{herald_floor:.1e}"
-        )
+    survivors, plan, prob = _heralded(rho.basis, rho.diagonal(), pattern, herald_floor)
     reduced = FockBasis(len(survivors), rho.basis.cutoff)
     elements = _trace_out(rho, plan)
     elements /= prob
     out = DensityMatrix(reduced, elements, tail=rho.tail / prob if rho.tail else 0.0)
     return out, prob
+
+
+def mode_distribution(basis: FockBasis, diagonal, mode: int) -> np.ndarray:
+    """Photon-number distribution of one mode of a state on ``basis``, from
+    the state's real diagonal alone: the diagonal of
+    ``partial_trace(rho, [mode])``, through the same cached plan."""
+    if not 0 <= mode < basis.modes:
+        raise ContractViolation(f"mode {mode} outside range 0..{basis.modes - 1}")
+    return _trace_out_diagonal(diagonal, _trace_plan(basis, (mode,), ()))
+
+
+def heralded_distribution(basis: FockBasis, diagonal, pattern: MeasurementPattern,
+                          herald_floor: float) -> tuple:
+    """The probability of the pattern's outcome on a state of ``basis``, and
+    the photon-number distribution of its first surviving mode given the
+    outcome, from the state's real diagonal alone.  They equal the
+    probability of ``condition`` and the diagonal of ``partial_trace`` of
+    its state onto that mode, and are refused as ``condition`` refuses;
+    one plan cached per (basis, first survivor, counts) shape gives both."""
+    _, plan, prob = _heralded(basis, diagonal, pattern, herald_floor, kept=1)
+    return prob, _trace_out_diagonal(diagonal, plan) / prob
 
 
 def single_photon_probability(rho: DensityMatrix) -> float:

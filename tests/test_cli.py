@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,12 @@ import pytest
 
 import pel
 from pel.cli import SCHEMA, emit, main, run_spec, validate_spec
-from pel.errors import HeraldImpossibleError, TruncationError, ValidationError
+from pel.errors import (
+    ContractViolation,
+    HeraldImpossibleError,
+    TruncationError,
+    ValidationError,
+)
 
 
 def test_efficiency_document_schema():
@@ -958,3 +964,158 @@ def test_a_fresh_process_imports_jsonschema_only_to_word_a_refusal(tmp_path):
     assert proc.stdout == "False\n", proc.stderr
     assert proc.returncode == 2
     assert proc.stderr == f"error: spec field {field}: {reference.value.message}\n"
+
+
+# --- simulate against the full composition -----------------------------------------
+
+_ISPS = {"kind": "isps", "p": 0.6}
+_QUBIT = {"kind": "partial_qubit", "p": 0.5, "q": [0.2, 0.1]}
+_COHERENT = {"kind": "coherent", "alpha": [0.3, -0.2]}
+
+#: (sources, interferometer, detect, cutoff) of simulate specs on 1-4 modes,
+#: unheralded, heralded with one survivor, and heralded with two, with and
+#: without ``null`` wildcards
+_SIMULATE_CASES = [
+    ([_ISPS], None, None, 5),
+    ([_COHERENT, _ISPS], {"mesh": [0.7, -1.1, 0.3, 2.0]}, None, 7),
+    ([_ISPS, _QUBIT, {"kind": "fock", "n": 1}], {"haar": {"seed": 3}}, None, 5),
+    ([_ISPS, _ISPS, _COHERENT, {"kind": "fock", "n": 2}], {"haar": {"seed": 4}}, None, 6),
+    ([_ISPS, _COHERENT], {"haar": {"seed": 5}}, {"1": 1}, 7),
+    ([_ISPS, _QUBIT, _COHERENT], {"haar": {"seed": 6}}, {"1": 1, "2": None}, 6),
+    ([_ISPS, _ISPS, _COHERENT, _QUBIT], {"haar": {"seed": 7}}, {"1": 0, "2": None, "3": 1}, 6),
+    ([_ISPS, _QUBIT, {"kind": "fock", "n": 2}], {"haar": {"seed": 8}}, {"2": 1}, 5),
+    ([_ISPS, _ISPS, _COHERENT, _QUBIT], {"haar": {"seed": 9}}, {"2": 2, "3": None}, 6),
+    ([_COHERENT, _ISPS, _ISPS, _QUBIT], {"mesh": [0.4] * 16}, {"3": None, "2": 1}, 6),
+]
+
+
+def _composed_document(spec):
+    """The simulate document's numbers by the full composition: the joint
+    state, V rho V^dag, then ``condition`` and ``partial_trace``."""
+    single = pel.make_basis(1, spec["cutoff"])
+    tail = spec["tolerances"]["tail"]
+    states = [pel.make_state(pel.cli._build_source(s), single, tail_tol=tail)
+              for s in spec["sources"]]
+    modes = len(states)
+    rho = pel.tensor_all(states, pel.make_basis(modes, spec["cutoff"]), tail_tol=tail)
+    block = spec.get("interferometer")
+    if block is None:
+        u = pel.from_mesh([0.0] * pel.mesh_param_count(modes), modes)
+    elif "haar" in block:
+        u = pel.haar_random(modes, block["haar"]["seed"])
+    else:
+        u = pel.from_mesh(block["mesh"], modes)
+    # through their modules, where the guard test counts them
+    rho = pel.interferometer.apply_interferometer(rho, u)
+
+    def statistics(marginal):
+        return {"single_photon_probability": pel.single_photon_probability(marginal),
+                "multiphoton_weight": pel.multiphoton_weight(marginal)}
+
+    if "measurement" in spec:
+        pattern = pel.MeasurementPattern(
+            {int(k): v for k, v in spec["measurement"]["detect"].items()})
+        survivor, prob = pel.measurement.condition(rho, pattern)
+        marginal = pel.fock.partial_trace(survivor, [0])
+        return {"herald_probability": prob, **statistics(marginal),
+                "survivor_diagonal": list(marginal.diagonal()),
+                "truncation_weight": survivor.tail}
+    return {"per_mode": [{"mode": m, **statistics(pel.fock.partial_trace(rho, [m]))}
+                         for m in range(modes)],
+            "total_photon_distribution": list(rho.total_photon_distribution()),
+            "truncation_weight": rho.tail}
+
+
+def _simulate_spec(sources, interferometer, detect, cutoff):
+    spec = {"command": "simulate", "sources": sources, "cutoff": cutoff,
+            "tolerances": {"tail": 1e-3}}
+    if interferometer is not None:
+        spec["interferometer"] = interferometer
+    if detect is not None:
+        spec["measurement"] = {"detect": detect}
+    return spec
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("case", _SIMULATE_CASES)
+def test_simulate_matches_the_full_composition(case):
+    spec = _simulate_spec(*case)
+    document, code = run_spec(spec)
+    assert code == 0
+    expected = _composed_document(spec)
+    keys = ["spec_echo", *expected, "seed", "version"]
+    assert list(document) == keys
+    got = _numbers({k: document[k] for k in expected})
+    want = _numbers(expected)
+    assert len(got) == len(want)
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
+def test_simulate_forms_no_full_output_state(monkeypatch):
+    # every simulate field is read off the output diagonal; the counters
+    # wrap the names in pel.cli too, where an import would bind them
+    names = ("apply_interferometer", "condition", "partial_trace")
+    homes = (pel.interferometer, pel.measurement, pel.fock)
+    calls = dict.fromkeys(names, 0)
+    for name, home in zip(names, homes):
+        def counted(*args, _name=name, _original=getattr(home, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(home, name, counted)
+        monkeypatch.setattr(pel.cli, name, counted, raising=False)
+    for case in _SIMULATE_CASES:
+        run_spec(_simulate_spec(*case))
+    assert calls == dict.fromkeys(names, 0)
+    # the counters do see the full composition
+    _composed_document(_simulate_spec(*_SIMULATE_CASES[-1]))
+    assert calls == {"apply_interferometer": 1, "condition": 1, "partial_trace": 1}
+
+
+@pytest.mark.parametrize(
+    "detect,error,message",
+    [
+        ({"1": 5}, HeraldImpossibleError,
+         "outcome probability 0.000e+00 is below the herald floor 1.0e-12"),
+        ({"0": None, "1": 0}, ContractViolation,
+         "pattern must leave at least one surviving mode"),
+        ({"2": 1}, ContractViolation, "pattern modes (2,) outside range 0..1"),
+    ],
+    ids=["count-beyond-cutoff", "no-survivor", "mode-outside"],
+)
+def test_heralded_simulate_refusals(tmp_path, capsys, detect, error, message):
+    spec = {"command": "simulate", "sources": [_ISPS, {"kind": "fock", "n": 1}],
+            "measurement": {"detect": detect}, "cutoff": 3}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_spec(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_heralded_simulate_reports_the_survivors_truncation_weight():
+    # the joint tail is 7.46e-5, but heralding on 4 photons (probability
+    # 0.0244) divides it by the outcome probability, past the spec's own
+    # 1e-3 tail tolerance
+    spec = {"command": "simulate",
+            "sources": [{"kind": "coherent", "alpha": 1.2}, {"kind": "isps", "p": 0.5}],
+            "interferometer": {"mesh": [math.pi / 4, 0, 0, 0]},
+            "measurement": {"detect": {"1": 4}}, "cutoff": 8,
+            "tolerances": {"tail": 1e-3}}
+    document, _ = run_spec(spec)
+    expected = _composed_document(spec)
+    assert document["herald_probability"] == pytest.approx(0.02444, abs=1e-5)
+    assert document["truncation_weight"] == pytest.approx(3.05e-3, abs=1e-5)
+    assert document["truncation_weight"] == pytest.approx(
+        expected["truncation_weight"], rel=1e-12)
+    # with no tail there is nothing to amplify
+    exact, _ = run_spec({**spec, "sources": [{"kind": "fock", "n": 2}, _ISPS],
+                         "measurement": {"detect": {"1": 1}}})
+    assert exact["truncation_weight"] == 0.0

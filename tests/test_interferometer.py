@@ -330,3 +330,89 @@ def test_commutation_with_equal_loss(rng):
     a = apply_loss(apply_interferometer(rho, u), ch)
     b = apply_interferometer(apply_loss(rho, ch), u)
     assert trace_distance(a, b) < 1e-10
+
+
+# --- the output diagonal and the block triangle ----------------------------------
+
+def _product_with_a_coherent_factor():
+    # |alpha|^2 = 0.29 leaves a tail of about 2e-7 above cutoff 6
+    single = make_basis(1, 6)
+    states = [make_state(pel.Isps(0.6), single),
+              make_state(Coherent(0.5 + 0.2j), single, tail_tol=1e-5),
+              make_state(pel.Fock(1), single)]
+    return tensor_all(states, make_basis(3, 6), tail_tol=1e-5)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 4), (4, 6), (5, 4), (None, None)])
+def test_output_diagonal_is_the_diagonal_of_the_full_output(rng, modes, cutoff):
+    if modes is None:
+        rho = _product_with_a_coherent_factor()
+        assert rho.tail > 1e-8
+    else:
+        rho = random_density(rng, make_basis(modes, cutoff))
+    m = rho.basis.modes
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(m))
+    for u in (haar_random(m, rng), from_mesh(params, m)):
+        full = apply_interferometer(rho, u).elements.diagonal().real
+        diagonal = pel.output_diagonal(rho, u)
+        assert diagonal.shape == full.shape
+        assert np.abs(diagonal - full).max() < 1e-14
+
+
+def test_output_diagonal_refuses_what_the_density_matrix_refuses(monkeypatch, rng):
+    basis = make_basis(3, 3)
+    rho = random_density(rng, basis)
+    u = haar_random(3, rng)
+    with pytest.raises(ContractViolation, match="unitary has 2 modes"):
+        pel.output_diagonal(rho, haar_random(2, rng))
+    original = pel.interferometer._ladder_blocks
+    # a lift that is not unitary moves the trace, and a NaN reaches the
+    # sum; the full output's DensityMatrix refuses both alike
+    for scale, message in ((1.001, "unit trace"), (math.nan, "non-finite")):
+        def scaled(*args, _scale=scale):
+            blocks = original(*args)
+            blocks[-1] = blocks[-1] * _scale
+            return blocks
+        monkeypatch.setattr(pel.interferometer, "_ladder_blocks", scaled)
+        with pytest.raises(ContractViolation, match=message):
+            pel.output_diagonal(rho, u)
+        with pytest.raises(ContractViolation, match=message):
+            apply_interferometer(rho, u)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 6), (4, 6), (5, 4)])
+def test_apply_interferometer_fills_the_lower_blocks_by_the_conjugate_transpose(
+        rng, modes, cutoff):
+    # blocks below the diagonal are copies, so the result is Hermitian bit
+    # for bit, and it stays the two-sided product of the whole lift
+    basis = make_basis(modes, cutoff)
+    rho = random_density(rng, basis)
+    u = haar_random(modes, rng)
+    out = apply_interferometer(rho, u).elements
+    assert np.array_equal(out, out.conj().T)
+    v = generator_lift(u, basis)
+    full = np.zeros((basis.dimension,) * 2, dtype=complex)
+    for sl, block in zip(basis.block_slices, v):
+        full[sl, sl] = block
+    assert np.abs(out - full @ rho.elements @ full.conj().T).max() < 1e-12
+
+
+#: every shape at which a test of this suite, demos/02_interferometers.py or
+#: the benchmark's lift job compares against the permanent lift
+_PERMANENT_ORACLE_SHAPES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 6), (5, 4)]
+
+
+@pytest.mark.parametrize("modes,cutoff", _PERMANENT_ORACLE_SHAPES)
+def test_permanent_lift_is_unitary_where_it_serves_as_the_oracle(rng, modes, cutoff):
+    basis = make_basis(modes, cutoff)
+    params = rng.uniform(-math.pi, math.pi, mesh_param_count(modes))
+    for u in (haar_random(modes, rng), from_mesh(params, modes)):
+        for block in lift(u, basis, "permanent").blocks:
+            assert np.abs(block.conj().T @ block - np.eye(block.shape[0])).max() < 1e-12
+
+
+def test_permanent_lift_refuses_a_photon_number_beyond_its_range():
+    # two modes at cutoff 12: the Ryser sums of the top blocks are off by
+    # about 1e-10, so the oracle says so instead of checking at 1e-12
+    with pytest.raises(ContractViolation, match="only up to about 8 photons"):
+        lift(haar_random(2, seed=1), make_basis(2, 12), "permanent")

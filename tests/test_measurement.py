@@ -246,3 +246,35 @@ def test_loss_keeps_multiphoton_free_states_clean(rng):
         after = multiphoton_weight(apply_loss(dirty, LossChannel(p)))
         # the two-photon term alone survives with weight >= p^2 * w_2
         assert after > 1e-12
+
+
+@pytest.mark.parametrize(
+    "modes,outcomes",
+    [(2, {1: 1}), (3, {1: 0, 2: None}), (3, {2: 2}), (4, {1: 1, 2: None, 3: 0}),
+     (4, {2: None, 3: 1}), (4, {0: None, 2: 1})],
+)
+def test_distributions_from_the_diagonal_match_condition(rng, modes, outcomes):
+    basis = make_basis(modes, 4)
+    rho = random_density(rng, basis)
+    pattern = MeasurementPattern(outcomes)
+    survivor, prob = condition(rho, pattern)
+    first = pel.heralded_distribution(basis, rho.diagonal(), pattern, 1e-12)
+    assert abs(first[0] - prob) < 1e-15
+    assert np.abs(first[1] - partial_trace(survivor, [0]).diagonal()).max() < 1e-14
+    for mode in range(modes):
+        marginal = pel.mode_distribution(basis, rho.diagonal(), mode)
+        assert np.abs(marginal - partial_trace(rho, [mode]).diagonal()).max() < 1e-15
+
+
+def test_distributions_from_the_diagonal_refuse_as_condition_does(rng):
+    basis = make_basis(3, 2)
+    diagonal = random_density(rng, basis).diagonal()
+    for outcomes, error in (({1: 3}, HeraldImpossibleError),
+                            ({0: 0, 1: 0, 2: 0}, ContractViolation),
+                            ({3: 0}, ContractViolation)):
+        with pytest.raises(error):
+            pel.heralded_distribution(basis, diagonal, MeasurementPattern(outcomes), 1e-12)
+    with pytest.raises(ContractViolation, match="herald_floor"):
+        pel.heralded_distribution(basis, diagonal, MeasurementPattern({1: 0}), math.nan)
+    with pytest.raises(ContractViolation, match="outside range"):
+        pel.mode_distribution(basis, diagonal, 3)
