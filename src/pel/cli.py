@@ -2,10 +2,14 @@
 
 ``pel <command> --spec FILE [--seed N] [--cutoff N] [--threads N]
 [--out PATH] [--format json|csv]`` with commands ``simulate``,
-``efficiency``, ``nogo-search`` and ``verify``.  Specs are strict JSON:
-unknown fields, repeated keys and the blocks, seed and thread count the
-command never reads are rejected so a typo cannot silently change an
-experiment.
+``efficiency``, ``nogo-search`` and ``verify``; ``pel verify
+commutation|bernoulli [--trials N]`` runs a check without a spec.  Specs are
+strict JSON: unknown fields and repeated keys are refused, and so is every
+field the command never reads (``_READS`` lists, per command, the fields it
+reads), so a typo cannot silently change an experiment.  A command-line
+``--cutoff`` is refused the same way where the command reads no cutoff:
+``nogo-search`` caps its search at ``search.cutoff``, and ``verify``'s
+checks fix their own bases.
 
 A spec is checked against ``SCHEMA``, compiled once at import into a plain
 predicate that decides as jsonschema's Draft 2020-12 validator does.
@@ -34,8 +38,7 @@ import sys
 from . import __version__
 from .config import FEASIBILITY, HERALD_FLOOR, TAIL
 from .efficiency import generalized_efficiency
-from .errors import PelError, ValidationError
-from .errors import ContractViolation
+from .errors import ArityError, ContractViolation, PelError, ValidationError
 from .fock import (
     Coherent,
     Fock,
@@ -408,63 +411,54 @@ def _build_source(entry: dict):
 def _build_unitary(block: dict | None, modes: int) -> ModeUnitary:
     if block is None:
         return from_mesh([0.0] * (modes * (modes - 1) + modes), modes)
-    if "mesh" in block:
-        return from_mesh(block["mesh"], modes)
     if "haar" in block:
         return haar_random(modes, block["haar"]["seed"])
-    matrix = [[_as_complex(cell) for cell in row] for row in block["matrix"]]
+    field = "mesh" if "mesh" in block else "matrix"
     try:
-        return ModeUnitary(matrix)
-    except ContractViolation as exc:
-        raise ValidationError(f"interferometer.matrix: {exc}") from None
+        if field == "mesh":
+            return from_mesh(block["mesh"], modes)
+        unitary = ModeUnitary([[_as_complex(cell) for cell in row] for row in block["matrix"]])
+    except (ArityError, ContractViolation) as exc:
+        raise ValidationError(f"interferometer.{field}: {exc}") from None
+    if unitary.modes != modes:
+        raise ValidationError(
+            f"interferometer.matrix: unitary has {unitary.modes} modes, state has {modes}"
+        )
+    return unitary
 
 
-#: the fields of a spec's ``tolerances`` block that each command reads; each
-#: is a keyword of the command's runner
-_TOLERANCES_READ = {
-    "efficiency": ("tail", "feasibility"),
-    "simulate": ("tail", "herald_floor"),
-}
-
-
-#: the blocks, seed and thread count of a spec each command reads
-_FIELDS_READ = {
-    "efficiency": ("sources",),
-    "simulate": ("sources", "interferometer", "measurement"),
+#: the spec fields each command reads besides ``command`` and ``output``,
+#: which every command reads: its blocks, ``seed``, ``threads``, ``cutoff``
+#: and each ``tolerances.<key>``, a keyword of the command's runner
+_READS = {
+    "efficiency": ("sources", "cutoff", "tolerances.tail", "tolerances.feasibility"),
+    "simulate": ("sources", "interferometer", "measurement", "cutoff",
+                 "tolerances.tail", "tolerances.herald_floor"),
     "nogo-search": ("search", "seed", "threads"),
     "verify": ("verify", "seed"),
 }
 
 
-def _refuse_unread_fields(spec: dict) -> None:
-    """A block, seed or thread count the command never reads is refused
-    rather than echoed as if it had been applied, as ``_tolerances``
-    refuses a tolerance."""
+def _refuse_unread(spec: dict, cutoff) -> None:
+    """A spec field the command never reads, or a command-line ``cutoff``
+    where it reads none, is refused rather than echoed as if it had been
+    applied.  A ``tolerances`` block is named as a whole where the command
+    reads no tolerance."""
     command = spec["command"]
-    for field in ("sources", "interferometer", "measurement", "search", "verify",
-                  "seed", "threads"):
-        if field in spec and field not in _FIELDS_READ[command]:
+    reads = _READS[command]
+    paths = [field for field in spec if field not in ("command", "output", "tolerances")]
+    if "tolerances" in spec:
+        if any(field.startswith("tolerances.") for field in reads):
+            paths += [f"tolerances.{key}" for key in spec["tolerances"]]
+        else:
+            paths.append("tolerances")
+    if cutoff is not None:
+        paths.append("cutoff")
+    for path in paths:
+        if path not in reads:
             raise ValidationError(
-                f"spec field {field}: {command} reads only "
-                f"{', '.join(_FIELDS_READ[command])}"
+                f"spec field {path}: {command} reads only {', '.join(reads)}"
             )
-
-
-def _tolerances(spec: dict) -> dict:
-    """The runner keywords set by the spec's ``tolerances`` block.  A field
-    the command never reads is refused rather than echoed as if it had been
-    applied; the search and the checks read none."""
-    command = spec["command"]
-    if "tolerances" in spec and command not in _TOLERANCES_READ:
-        raise ValidationError(f"spec field tolerances: {command} reads no tolerance")
-    block = spec.get("tolerances", {})
-    for key in block:
-        if key not in _TOLERANCES_READ[command]:
-            raise ValidationError(
-                f"spec field tolerances.{key}: {command} reads only "
-                f"{', '.join(_TOLERANCES_READ[command])}"
-            )
-    return {key: float(value) for key, value in block.items()}
 
 
 def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASIBILITY):
@@ -558,21 +552,15 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
     return document, 0
 
 
-def _search_spaces(spec, cutoff):
+#: the fields of a spec's ``search`` block that are not ``SearchSpace`` fields
+_GRID_FIELDS = ("source_efficiencies", "p_max_grid", "num_sources", "budget")
+
+
+def _search_spaces(spec):
+    """One ``SearchSpace`` per grid point; every other field of the search
+    block passes through unchanged, so ``SearchSpace`` holds the defaults."""
     block = spec.get("search") or {}
-    common = {
-        "num_coherent": block.get("num_coherent", 1),
-        "constraint": block.get("constraint"),
-    }
-    for key in ("amplitude_cap", "min_herald"):
-        if key in block:
-            common[key] = block[key]
-    if "patterns" in block:
-        common["patterns"] = tuple(tuple(p) for p in block["patterns"])
-    if cutoff is not None:
-        common["cutoff"] = cutoff
-    elif "cutoff" in block:
-        common["cutoff"] = block["cutoff"]
+    common = {key: value for key, value in block.items() if key not in _GRID_FIELDS}
     if "p_max_grid" in block:
         if "source_efficiencies" in block:
             raise ValidationError(
@@ -598,7 +586,7 @@ def _search_spaces(spec, cutoff):
 
 
 def _run_nogo(spec, seed, cutoff, threads):
-    spaces = _search_spaces(spec, cutoff)
+    spaces = _search_spaces(spec)
     budget = (spec.get("search") or {}).get("budget", 20000)
     reports = []
     for space in spaces:
@@ -630,12 +618,6 @@ def _run_nogo(spec, seed, cutoff, threads):
 
 
 def _run_verify(spec, seed, cutoff, threads):
-    # refused rather than echoed as if it had been applied, as ``_tolerances``
-    # refuses a tolerance the command never reads
-    if cutoff is not None:
-        raise ValidationError(
-            "cutoff: verify reads no cutoff; its checks fix their own bases"
-        )
     block = spec.get("verify")
     if block is None:
         raise ValidationError("verify: a verify block naming the check is required")
@@ -679,6 +661,7 @@ _RUNNERS = {
 def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
     """Validate and execute a spec document; returns (document, exit_code)."""
     validate_spec(spec)
+    _refuse_unread(spec, cutoff)
     seed = seed if seed is not None else spec.get("seed", 0)
     cutoff = cutoff if cutoff is not None else spec.get("cutoff")
     threads = threads if threads is not None else spec.get("threads", os.cpu_count() or 1)
@@ -689,8 +672,7 @@ def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    _refuse_unread_fields(spec)
-    tolerances = _tolerances(spec)
+    tolerances = {key: float(value) for key, value in spec.get("tolerances", {}).items()}
     runner = _RUNNERS[spec["command"]]
     return runner(spec, seed, cutoff, threads, **tolerances)
 
@@ -712,8 +694,6 @@ def _emit_json(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -721,9 +701,6 @@ def _emit_json(obj) -> str:
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}:{_emit_json(v)}" for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
-    item = getattr(obj, "item", None)
-    if item is not None:
-        return _emit_json(item())
     raise ValidationError(f"cannot serialize {type(obj).__name__} in result document")
 
 
@@ -831,6 +808,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # the subject and trial count make a spec for verify without --spec
+        for option, value in (("subject", args.subject), ("--trials", args.trials)):
+            if value is not None and (args.spec is not None or args.command != "verify"):
+                raise ValidationError(
+                    f"{option} {value}: only verify without --spec reads it"
+                )
         if args.spec is not None:
             try:
                 with open(args.spec, "r", encoding="utf-8") as fh:

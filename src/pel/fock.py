@@ -670,11 +670,11 @@ def _trace_plan(basis: FockBasis, keep: tuple, counted: tuple) -> tuple:
     on the rows whose modes hold the (mode, count) pairs of ``counted``;
     built once per shape, read-only.
 
-    Returns the selected rows, ascending; each row's group of equal traced
-    occupations, the groups in lexicographic order; each row's index in
-    the reduced basis on ``keep``; and the (groups, reduced dimension) slot
-    table, which holds the position in the rows of every (group, reduced
-    index) slot, or the number of rows where a group has no row.
+    Returns the selected rows, ascending, and the (groups, reduced
+    dimension) slot table.  A group holds the rows of equal traced
+    occupations, the groups in lexicographic order; the table holds the
+    position in the rows of every (group, index in the reduced basis on
+    ``keep``) slot, or the number of rows where a group has no row.
     """
     occ = basis.occupations
     selected = np.ones(basis.dimension, dtype=bool)
@@ -693,7 +693,7 @@ def _trace_plan(basis: FockBasis, keep: tuple, counted: tuple) -> tuple:
     # a count beyond the cutoff selects no row, and the plan has no group
     slots = np.full((group.max(initial=-1) + 1, reduced.dimension), rows.size)
     slots[group, ranks] = np.arange(rows.size)
-    plan = rows, group, ranks, slots
+    plan = rows, slots
     for table in plan:
         table.setflags(write=False)
     return plan
@@ -711,7 +711,7 @@ def _trace_out(rho: DensityMatrix, plan: tuple) -> np.ndarray:
     lexicographic order onto zero.  The block is a plain copy of ``rho``
     when every row is selected, and two gathers otherwise.
     """
-    rows, _, _, slots = plan
+    rows, slots = plan
     size = rows.size
     padded = np.zeros((size + 1, size + 1), dtype=complex)
     if size == rho.dimension:
@@ -726,7 +726,7 @@ def _trace_out_diagonal(diagonal: np.ndarray, plan: tuple) -> np.ndarray:
     alone: its selected rows, gathered through the same slot table (a zero
     where a group has no row) and summed over the group axis in the same
     order."""
-    rows, _, _, slots = plan
+    rows, slots = plan
     padded = np.zeros(rows.size + 1)
     padded[:-1] = diagonal.take(rows)
     return padded[slots].sum(axis=0, initial=0)

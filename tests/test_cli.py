@@ -1119,3 +1119,194 @@ def test_heralded_simulate_reports_the_survivors_truncation_weight():
     exact, _ = run_spec({**spec, "sources": [{"kind": "fock", "n": 2}, _ISPS],
                          "measurement": {"detect": {"1": 1}}})
     assert exact["truncation_weight"] == 0.0
+
+
+def _refused(tmp_path, capsys, spec, argv=()):
+    """Exit code and standard error of ``pel`` on ``spec`` written to a file."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main([spec["command"], "--spec", str(path), *argv])
+    return code, capsys.readouterr().err
+
+
+_TWO_ISPS = [{"kind": "isps", "p": 0.5}, {"kind": "isps", "p": 0.5}]
+_IDENTITY_3 = [[[1.0 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"command": "nogo-search", "search": {"budget": 50, "cutoff": 6}},
+         "search: either source_efficiencies or p_max_grid is required"),
+        ({"command": "nogo-search",
+          "search": {"source_efficiencies": [0.5], "num_coherent": 0, "cutoff": 6}},
+         "search: the scheme needs at least two modes (one surviving, one detected)"),
+        ({"command": "verify"}, "verify: a verify block naming the check is required"),
+        ({"command": "simulate", "sources": _TWO_ISPS,
+          "interferometer": {"matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                        [[1.0, 0.0], [0.0, 0.0]]]}},
+         "interferometer.matrix: matrix is not unitary: max |U^dag U - I| = 1.000e+00"),
+        ({"command": "simulate", "sources": _TWO_ISPS,
+          "interferometer": {"mesh": [0.1, 0.2]}},
+         "interferometer.mesh: mesh for 2 modes needs 4 parameters "
+         "(1 rotations + 2 phases), got 2"),
+        ({"command": "simulate", "sources": _TWO_ISPS,
+          "interferometer": {"matrix": _IDENTITY_3}},
+         "interferometer.matrix: unitary has 3 modes, state has 2"),
+    ],
+    ids=["search-no-grid", "search-contract", "verify-no-block", "matrix-not-unitary",
+         "mesh-wrong-size", "matrix-wrong-size"],
+)
+def test_main_spec_refusals_past_the_schema(tmp_path, capsys, monkeypatch, spec, message):
+    # each passes the schema and is refused by its runner, naming the block,
+    # before anything is computed
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("maximize_X", "verify_commutation", "verify_bernoulli_consequence",
+                 "output_diagonal"):
+        monkeypatch.setattr(pel.cli, name, no_run)
+    code, err = _refused(tmp_path, capsys, spec)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+_SEARCH_CAP_3 = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 3}
+
+
+@pytest.mark.parametrize(
+    "spec,argv,message",
+    [
+        # the search's cap is search.cutoff: a top-level one would shadow it
+        ({"command": "nogo-search", "cutoff": 3,
+          "search": {**_SEARCH_CAP_3, "cutoff": 9}}, [],
+         "spec field cutoff: nogo-search reads only search, seed, threads"),
+        ({"command": "nogo-search", "search": _SEARCH_CAP_3}, ["--cutoff", "9"],
+         "spec field cutoff: nogo-search reads only search, seed, threads"),
+        ({"command": "verify", "verify": {"check": "bernoulli", "trials": 1}},
+         ["--cutoff", "4"], "spec field cutoff: verify reads only verify, seed"),
+        ({"command": "efficiency", "sources": _TWO_ISPS, "seed": 1},
+         [], "spec field seed: efficiency reads only sources, cutoff, tolerances.tail, "
+             "tolerances.feasibility"),
+        ({"command": "simulate", "sources": _TWO_ISPS, "tolerances": {"feasibility": 0.1}},
+         [], "spec field tolerances.feasibility: simulate reads only sources, "
+             "interferometer, measurement, cutoff, tolerances.tail, tolerances.herald_floor"),
+        ({"command": "nogo-search", "search": _SEARCH_CAP_3, "tolerances": {}},
+         [], "spec field tolerances: nogo-search reads only search, seed, threads"),
+    ],
+    ids=["nogo-search-spec-cutoff", "nogo-search-command-line-cutoff",
+         "verify-command-line-cutoff", "efficiency-seed", "simulate-feasibility",
+         "nogo-search-empty-tolerances"],
+)
+def test_main_refuses_what_the_command_does_not_read(
+    tmp_path, capsys, monkeypatch, spec, argv, message
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    code, err = _refused(tmp_path, capsys, spec, argv)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["verify", "bernoulli", "--spec", "SPEC", "--trials", "7"], "subject bernoulli"),
+        (["verify", "--spec", "SPEC", "--trials", "7"], "--trials 7"),
+        (["efficiency", "commutation", "--spec", "SPEC", "--trials", "3"],
+         "subject commutation"),
+        (["efficiency", "--spec", "SPEC", "--trials", "3"], "--trials 3"),
+        (["nogo-search", "bernoulli"], "subject bernoulli"),
+    ],
+    ids=["verify-spec-subject", "verify-spec-trials", "efficiency-subject",
+         "efficiency-trials", "nogo-search-subject"],
+)
+def test_main_refuses_command_line_values_nothing_reads(
+    tmp_path, capsys, monkeypatch, argv, value
+):
+    # the subject and --trials make the spec of a verify run without one;
+    # beside a spec, or for another command, they would change nothing
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    path = tmp_path / "spec.json"
+    command = argv[0]
+    spec = {"command": command}
+    if command == "verify":
+        spec["verify"] = {"check": "commutation", "trials": 1}
+    elif command == "efficiency":
+        spec["sources"] = [{"kind": "isps", "p": 0.5}]
+    path.write_text(json.dumps(spec))
+    argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {value}: only verify without --spec reads it\n"
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("efficiency", {"sources": [{"kind": "isps", "p": 0.5}]}),
+    ("simulate", {"sources": [{"kind": "fock", "n": 1}]}),
+    ("verify", {"verify": {"check": "bernoulli", "trials": 1}}),
+])
+def test_main_seed_and_threads_on_the_command_line_reach_every_command(
+    tmp_path, capsys, command, spec
+):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"command": command, **spec}))
+    assert main([command, "--spec", str(path), "--seed", "5", "--threads", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+def test_the_fields_each_command_reads_are_schema_fields():
+    # every spec field but command and output is read by some command, and
+    # the table names no field the schema does not have
+    properties = SCHEMA["properties"]
+    tolerances = properties["tolerances"]["properties"]
+    read = {field for fields in pel.cli._READS.values() for field in fields}
+    assert set(pel.cli._READS) == set(properties["command"]["enum"])
+    assert read == (
+        (properties.keys() - {"command", "output", "tolerances"})
+        | {f"tolerances.{key}" for key in tolerances}
+    )
+
+
+def test_search_block_passes_its_search_space_fields_through():
+    search = {"source_efficiencies": [0.5, 0.4], "num_coherent": 2, "cutoff": 5,
+              "amplitude_cap": 0.5, "constraint": 0.1, "min_herald": 1e-4,
+              "patterns": [[1, 0, 0], [2, 0, 1]], "budget": 50}
+    (space,) = pel.cli._search_spaces({"command": "nogo-search", "search": search})
+    assert space == pel.SearchSpace(
+        (0.5, 0.4), num_coherent=2, cutoff=5, amplitude_cap=0.5, constraint=0.1,
+        min_herald=1e-4, patterns=((1, 0, 0), (2, 0, 1)),
+    )
+    (default,) = pel.cli._search_spaces(
+        {"command": "nogo-search", "search": {"source_efficiencies": [0.5, 0.4]}})
+    assert default == pel.SearchSpace((0.5, 0.4))
+
+
+_ONE_DOCUMENT_PER_KIND = [
+    {"command": "simulate", "sources": _TWO_ISPS, "cutoff": 2,
+     "interferometer": {"mesh": [0.7853981633974483, 0, 0, 0]},
+     "measurement": {"detect": {"1": 1}}},
+    {"command": "simulate", "sources": [{"kind": "coherent", "alpha": [0.3, 0.1]},
+                                        {"kind": "partial_qubit", "p": 0.5, "q": 0.2}],
+     "interferometer": {"haar": {"seed": 3}}, "cutoff": 6, "tolerances": {"tail": 1e-3}},
+    {"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7},
+                                          {"kind": "fock", "n": 1}]},
+    {"command": "verify", "verify": {"check": "commutation", "trials": 1}},
+    {"command": "verify", "verify": {"check": "bernoulli", "trials": 1}},
+    {"command": "nogo-search",
+     "search": {"source_efficiencies": [0.5, 0.5], "budget": 1, "cutoff": 4}},
+]
+
+
+@pytest.mark.parametrize("spec", _ONE_DOCUMENT_PER_KIND,
+                         ids=["simulate-heralded", "simulate", "efficiency",
+                              "verify-commutation", "verify-bernoulli", "nogo-search"])
+def test_documents_hold_only_json_values(spec):
+    # emission serializes these types alone: a runner converts every number
+    # it reports with float, int or bool
+    document, _ = run_spec(spec, threads=1)
+    kinds = {type(value) for _, value in _nodes(document)}
+    assert kinds <= {dict, list, str, int, float, bool, type(None)}, kinds
+    assert json.loads(emit(document)) == document
