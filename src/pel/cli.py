@@ -11,17 +11,23 @@ reads), so a typo cannot silently change an experiment.  A command-line
 ``nogo-search`` caps its search at ``search.cutoff``, and ``verify``'s
 checks fix their own bases.
 
-A spec is checked against ``SCHEMA``, compiled once at import into a plain
-predicate that decides as jsonschema's Draft 2020-12 validator does.
-jsonschema is imported only when a spec is refused, to word the refusal.
+A spec must hold JSON values alone: a Python caller's spec with a tuple, a
+numpy scalar that is no Python float or int, a key that is no string, a NaN
+or an infinity is refused before anything else.  It is then checked against
+``SCHEMA``, compiled once at import into a plain predicate that decides as
+jsonschema's Draft 2020-12 validator does.  jsonschema is imported only when
+a spec is refused, to word the refusal.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard or I/O error,
 4 theorem-violation flag (never expected).
 
-Result documents are deterministic: fixed key order, floats printed with 17
-significant digits (round-trip exact), no timestamps, and search results are
-independent of the thread count.  Identical spec + seed therefore gives
-byte-identical output.
+Every result document is ``spec_echo``, the command's fields, ``seed`` and
+``version``, in that order (``_document``).  Documents are deterministic:
+fixed key order, floats printed with 17 significant digits (round-trip
+exact), no timestamps, and search results are independent of the thread
+count.  Identical spec + seed therefore gives byte-identical output.  The
+CSV form is one table per document kind, picked by the spec's command
+(``_csv_table``).
 """
 
 import argparse
@@ -360,23 +366,37 @@ def _compile(schema: dict):
 _spec_is_valid = _compile(SCHEMA)
 
 
-def _require_finite(value, path=()):
-    """Reject the first NaN or infinity in a JSON value: Python's json admits
-    both, and they pass the schema's bounds."""
-    if isinstance(value, float) and not math.isfinite(value):
-        field = ".".join(str(p) for p in path)
-        raise ValidationError(f"spec field {field}: non-finite number {value!r}")
-    if isinstance(value, (dict, list)):
-        children = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, child in children:
-            _require_finite(child, path + (key,))
+def _refusal(path, message: str) -> ValidationError:
+    field = ".".join(str(p) for p in path) or "(top level)"
+    return ValidationError(f"spec field {field}: {message}")
+
+
+def _require_json(value, path=()) -> None:
+    """Refuse the first value that emission could not write back: a key that
+    is no string, a NaN or infinity (Python's json admits both, and they pass
+    the schema's bounds), or anything but None, bool, int, float, str, list
+    and dict, such as a tuple or a numpy float32."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if not isinstance(key, str):
+                raise _refusal(path, f"key {key!r} is not a string")
+            _require_json(child, path + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            _require_json(child, path + (index,))
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise _refusal(path, f"non-finite number {value!r}")
+    elif not (value is None or isinstance(value, (int, float, str))):
+        raise _refusal(path, f"{type(value).__name__} is not a JSON value")
 
 
 def validate_spec(spec: dict) -> None:
-    """Refuse, with ``ValidationError``, a spec that ``SCHEMA`` refuses or
-    that holds a NaN or infinity.  The check is ``SCHEMA`` compiled once into
-    a predicate; only a refused spec imports jsonschema, to word the refusal
-    with the error that ``jsonschema.validate`` would raise."""
+    """Refuse, with ``ValidationError``, a spec that holds a value no JSON
+    document holds (``_require_json``) or that ``SCHEMA`` refuses.  The
+    check is ``SCHEMA`` compiled once into a predicate; only a refused spec
+    imports jsonschema, to word the refusal with the error that
+    ``jsonschema.validate`` would raise."""
+    _require_json(spec)
     if not _spec_is_valid(spec):
         import jsonschema
 
@@ -386,9 +406,7 @@ def validate_spec(spec: dict) -> None:
             raise RuntimeError(
                 f"the compiled schema refuses a spec that jsonschema accepts: {spec!r}"
             )
-        path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ValidationError(f"spec field {path}: {exc.message}")
-    _require_finite(spec)
+        raise _refusal(exc.absolute_path, exc.message)
 
 
 def _as_complex(value) -> complex:
@@ -461,6 +479,20 @@ def _refuse_unread(spec: dict, cutoff) -> None:
             )
 
 
+def _document(spec, seed, **fields) -> dict:
+    """A result document: the spec echoed first, then the command's fields,
+    then the seed and the package version."""
+    return {"spec_echo": spec, **fields, "seed": seed, "version": __version__}
+
+
+def _efficiency_fields(result) -> dict:
+    return {
+        "value": result.value,
+        "bracket": [result.bracket[0], result.bracket[1]],
+        "attained": result.attained,
+    }
+
+
 def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASIBILITY):
     sources = spec.get("sources") or []
     if not sources:
@@ -471,26 +503,15 @@ def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASI
     for entry in sources:
         state = make_state(_build_source(entry), basis, tail_tol=tail)
         results.append(generalized_efficiency(state, feasibility=feasibility))
-    best = max(range(len(results)), key=lambda i: results[i].value)
-    top = results[best]
-    document = {
-        "spec_echo": spec,
-        "value": top.value,
-        "bracket": [top.bracket[0], top.bracket[1]],
-        "attained": top.attained,
-        "cutoff_used": top.cutoff_used,
-        "seed": seed,
-        "version": __version__,
-    }
+    top = max(results, key=lambda result: result.value)
+    document = _document(
+        spec,
+        seed,
+        **_efficiency_fields(top),
+        cutoff_used=top.cutoff_used,
+    )
     if len(results) > 1:
-        document["per_mode"] = [
-            {
-                "value": r.value,
-                "bracket": [r.bracket[0], r.bracket[1]],
-                "attained": r.attained,
-            }
-            for r in results
-        ]
+        document["per_mode"] = [_efficiency_fields(result) for result in results]
     return document, 0
 
 
@@ -524,32 +545,26 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
             {int(k): v for k, v in measurement["detect"].items()}
         )
         prob, marginal = heralded_distribution(joint, diagonal, pattern, herald_floor)
-        document = {
-            "spec_echo": spec,
-            "herald_probability": prob,
+        return _document(
+            spec,
+            seed,
+            herald_probability=prob,
             **_photon_statistics(marginal),
-            "survivor_diagonal": [float(x) for x in marginal],
+            survivor_diagonal=[float(x) for x in marginal],
             # heralding divides the joint tail by the outcome probability
-            "truncation_weight": rho.tail / prob if rho.tail else 0.0,
-            "seed": seed,
-            "version": __version__,
-        }
-        return document, 0
+            truncation_weight=rho.tail / prob if rho.tail else 0.0,
+        ), 0
     per_mode = [
         {"mode": m, **_photon_statistics(mode_distribution(joint, diagonal, m))}
         for m in range(modes)
     ]
-    document = {
-        "spec_echo": spec,
-        "per_mode": per_mode,
-        "total_photon_distribution": [
-            float(diagonal[sl].sum()) for sl in joint.block_slices
-        ],
-        "truncation_weight": rho.tail,
-        "seed": seed,
-        "version": __version__,
-    }
-    return document, 0
+    return _document(
+        spec,
+        seed,
+        per_mode=per_mode,
+        total_photon_distribution=[float(diagonal[sl].sum()) for sl in joint.block_slices],
+        truncation_weight=rho.tail,
+    ), 0
 
 
 #: the fields of a spec's ``search`` block that are not ``SearchSpace`` fields
@@ -607,14 +622,8 @@ def _run_nogo(spec, seed, cutoff, threads):
                 "truncation_weight": report.truncation_weight,
             }
         )
-    document = {
-        "spec_echo": spec,
-        "reports": reports,
-        "seed": seed,
-        "version": __version__,
-    }
     code = _EXIT_VIOLATION if any(r["violated"] for r in reports) else 0
-    return document, code
+    return _document(spec, seed, reports=reports), code
 
 
 def _run_verify(spec, seed, cutoff, threads):
@@ -627,26 +636,21 @@ def _run_verify(spec, seed, cutoff, threads):
         deviation = verify_commutation(seed, trials)
         counterexample = unequal_loss_counterexample()
         passed = deviation < 1e-9 and counterexample > 1e-3
-        document = {
-            "spec_echo": spec,
-            "check": check,
-            "trials": trials,
+        result = {
             "max_deviation": deviation,
             "unequal_loss_deviation": counterexample,
             "passed": passed,
-            "seed": seed,
-            "version": __version__,
         }
     else:
         passed = verify_bernoulli_consequence(seed, trials)
-        document = {
-            "spec_echo": spec,
-            "check": check,
-            "trials": trials,
-            "all_passed": passed,
-            "seed": seed,
-            "version": __version__,
-        }
+        result = {"all_passed": passed}
+    document = _document(
+        spec,
+        seed,
+        check=check,
+        trials=trials,
+        **result,
+    )
     return document, 0 if passed else _EXIT_VIOLATION
 
 
@@ -696,17 +700,12 @@ def _emit_json(obj) -> str:
         return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ",".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}:{_emit_json(v)}" for k, v in obj.items())
         return "{" + ",".join(parts) + "}"
     raise ValidationError(f"cannot serialize {type(obj).__name__} in result document")
-
-
-_CSV_HEADER = ["p_max", "constraint", "best_X", "bound", "herald_prob",
-               "multiphoton_weight", "violated"]
-_SIMULATE_CSV_HEADER = ["mode", "single_photon_probability", "multiphoton_weight"]
 
 
 def _csv_cell(value) -> str:
@@ -719,57 +718,53 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+_SEARCH_CSV = ["p_max", "constraint", "best_X", "bound", "herald_prob",
+               "multiphoton_weight", "violated"]
+_STATISTICS_CSV = ["single_photon_probability", "multiphoton_weight"]
+#: each verify check's result and verdict columns
+_VERIFY_CSV = {"commutation": ("max_deviation", "passed"),
+               "bernoulli": ("all_passed", "all_passed")}
+
+
+def _csv_table(document: dict) -> tuple:
+    """A document's CSV header and rows of values.  The spec's command picks
+    them, with the verify check or whether simulate heralds; which result
+    keys the document holds never does."""
+    spec = document["spec_echo"]
+    command = spec["command"]
+    if command == "nogo-search":
+        return _SEARCH_CSV, [[r[k] for k in _SEARCH_CSV] for r in document["reports"]]
+    if command == "simulate" and "measurement" in spec:
+        header = ["herald_probability", *_STATISTICS_CSV]
+        return header, [[document[k] for k in header]]
+    if command == "simulate":
+        header = ["mode", *_STATISTICS_CSV]
+        return header, [[m[k] for k in header] for m in document["per_mode"]]
+    if command == "efficiency":
+        # one row per source, in source order; a single source has no per_mode
+        results = document["per_mode"] if len(spec["sources"]) > 1 else [document]
+        header = ["value", "bracket_lo", "bracket_hi", "attained", "cutoff_used"]
+        return header, [
+            [r["value"], *r["bracket"], r["attained"], document["cutoff_used"]]
+            for r in results
+        ]
+    result, verdict = _VERIFY_CSV[spec["verify"]["check"]]
+    header = ["check", "trials", result, "passed"]
+    return header, [[document[k] for k in ("check", "trials", result, verdict)]]
+
+
 def emit(document: dict, fmt: str = "json") -> str:
     """Serialize a result document; JSON is the canonical byte-stable form,
-    CSV is the tabular form for sweeps and plotting."""
+    CSV is the tabular form for sweeps and plotting (``_csv_table``)."""
     if fmt == "json":
         return _emit_json(document) + "\n"
     if fmt != "csv":
         raise ValidationError(f"unknown output format {fmt!r}")
+    header, rows = _csv_table(document)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if "reports" in document:
-        writer.writerow(_CSV_HEADER)
-        for report in document["reports"]:
-            writer.writerow([_csv_cell(report[k]) for k in _CSV_HEADER])
-    elif "value" in document:
-        writer.writerow(["value", "bracket_lo", "bracket_hi", "attained", "cutoff_used"])
-        # one row per source, in source order; a single source has no per_mode
-        for result in document.get("per_mode", [document]):
-            writer.writerow(
-                [
-                    _csv_cell(result["value"]),
-                    _csv_cell(result["bracket"][0]),
-                    _csv_cell(result["bracket"][1]),
-                    _csv_cell(result["attained"]),
-                    _csv_cell(document["cutoff_used"]),
-                ]
-            )
-    elif "check" in document:
-        result_key = "max_deviation" if "max_deviation" in document else "all_passed"
-        writer.writerow(["check", "trials", result_key, "passed"])
-        writer.writerow(
-            [
-                document["check"],
-                document["trials"],
-                _csv_cell(document[result_key]),
-                _csv_cell(document.get("passed", document.get("all_passed"))),
-            ]
-        )
-    elif "per_mode" in document:
-        writer.writerow(_SIMULATE_CSV_HEADER)
-        for marginal in document["per_mode"]:
-            writer.writerow([_csv_cell(marginal[k]) for k in _SIMULATE_CSV_HEADER])
-    else:
-        writer.writerow(["herald_probability", "single_photon_probability",
-                         "multiphoton_weight"])
-        writer.writerow(
-            [
-                _csv_cell(document.get("herald_probability")),
-                _csv_cell(document.get("single_photon_probability")),
-                _csv_cell(document.get("multiphoton_weight")),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
     return buffer.getvalue()
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import pel
@@ -972,6 +973,17 @@ _ISPS = {"kind": "isps", "p": 0.6}
 _QUBIT = {"kind": "partial_qubit", "p": 0.5, "q": [0.2, 0.1]}
 _COHERENT = {"kind": "coherent", "alpha": [0.3, -0.2]}
 
+
+
+def _permutation_with_phases(perm, phases):
+    """A ``matrix`` block that sends input mode k to output mode perm[k] with
+    the phase phases[k], as perfbench's heralded simulate jobs build it."""
+    matrix = [[[0.0, 0.0] for _ in perm] for _ in perm]
+    for k, (row, phase) in enumerate(zip(perm, phases)):
+        matrix[row][k] = [math.cos(phase), math.sin(phase)]
+    return matrix
+
+
 #: (sources, interferometer, detect, cutoff) of simulate specs on 1-4 modes,
 #: unheralded, heralded with one survivor, and heralded with two, with and
 #: without ``null`` wildcards
@@ -985,6 +997,9 @@ _SIMULATE_CASES = [
     ([_ISPS, _ISPS, _COHERENT, _QUBIT], {"haar": {"seed": 7}}, {"1": 0, "2": None, "3": 1}, 6),
     ([_ISPS, _QUBIT, {"kind": "fock", "n": 2}], {"haar": {"seed": 8}}, {"2": 1}, 5),
     ([_ISPS, _ISPS, _COHERENT, _QUBIT], {"haar": {"seed": 9}}, {"2": 2, "3": None}, 6),
+    ([_ISPS, _COHERENT, _QUBIT],
+     {"matrix": _permutation_with_phases((2, 0, 1), (0.3, -1.2, 2.5))},
+     {"1": 1, "2": None}, 6),
     ([_COHERENT, _ISPS, _ISPS, _QUBIT], {"mesh": [0.4] * 16}, {"3": None, "2": 1}, 6),
 ]
 
@@ -1003,6 +1018,8 @@ def _composed_document(spec):
         u = pel.from_mesh([0.0] * pel.mesh_param_count(modes), modes)
     elif "haar" in block:
         u = pel.haar_random(modes, block["haar"]["seed"])
+    elif "matrix" in block:
+        u = pel.ModeUnitary([[complex(*cell) for cell in row] for row in block["matrix"]])
     else:
         u = pel.from_mesh(block["mesh"], modes)
     # through their modules, where the guard test counts them
@@ -1310,3 +1327,107 @@ def test_documents_hold_only_json_values(spec):
     kinds = {type(value) for _, value in _nodes(document)}
     assert kinds <= {dict, list, str, int, float, bool, type(None)}, kinds
     assert json.loads(emit(document)) == document
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"command": "efficiency", "sources": [{"kind": "isps", "p": np.float32(0.5)}]},
+         "spec field sources.0.p: float32 is not a JSON value"),
+        ({"command": "simulate", "sources": _TWO_ISPS, "measurement": {"detect": {1: 1}}},
+         "spec field measurement.detect: key 1 is not a string"),
+        ({"command": "efficiency", "sources": ({"kind": "isps", "p": 0.5},)},
+         "spec field sources: tuple is not a JSON value"),
+    ],
+    ids=["numpy-float32", "int-key", "tuple"],
+)
+def test_a_spec_holds_only_json_values(monkeypatch, spec, message):
+    # a Python caller's spec can hold what no JSON file can; each is refused,
+    # naming the field, before the schema or any command sees it
+    def no_schema(spec):
+        raise AssertionError("the schema saw the spec")
+
+    monkeypatch.setattr(pel.cli, "_spec_is_valid", no_schema)
+    with pytest.raises(ValidationError) as raised:
+        run_spec(spec)
+    assert str(raised.value) == message
+
+
+def test_main_refuses_an_efficiency_spec_without_sources(tmp_path, capsys):
+    code, err = _refused(tmp_path, capsys, {"command": "efficiency", "sources": []})
+    assert (code, err) == (2, "error: sources: at least one source is required for efficiency\n")
+
+
+def test_main_refuses_a_spec_that_is_no_object(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("[1, 2]")
+    assert main(["efficiency", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == "error: spec must be a JSON object\n"
+
+
+def test_emit_refuses_an_unknown_format_and_a_non_finite_value(tmp_path, capsys, monkeypatch):
+    document, _ = run_spec({"command": "efficiency", "sources": [{"kind": "isps", "p": 0.7}]})
+    # the command line and the schema offer json and csv alone
+    with pytest.raises(ValidationError) as raised:
+        emit(document, "xml")
+    assert str(raised.value) == "unknown output format 'xml'"
+    broken = {**document, "value": math.nan}
+    monkeypatch.setattr(pel.cli, "_RUNNERS", {"efficiency": lambda *args: (broken, 0)})
+    for fmt in ("json", "csv"):
+        code, err = _refused(tmp_path, capsys, {"command": "efficiency"}, ["--format", fmt])
+        assert (code, err) == (2, "error: non-finite value nan in result document\n")
+
+
+#: one document of each kind, a single-source efficiency and a two-point
+#: p_max grid: the CSV table must have an entry for each
+_CSV_CASES = _ONE_DOCUMENT_PER_KIND + [
+    {"command": "efficiency", "sources": [{"kind": "coherent", "alpha": 0.5}]},
+    {"command": "nogo-search",
+     "search": {"p_max_grid": [0.3, 0.6], "num_sources": 2, "budget": 1, "cutoff": 4}},
+]
+
+
+def _csv_rows_expected(spec) -> int:
+    """One CSV row per report, per source of efficiency, per mode of an
+    unheralded simulate, else one."""
+    if spec["command"] == "nogo-search":
+        return len(spec["search"].get("p_max_grid", [None]))
+    if spec["command"] == "efficiency" or (
+            spec["command"] == "simulate" and "measurement" not in spec):
+        return len(spec["sources"])
+    return 1
+
+
+def _json_value(document, entry, column):
+    """The JSON value a CSV column reports: an end of the bracket, the row
+    entry's field or the document's; bernoulli's verdict is all_passed."""
+    if column.startswith("bracket_"):
+        return entry["bracket"][column == "bracket_hi"]
+    for holder in (entry, document):
+        if column in holder:
+            return holder[column]
+    assert column == "passed" and document["check"] == "bernoulli", column
+    return document["all_passed"]
+
+
+def test_every_command_and_check_has_a_csv_case():
+    # a command or verify check added without a CSV entry fails the table test
+    assert {spec["command"] for spec in _CSV_CASES} == set(pel.cli._RUNNERS)
+    checks = {spec["verify"]["check"] for spec in _CSV_CASES if spec["command"] == "verify"}
+    assert checks == set(SCHEMA["properties"]["verify"]["properties"]["check"]["enum"])
+
+
+@pytest.mark.parametrize("spec", _CSV_CASES,
+                         ids=["simulate-heralded", "simulate", "efficiency",
+                              "verify-commutation", "verify-bernoulli", "nogo-search",
+                              "efficiency-one-source", "nogo-search-grid"])
+def test_csv_reports_the_json_documents_values(spec):
+    document, _ = run_spec(spec, threads=1)
+    parsed = json.loads(emit(document))
+    header, *rows = csv.reader(io.StringIO(emit(document, "csv")))
+    entries = parsed.get("reports", parsed.get("per_mode", [parsed]))
+    assert len(rows) == len(entries) == _csv_rows_expected(spec)
+    for row, entry in zip(rows, entries):
+        assert len(row) == len(header)
+        assert row == [pel.cli._csv_cell(_json_value(parsed, entry, column))
+                       for column in header]

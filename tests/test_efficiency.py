@@ -29,9 +29,26 @@ from pel import (
 from pel import efficiency
 from pel.config import FEASIBILITY
 from pel.efficiency import conditioning_floor
-from pel.errors import ContractViolation, MonotonicityError, PositivityError
+from pel.errors import (
+    ConditioningError,
+    ContractViolation,
+    MonotonicityError,
+    PositivityError,
+)
 
 from conftest import random_density
+
+
+def test_is_feasible_refuses_an_untrusted_inversion_of_an_exact_state():
+    # with no tail to blame, an amplification past the trusted bound is not
+    # read as feasible: the probe re-raises it
+    rho = make_state(Fock(6), make_basis(1, 8))
+    with pytest.raises(ConditioningError) as raised:
+        is_feasible(rho, 1e-3)
+    assert str(raised.value) == (
+        "inverting loss p=0.001 on a support-6 state amplifies by p^-6 = 1.000e+18, "
+        "beyond the trusted bound 1.0e+12"
+    )
 
 
 def test_is_feasible_examples():
