@@ -1,9 +1,9 @@
 """Command-line front end.
 
-``pel <command> --spec FILE [--seed N] [--cutoff N] [--threads N]
-[--out PATH] [--format json|csv]`` with commands ``simulate``,
-``efficiency``, ``nogo-search`` and ``verify``; ``pel verify
-commutation|bernoulli [--trials N]`` runs a check without a spec.  Specs are
+``pel <command> --spec FILE [--seed N] [--cutoff N] [--out PATH]
+[--format json|csv]`` with commands ``simulate``, ``efficiency``,
+``nogo-search`` and ``verify``; ``pel verify commutation|bernoulli
+[--trials N]`` runs a check without a spec.  Specs are
 strict JSON: unknown fields and repeated keys are refused, and so is every
 field the command never reads (``_READS`` lists, per command, the fields it
 reads), so a typo cannot silently change an experiment.  A command-line
@@ -24,10 +24,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical-guard or I/O error,
 Every result document is ``spec_echo``, the command's fields, ``seed`` and
 ``version``, in that order (``_document``).  Documents are deterministic:
 fixed key order, floats printed with 17 significant digits (round-trip
-exact), no timestamps, and search results are independent of the thread
-count.  Identical spec + seed therefore gives byte-identical output.  The
-CSV form is one table per document kind, picked by the spec's command
-(``_csv_table``).
+exact), no timestamps, and a search runs its restarts in the calling
+thread, each from its own (seed, restart)-keyed stream.  Identical spec +
+seed therefore gives byte-identical output.  The CSV form is one table per
+document kind, picked by the spec's command (``_csv_table``).
 """
 
 import argparse
@@ -37,14 +37,13 @@ import json
 import math
 import numbers
 import operator
-import os
 import re
 import sys
 
 from . import __version__
 from .config import FEASIBILITY, HERALD_FLOOR, TAIL
 from .efficiency import generalized_efficiency
-from .errors import ArityError, ContractViolation, PelError, ValidationError
+from .errors import ArityError, ContractViolation, PelError, TruncationError, ValidationError
 from .fock import (
     Coherent,
     Fock,
@@ -123,7 +122,6 @@ SCHEMA = {
         "command": {"enum": ["simulate", "efficiency", "nogo-search", "verify"]},
         "seed": {"type": "integer", "minimum": 0},
         "cutoff": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "sources": {"type": "array", "items": _SOURCE},
         "interferometer": {
             "type": "object",
@@ -446,13 +444,13 @@ def _build_unitary(block: dict | None, modes: int) -> ModeUnitary:
 
 
 #: the spec fields each command reads besides ``command`` and ``output``,
-#: which every command reads: its blocks, ``seed``, ``threads``, ``cutoff``
+#: which every command reads: its blocks, ``seed``, ``cutoff``
 #: and each ``tolerances.<key>``, a keyword of the command's runner
 _READS = {
     "efficiency": ("sources", "cutoff", "tolerances.tail", "tolerances.feasibility"),
     "simulate": ("sources", "interferometer", "measurement", "cutoff",
                  "tolerances.tail", "tolerances.herald_floor"),
-    "nogo-search": ("search", "seed", "threads"),
+    "nogo-search": ("search", "seed"),
     "verify": ("verify", "seed"),
 }
 
@@ -493,7 +491,7 @@ def _efficiency_fields(result) -> dict:
     }
 
 
-def _run_efficiency(spec, seed, cutoff, threads, *, tail=TAIL, feasibility=FEASIBILITY):
+def _run_efficiency(spec, seed, cutoff, *, tail=TAIL, feasibility=FEASIBILITY):
     sources = spec.get("sources") or []
     if not sources:
         raise ValidationError("sources: at least one source is required for efficiency")
@@ -525,7 +523,7 @@ def _photon_statistics(distribution) -> dict:
     }
 
 
-def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD_FLOOR):
+def _run_simulate(spec, seed, cutoff, *, tail=TAIL, herald_floor=HERALD_FLOOR):
     """Every field is a photon-number statistic of V rho V^dag, so it is
     read off the output's diagonal (``output_diagonal``); the full output
     state is never formed."""
@@ -545,14 +543,20 @@ def _run_simulate(spec, seed, cutoff, threads, *, tail=TAIL, herald_floor=HERALD
             {int(k): v for k, v in measurement["detect"].items()}
         )
         prob, marginal = heralded_distribution(joint, diagonal, pattern, herald_floor)
+        # heralding divides the joint tail by the outcome probability
+        weight = rho.tail / prob if rho.tail else 0.0
+        if weight > tail:
+            raise TruncationError(
+                f"heralded survivor's truncation weight {weight:.3e} exceeds the "
+                f"tail tolerance {tail:.1e}; raise the cutoff or loosen tolerances.tail"
+            )
         return _document(
             spec,
             seed,
             herald_probability=prob,
             **_photon_statistics(marginal),
             survivor_diagonal=[float(x) for x in marginal],
-            # heralding divides the joint tail by the outcome probability
-            truncation_weight=rho.tail / prob if rho.tail else 0.0,
+            truncation_weight=weight,
         ), 0
     per_mode = [
         {"mode": m, **_photon_statistics(mode_distribution(joint, diagonal, m))}
@@ -600,12 +604,12 @@ def _search_spaces(spec):
         raise ValidationError(f"search: {exc}") from None
 
 
-def _run_nogo(spec, seed, cutoff, threads):
+def _run_nogo(spec, seed, cutoff):
     spaces = _search_spaces(spec)
     budget = (spec.get("search") or {}).get("budget", 20000)
     reports = []
     for space in spaces:
-        report = maximize_X(space, budget, seed, threads=threads)
+        report = maximize_X(space, budget, seed)
         reports.append(
             {
                 "p_max": space.p_max,
@@ -626,7 +630,7 @@ def _run_nogo(spec, seed, cutoff, threads):
     return _document(spec, seed, reports=reports), code
 
 
-def _run_verify(spec, seed, cutoff, threads):
+def _run_verify(spec, seed, cutoff):
     block = spec.get("verify")
     if block is None:
         raise ValidationError("verify: a verify block naming the check is required")
@@ -663,22 +667,21 @@ _RUNNERS = {
 
 
 def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
-    """Validate and execute a spec document; returns (document, exit_code)."""
+    """Validate and execute a spec document; returns (document, exit_code).
+    ``threads`` is accepted and ignored: every command runs in the calling
+    thread."""
     validate_spec(spec)
     _refuse_unread(spec, cutoff)
     seed = seed if seed is not None else spec.get("seed", 0)
     cutoff = cutoff if cutoff is not None else spec.get("cutoff")
-    threads = threads if threads is not None else spec.get("threads", os.cpu_count() or 1)
     # the schema bounds these in a spec; a command-line value overrides it
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if cutoff is not None and cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     tolerances = {key: float(value) for key, value in spec.get("tolerances", {}).items()}
     runner = _RUNNERS[spec["command"]]
-    return runner(spec, seed, cutoff, threads, **tolerances)
+    return runner(spec, seed, cutoff, **tolerances)
 
 
 # --- deterministic emission ---------------------------------------------------
@@ -780,6 +783,7 @@ def _unique_keys(pairs) -> dict:
 
 
 def main(argv=None) -> int:
+    checks = SCHEMA["properties"]["verify"]["properties"]["check"]["enum"]
     parser = argparse.ArgumentParser(
         prog="pel",
         description="Linear-optical processing of imperfect single-photon sources",
@@ -790,12 +794,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "subject",
         nargs="?",
-        help="for verify without --spec: the check to run (commutation|bernoulli)",
+        help=f"for verify without --spec: the check to run ({'|'.join(checks)})",
     )
     parser.add_argument("--spec", help="path to a JSON experiment spec")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--cutoff", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None,
                         help="trial count for spec-less verify")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
@@ -826,18 +829,17 @@ def main(argv=None) -> int:
                     f"command: spec says {spec.get('command')!r} but the command "
                     f"line says {args.command!r}"
                 )
-        elif args.command == "verify" and args.subject in ("commutation", "bernoulli"):
+        elif args.command == "verify" and args.subject is not None:
+            if args.subject not in checks:
+                raise ValidationError(
+                    f"subject {args.subject}: verify checks are {', '.join(checks)}"
+                )
             # an explicit 0 must reach the schema's minimum, not the default
             trials = 100 if args.trials is None else args.trials
             spec = {"command": "verify", "verify": {"check": args.subject, "trials": trials}}
         else:
             raise ValidationError("--spec FILE is required")
-        document, code = run_spec(
-            spec,
-            seed=args.seed,
-            cutoff=args.cutoff,
-            threads=args.threads,
-        )
+        document, code = run_spec(spec, seed=args.seed, cutoff=args.cutoff)
         fmt = args.fmt or (spec.get("output") or {}).get("format", "json")
         payload = emit(document, fmt)
         out_path = args.out or (spec.get("output") or {}).get("path")

@@ -14,15 +14,15 @@ run in lockstep blocks of ``_LOCKSTEP``: a block advances together, one
 parameter row per restart, through one batched evaluation of the mesh, the
 displacement tables and the objective.  A call carries at most ``_LOCKSTEP``
 rows, either restarts or, in a block of at most two restarts, restarts times
-the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix
-and the thread pool maps whole blocks, so the result does not depend on the
-thread count.  A column's bits can follow how many columns the call computes
-(the BLAS kernel of the trailing columns), and every call of a line
-tabulates the same count of patterns, fixed when the line is set up
-(``_line_scores``): so the lookahead leaves the count and the bits alone,
-but a restart's result can depend on its block, in the last bits and then,
-through a plateau's golden-section steps, in its parameters, since the count
-is that of the largest ||alpha||^2 among the block's rows.
+the golden-section probes evaluated ahead (``_golden_max``).  Rows never mix,
+and the blocks run one after another in the calling thread.  A column's bits
+can follow how many columns the call computes (the BLAS kernel of the
+trailing columns), and every call of a line tabulates the same count of
+patterns, fixed when the line is set up (``_line_scores``): so the lookahead
+leaves the count and the bits alone, but a restart's result can depend on
+its block, in the last bits and then, through a plateau's golden-section
+steps, in its parameters, since the count is that of the largest
+||alpha||^2 among the block's rows.
 The golden-section brackets themselves step on Python floats, one generator
 per row (``_golden_row``): a bracket of one to ``_LOCKSTEP`` rows is too
 small for numpy to pay, and a float operation rounds as the same operation
@@ -83,9 +83,7 @@ pattern above the total as its own column.
 
 import itertools
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -466,7 +464,7 @@ class _SchemeEngine:
         # sums the squared parts of c; its first 2B entries weigh the
         # (part, b) rows of the survivor's amplitudes the same way
         self.row_weights = np.tile(self.branch_weights, 2 * (S + 1))
-        # shared by every evaluation and by the threads of ``maximize_X``
+        # the engine is cached per space and shared by every evaluation
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
@@ -902,20 +900,19 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
 
 
 def maximize_X(
-    space: SearchSpace, budget: int, seed: int, *, threads: int = 1
+    space: SearchSpace, budget: int, seed: int, *, threads=None
 ) -> SearchReport:
     """Random-restart derivative-free search for the largest heralded X.
 
     Deterministic for fixed (space, budget, seed): every restart draws from
     its own (seed, restart)-keyed stream, the blocks of ``_LOCKSTEP``
-    restarts are fixed by the budget, and the merge is an associative
-    best-of, so the thread count does not change the result.  A restart's
-    bits can change with the block it runs in (module docstring).
+    restarts are fixed by the budget and run in turn in the calling thread,
+    and the merge is a best-of in restart order.  A restart's bits can
+    change with the block it runs in (module docstring).  ``threads`` is
+    accepted and ignored.
     """
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
-    if threads < 1:
-        raise ContractViolation(f"threads must be >= 1, got {threads!r}")
     engine = _engine(space)
     if not engine.scanned:
         raise ContractViolation(
@@ -925,14 +922,9 @@ def maximize_X(
     n_restarts = max(1, budget // per_restart)
     blocks = [range(start, min(start + _LOCKSTEP, n_restarts))
               for start in range(0, n_restarts, _LOCKSTEP)]
-    # more workers than blocks or CPUs only contend for the interpreter lock
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda b: _run_restarts(space, seed, b), blocks))
-    else:
-        done = [_run_restarts(space, seed, block) for block in blocks]
-    results = [result for block in done for result in block]
+    results = [
+        result for block in blocks for result in _run_restarts(space, seed, block)
+    ]
     best_score, best_pattern, best_params = results[0]
     for score_r, pattern_r, params_r in results:
         if score_r > best_score or (score_r == best_score and best_pattern is None):

@@ -244,7 +244,7 @@ def test_nogo_search_exit_code_and_csv():
             "cutoff": 8,
         },
     }
-    document, code = run_spec(spec, seed=5, threads=1)
+    document, code = run_spec(spec, seed=5)
     assert code == 0
     assert len(document["reports"]) == 9
     assert all(not r["violated"] for r in document["reports"])
@@ -279,6 +279,13 @@ def test_json_determinism_across_runs_and_threads():
         for t in (1, 4, 1, 4)
     }
     assert len(payloads) == 1
+
+
+def test_main_names_an_unknown_verify_subject(capsys):
+    assert main(["verify", "foo"]) == 2
+    assert capsys.readouterr().err == (
+        "error: subject foo: verify checks are commutation, bernoulli\n"
+    )
 
 
 def test_main_verify_without_spec(capsys):
@@ -485,8 +492,12 @@ def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "spec.json"
     search = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}
     path.write_text(json.dumps({"command": "nogo-search", "search": search}))
-    assert main(["nogo-search", "--spec", str(path), "--threads", "0"]) == 2
-    assert "threads" in capsys.readouterr().err
+    # every command runs in the calling thread: there is no --threads flag
+    for value in ("0", "2"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["nogo-search", "--spec", str(path), "--threads", value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --threads {value}" in capsys.readouterr().err
 
 
 _ONE_ISPS = {"sources": [{"kind": "isps", "p": 0.5}]}
@@ -613,7 +624,7 @@ def test_search_patterns_field_accepted():
             "patterns": [[0]],
         },
     }
-    document, code = run_spec(spec, seed=1, threads=1)
+    document, code = run_spec(spec, seed=1)
     assert code == 0
     assert document["reports"][0]["best_pattern"] == [0]
 
@@ -882,25 +893,30 @@ def test_main_block_rejected_where_nothing_reads_it(
 _VERIFY = {"verify": {"check": "commutation", "trials": 1}}
 
 
+_UNREAD_SEED = "spec field seed:"
+_NO_THREADS = "spec field (top level): Additional properties are not allowed ('threads' was"
+
+
 @pytest.mark.parametrize(
-    "spec,field",
+    "spec,message",
     [
-        ({"command": "efficiency", "sources": _SOURCES, "seed": 3}, "seed"),
-        ({**_HERALDED, "seed": 3}, "seed"),
-        ({"command": "efficiency", "sources": _SOURCES, "threads": 2}, "threads"),
-        ({**_HERALDED, "threads": 2}, "threads"),
-        ({"command": "verify", **_VERIFY, "threads": 2}, "threads"),
+        ({"command": "efficiency", "sources": _SOURCES, "seed": 3}, _UNREAD_SEED),
+        ({**_HERALDED, "seed": 3}, _UNREAD_SEED),
+        ({"command": "efficiency", "sources": _SOURCES, "threads": 2}, _NO_THREADS),
+        ({**_HERALDED, "threads": 2}, _NO_THREADS),
+        ({"command": "verify", **_VERIFY, "threads": 2}, _NO_THREADS),
+        ({"command": "nogo-search", "search": _SEARCH, "threads": 2}, _NO_THREADS),
     ],
     ids=["efficiency-seed", "simulate-seed", "efficiency-threads", "simulate-threads",
-         "verify-threads"],
+         "verify-threads", "nogo-search-threads"],
 )
 def test_main_seed_and_threads_rejected_where_nothing_reads_them(
-    tmp_path, capsys, monkeypatch, spec, field
+    tmp_path, capsys, monkeypatch, spec, message
 ):
     # efficiency and simulate draw nothing at random (a haar block carries
-    # its own seed) and run on one thread, and verify runs on one thread:
-    # the spec's field is refused, naming it, instead of being echoed as if
-    # it had been applied
+    # its own seed), so their seed is refused, naming it, instead of being
+    # echoed as if it had been applied; every command runs in the calling
+    # thread, so no spec has a threads field
     def no_run(*args, **kwargs):
         raise AssertionError("the command ran")
 
@@ -908,22 +924,22 @@ def test_main_seed_and_threads_rejected_where_nothing_reads_them(
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main([spec["command"], "--spec", str(path)]) == 2
-    assert f"spec field {field}:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec,threads", [
-    ({"command": "nogo-search", "search": _SEARCH, "seed": 3, "threads": 2}, 2),
-    ({"command": "verify", **_VERIFY, "seed": 3}, os.cpu_count() or 1),
+@pytest.mark.parametrize("spec", [
+    {"command": "nogo-search", "search": _SEARCH, "seed": 3},
+    {"command": "verify", **_VERIFY, "seed": 3},
 ], ids=["nogo-search", "verify"])
-def test_seed_and_threads_reach_the_commands_that_read_them(monkeypatch, spec, threads):
+def test_seed_reaches_the_commands_that_read_it(monkeypatch, spec):
     calls = []
 
-    def record(spec, seed, cutoff, threads):
-        calls.append((seed, threads))
+    def record(spec, seed, cutoff):
+        calls.append(seed)
 
     monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, record))
     run_spec(spec)
-    assert calls == [(3, threads)]
+    assert calls == [3]
 
 
 _FRESH_PROCESS = """
@@ -939,7 +955,7 @@ specs = [
     {"command": "verify", "verify": {"check": "commutation", "trials": 1}},
 ]
 for spec in specs:
-    document, code = run_spec(spec, threads=1)
+    document, code = run_spec(spec)
     assert code == 0, spec
 print("jsonschema" in sys.modules)
 sys.exit(main(["simulate", "--spec", sys.argv[1]]))
@@ -1117,15 +1133,20 @@ def test_heralded_simulate_refusals(tmp_path, capsys, detect, error, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_heralded_simulate_reports_the_survivors_truncation_weight():
+def test_heralded_simulate_reports_the_survivors_truncation_weight(tmp_path, capsys):
     # the joint tail is 7.46e-5, but heralding on 4 photons (probability
-    # 0.0244) divides it by the outcome probability, past the spec's own
-    # 1e-3 tail tolerance
+    # 0.0244) divides it by the outcome probability, past a 1e-3 tail
+    # tolerance: the survivor's weight is held to the tolerance too
     spec = {"command": "simulate",
             "sources": [{"kind": "coherent", "alpha": 1.2}, {"kind": "isps", "p": 0.5}],
             "interferometer": {"mesh": [math.pi / 4, 0, 0, 0]},
             "measurement": {"detect": {"1": 4}}, "cutoff": 8,
             "tolerances": {"tail": 1e-3}}
+    code, err = _refused(tmp_path, capsys, spec)
+    assert (code, err) == (
+        3, "error: heralded survivor's truncation weight 3.051e-03 exceeds the tail "
+           "tolerance 1.0e-03; raise the cutoff or loosen tolerances.tail\n")
+    spec["tolerances"] = {"tail": 1e-2}
     document, _ = run_spec(spec)
     expected = _composed_document(spec)
     assert document["herald_probability"] == pytest.approx(0.02444, abs=1e-5)
@@ -1196,9 +1217,9 @@ _SEARCH_CAP_3 = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 3}
         # the search's cap is search.cutoff: a top-level one would shadow it
         ({"command": "nogo-search", "cutoff": 3,
           "search": {**_SEARCH_CAP_3, "cutoff": 9}}, [],
-         "spec field cutoff: nogo-search reads only search, seed, threads"),
+         "spec field cutoff: nogo-search reads only search, seed"),
         ({"command": "nogo-search", "search": _SEARCH_CAP_3}, ["--cutoff", "9"],
-         "spec field cutoff: nogo-search reads only search, seed, threads"),
+         "spec field cutoff: nogo-search reads only search, seed"),
         ({"command": "verify", "verify": {"check": "bernoulli", "trials": 1}},
          ["--cutoff", "4"], "spec field cutoff: verify reads only verify, seed"),
         ({"command": "efficiency", "sources": _TWO_ISPS, "seed": 1},
@@ -1208,7 +1229,7 @@ _SEARCH_CAP_3 = {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 3}
          [], "spec field tolerances.feasibility: simulate reads only sources, "
              "interferometer, measurement, cutoff, tolerances.tail, tolerances.herald_floor"),
         ({"command": "nogo-search", "search": _SEARCH_CAP_3, "tolerances": {}},
-         [], "spec field tolerances: nogo-search reads only search, seed, threads"),
+         [], "spec field tolerances: nogo-search reads only search, seed"),
     ],
     ids=["nogo-search-spec-cutoff", "nogo-search-command-line-cutoff",
          "verify-command-line-cutoff", "efficiency-seed", "simulate-feasibility",
@@ -1265,12 +1286,12 @@ def test_main_refuses_command_line_values_nothing_reads(
     ("simulate", {"sources": [{"kind": "fock", "n": 1}]}),
     ("verify", {"verify": {"check": "bernoulli", "trials": 1}}),
 ])
-def test_main_seed_and_threads_on_the_command_line_reach_every_command(
+def test_main_seed_on_the_command_line_reaches_every_command(
     tmp_path, capsys, command, spec
 ):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"command": command, **spec}))
-    assert main([command, "--spec", str(path), "--seed", "5", "--threads", "1"]) == 0
+    assert main([command, "--spec", str(path), "--seed", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
@@ -1323,7 +1344,7 @@ _ONE_DOCUMENT_PER_KIND = [
 def test_documents_hold_only_json_values(spec):
     # emission serializes these types alone: a runner converts every number
     # it reports with float, int or bool
-    document, _ = run_spec(spec, threads=1)
+    document, _ = run_spec(spec)
     kinds = {type(value) for _, value in _nodes(document)}
     assert kinds <= {dict, list, str, int, float, bool, type(None)}, kinds
     assert json.loads(emit(document)) == document
@@ -1422,7 +1443,7 @@ def test_every_command_and_check_has_a_csv_case():
                               "verify-commutation", "verify-bernoulli", "nogo-search",
                               "efficiency-one-source", "nogo-search-grid"])
 def test_csv_reports_the_json_documents_values(spec):
-    document, _ = run_spec(spec, threads=1)
+    document, _ = run_spec(spec)
     parsed = json.loads(emit(document))
     header, *rows = csv.reader(io.StringIO(emit(document, "csv")))
     entries = parsed.get("reports", parsed.get("per_mode", [parsed]))

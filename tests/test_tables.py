@@ -1,6 +1,5 @@
 """Every table a cached function of ``pel`` returns is shared by every later
-call, and by the threads of ``maximize_X``: none of its arrays may be
-writable."""
+call: none of its arrays may be writable."""
 
 import importlib
 import pkgutil
