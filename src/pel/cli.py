@@ -364,6 +364,52 @@ def _compile(schema: dict):
 _spec_is_valid = _compile(SCHEMA)
 
 
+def _integers(schema: dict):
+    """A function that turns each value of a valid document at a place
+    where ``schema`` says "integer" into an ``int``, or None where no such
+    place lies below ``schema``.  The schema admits an integral float as an
+    integer, as jsonschema does, but the runners index, repeat and seed
+    with these values.  It builds a new list or dict wherever one changes
+    below it, and leaves the document it is given as it is."""
+    if schema.get("type") == "integer":
+        return int
+    if "items" in schema:
+        item = _integers(schema["items"])
+        return item and (lambda value: [item(v) for v in value])
+    if "oneOf" in schema:
+        # a valid value matches exactly one branch, and only a branch with
+        # an integer place can change it
+        branches = [(_compile(sub), convert) for sub in schema["oneOf"]
+                    if (convert := _integers(sub))]
+        if not branches:
+            return None
+        return lambda value: next(
+            (convert(value) for check, convert in branches if check(value)), value
+        )
+    named = {name: convert for name, sub in schema.get("properties", {}).items()
+             if (convert := _integers(sub))}
+    patterned = [(re.compile(pattern).search, convert)
+                 for pattern, sub in schema.get("patternProperties", {}).items()
+                 if (convert := _integers(sub))]
+    if not named and not patterned:
+        return None
+
+    def convert_object(value):
+        converted = {}
+        for key, item in value.items():
+            convert = named.get(key) or next(
+                (convert for search, convert in patterned if search(key)), None
+            )
+            converted[key] = item if convert is None else convert(item)
+        return converted
+
+    return convert_object
+
+
+#: ``_integers`` of SCHEMA, built once when the module is imported
+_spec_integers = _integers(SCHEMA)
+
+
 def _refusal(path, message: str) -> ValidationError:
     field = ".".join(str(p) for p in path) or "(top level)"
     return ValidationError(f"spec field {field}: {message}")
@@ -668,9 +714,11 @@ _RUNNERS = {
 
 def run_spec(spec: dict, *, seed=None, cutoff=None, threads=None):
     """Validate and execute a spec document; returns (document, exit_code).
-    ``threads`` is accepted and ignored: every command runs in the calling
-    thread."""
+    An integral float where ``SCHEMA`` asks for an integer runs, and is
+    echoed, as that integer (``_integers``).  ``threads`` is accepted and
+    ignored: every command runs in the calling thread."""
     validate_spec(spec)
+    spec = _spec_integers(spec)
     _refuse_unread(spec, cutoff)
     seed = seed if seed is not None else spec.get("seed", 0)
     cutoff = cutoff if cutoff is not None else spec.get("cutoff")
@@ -782,9 +830,20 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals (an unknown flag, a value outside
+    the choices or of the wrong type) raise ``ValidationError``, so that
+    ``main`` returns 2 for them as for every other refusal instead of
+    leaving through ``SystemExit``.  ``-h`` still prints the help and
+    exits 0."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def main(argv=None) -> int:
     checks = SCHEMA["properties"]["verify"]["properties"]["check"]["enum"]
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pel",
         description="Linear-optical processing of imperfect single-photon sources",
     )
@@ -803,9 +862,9 @@ def main(argv=None) -> int:
                         help="trial count for spec-less verify")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         # the subject and trial count make a spec for verify without --spec
         for option, value in (("subject", args.subject), ("--trials", args.trials)):
             if value is not None and (args.spec is not None or args.command != "verify"):

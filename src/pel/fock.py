@@ -502,12 +502,11 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
     table at |alpha| and carry the phases e^{i(m - k) phi} itself.
     """
     alphas = np.asarray(alphas)
-    alphas = alphas.astype(np.result_type(alphas, float), copy=False)
+    if alphas.dtype.char not in "dD":
+        alphas = alphas.astype(np.result_type(alphas, float))
     steps, index, weight = _displacement_plan(cutoff, photons)
-    pair = np.empty(alphas.shape + (2, 1), dtype=alphas.dtype)
-    pair[..., 0, 0] = alphas
-    np.conjugate(alphas, out=pair[..., 1, 0])
-    mean = np.multiply(pair[..., 0, 0], pair[..., 1, 0]).real
+    real = alphas.dtype.kind == "f"
+    mean = alphas * alphas if real else (alphas * np.conjugate(alphas)).real
     # written so that a NaN amplitude fails it too
     largest = mean.max(initial=0.0)
     if not largest <= MAX_DISPLACEMENT_MEAN:
@@ -515,10 +514,13 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
             f"|alpha|^2 = {largest:.6g} leaves the float range of the "
             f"displacement tables (at most {MAX_DISPLACEMENT_MEAN:.6g})"
         )
-    # rows (q, r), each a cumulative product of its first value and its steps
+    # rows (q, r), each a cumulative product of its first value and its
+    # steps: alpha times both rows of steps, with r's conjugated in place
     runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=alphas.dtype)
-    np.multiply(pair, steps, out=runs[..., 1:])
-    runs[..., 0, 0] = np.exp(mean * -0.5)
+    np.multiply(alphas[..., None, None], steps, out=runs[..., 1:])
+    if not real:
+        np.conjugate(runs[..., 1, 1:], out=runs[..., 1, 1:])
+    np.exp(mean * -0.5, out=runs[..., 0, 0])
     runs[..., 1, 0] = 1.0
     np.cumprod(runs, axis=-1, out=runs)
     factors = runs.reshape(alphas.shape + (2 * runs.shape[-1],)).take(index, axis=-1)

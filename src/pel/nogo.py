@@ -354,6 +354,14 @@ class _SchemeEngine:
     parts of c for every k_0.  An amplitude cap whose |beta|^2 could pass
     ``MAX_DISPLACEMENT_MEAN`` is refused here, when the engine is built.
 
+    G is gathered in the layout of the tables themselves, (R, M, max_count
+    + 1, S + 1) flattened per row: ``row_gather`` takes element (d_j, k) of
+    detected mode j for every (j, k) row and pattern d, as (R, (M - 1)(S +
+    1), patterns), and ``column_index`` picks row (j, k'_j) of that for each
+    detected state, one slice per mode, whose product is G.  A search call
+    reads a contiguous copy of its count's prefix of ``row_gather``
+    (``row_gathers``), so neither the tables nor the index are copied.
+
     The patterns are in the graded order of FockBasis(M - 1, cutoff_used):
     by photon total, then lexicographic.  With requested patterns the
     ``scanned`` ones come first, then the other enumerated ones, then any
@@ -364,8 +372,8 @@ class _SchemeEngine:
     one count for every call of the line.  A short rising list of threshold
     means and pattern counts (``reach_table``) turns that count into one
     bisection of the line's largest ||alpha||^2.  Once built,
-    the engine holds no state that depends on its calls; ``reach_table`` is
-    computed on first use.
+    the engine holds no state that depends on its calls; ``reach_table`` and
+    ``row_gathers`` are computed on first use.
     """
 
     def __init__(self, space: SearchSpace):
@@ -419,6 +427,9 @@ class _SchemeEngine:
         branch_states = np.zeros((B, M), dtype=np.int64)
         branch_states[:, :S] = branches
         self.one_photon_rows = self.basis.rank(unit)
+        # the basis occupations as the floats that ``tabulate``'s phases
+        # multiply, so that no call casts them
+        self.occupations = self.basis.occupations.astype(float)
         self.inputs[self.basis.rank(branch_states), np.arange(B)] = 1.0
         self.inputs[self.one_photon_rows[S:], np.arange(B, zero_column)] = 1.0
 
@@ -435,16 +446,17 @@ class _SchemeEngine:
 
         # G[k', d] multiplies one element <d_j|D(beta_j)|k'_j> per detected
         # mode j of the (M, max_count + 1, S + 1) displacement tables of one
-        # parameter row.  With those tables transposed, one gather takes
-        # entry d_j of every (j, k) row for each pattern, and a second picks
-        # row (j, k'_j) for each detected state.  The first gather's index
-        # has one row per pattern, so that a call's patterns read a
-        # contiguous prefix of it.  The survivor's table needs rows m_0 = 0
-        # and 1 even at cutoff 0
+        # parameter row.  One gather, in the tables' own layout, takes
+        # element (d_j, k) of detected mode j for every (j, k) row and each
+        # pattern, as ((M - 1)(S + 1), patterns); a second picks row
+        # (j, k'_j) for each detected state.  The survivor's table needs rows
+        # m_0 = 0 and 1 even at cutoff 0
         self.max_count = max(int(self.patterns.max()), 1)
-        self.row_index = np.arange((M - 1) * (S + 1)) * (self.max_count + 1) + np.repeat(
-            self.patterns, S + 1, axis=1
-        )
+        self.row_gather = (
+            (np.arange(1, M)[:, None, None] * (self.max_count + 1)
+             + self.patterns.T[:, None, :]) * (S + 1)
+            + np.arange(S + 1)[:, None]
+        ).reshape((M - 1) * (S + 1), -1)
         self.column_index = np.arange(M - 1)[:, None] * (S + 1) + detected.occupations.T
 
         # psi_b(k_0, k') for every branch, as 2 (S + 1) B real rows, in the
@@ -468,6 +480,19 @@ class _SchemeEngine:
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
+
+    @cached_property
+    def row_gathers(self):
+        """A contiguous, read-only copy of ``row_gather``'s first ``count``
+        columns for every count that ``reachable`` can return (the scanned
+        count among them), so that a search call gathers without copying
+        its index.  ``outcome_table``'s every pattern reads ``row_gather``
+        itself, and ``tabulate`` takes any other count as a view of it."""
+        prefixes = {}
+        for count in self.reach_table[1]:
+            prefixes[count] = np.ascontiguousarray(self.row_gather[:, :count])
+            prefixes[count].setflags(write=False)
+        return prefixes
 
     def split_params(self, params):
         params = np.asarray(params, dtype=float)
@@ -533,10 +558,14 @@ class _SchemeEngine:
         """Per-pattern herald probability, one-photon weight and multiphoton
         weight (unnormalized), each (R, patterns), and the herald mass outside
         the patterns, (R,), for an (R, parameters) array.  Each row's result
-        is the same whatever R is."""
+        is the same whatever R is.  The multiphoton weight is
+        ``_multiphoton`` of the ``tabulate`` columns."""
         mesh, alphas = self.split_params(params)
-        herald, one, multi = self.tabulate(self.propagate(mesh), alphas, self.patterns.shape[0])
-        return herald, one, multi, np.maximum(0.0, 1.0 - herald.sum(axis=1))
+        herald, vacuum, one = self.tabulate(
+            self.propagate(mesh), alphas, self.patterns.shape[0]
+        )
+        tail = np.maximum(0.0, 1.0 - herald.sum(axis=1))
+        return herald, one, _multiphoton(herald, vacuum, one), tail
 
     def propagate(self, mesh):
         """The mesh stage: every input column through the mesh of each row of
@@ -548,12 +577,14 @@ class _SchemeEngine:
         return vectors
 
     def tabulate(self, vectors, alphas, count):
-        """The herald, one-photon and multiphoton columns of ``outcome_table``
-        over the first ``count`` patterns, without the truncation tail, from
-        the mesh output of ``propagate`` and the (R, num_coherent) ancilla
-        amplitudes; ``vectors`` is left as it is.  A column's bits can follow
-        ``count`` (the BLAS kernel of the trailing columns), never the other
-        rows of the call."""
+        """The herald probability, vacuum weight and one-photon weight of the
+        first ``count`` patterns, each (R, count) and unnormalized, from the
+        mesh output of ``propagate`` and the (R, num_coherent) ancilla
+        amplitudes; ``vectors`` is left as it is.  The multiphoton weight is
+        what the other two leave of the herald (``_multiphoton``), formed
+        only where it is read.  A column's bits can follow ``count`` (the
+        BLAS kernel of the trailing columns), never the other rows of the
+        call."""
         cap = _admitted_cap(self.space)
         # a few amplitudes: Python floats beat numpy's reductions, and the
         # comparison is written so that a NaN amplitude fails it too
@@ -568,60 +599,66 @@ class _SchemeEngine:
         # tables at |beta|, and the phase e^{-i sum_j k_j arg beta_j} of each
         # basis state on the mesh output (see the class docstring)
         tables = displaced_number_elements(np.abs(betas[:, :, 0]), self.max_count, S)
-        turns = np.matmul(self.basis.occupations, np.arctan2(-betas.imag, betas.real))
+        turns = np.matmul(self.occupations, np.arctan2(-betas.imag, betas.real))
         phased = vectors * _unit_phases(turns)
         g, factor, c, amps = self._work_arrays(rows, count)
-        # take along axis 1 applies one index table to every parameter row,
-        # here as (R, patterns, rows of d), turned to (R, rows of d, patterns);
-        # G is the elementwise product of one gathered slice per detected mode.
-        # The index tables are in range by construction, so the gathers clip
-        # instead of checking, and write into ``out`` without a buffer
-        rows_of_d = np.ascontiguousarray(
-            tables[:, 1:].swapaxes(2, 3).reshape(rows, -1)
-            .take(self.row_index[:count], axis=1, mode="clip").swapaxes(1, 2)
-        )
+        # take along axis 1 applies one index table to every parameter row:
+        # the row gather, read in the layout of the tables, gives (R, rows
+        # of d, patterns) at once, and G is the elementwise product of one
+        # slice of it per detected mode.  The index tables are in range by
+        # construction, so the gathers clip instead of checking, and write
+        # into ``out`` without a buffer
+        if count == self.row_gather.shape[1]:
+            row_gather = self.row_gather
+        else:
+            row_gather = self.row_gathers.get(count, self.row_gather[:, :count])
+        rows_of_d = tables.reshape(rows, -1).take(row_gather, axis=1, mode="clip")
         rows_of_d.take(self.column_index[0], axis=1, out=g, mode="clip")
         for mode_columns in self.column_index[1:]:
             g *= rows_of_d.take(mode_columns, axis=1, out=factor, mode="clip")
         psi = phased.view(np.float64).reshape(rows, -1).take(
             self.psi_index, axis=1, mode="clip"
         )
-        np.matmul(psi, g, out=c.reshape(rows, psi.shape[1], -1))
+        np.matmul(psi, g, out=c)
         # the surviving mode's m_0 = 0 and 1 elements, summed over k_0
         np.matmul(tables[:, 0, :2], c.reshape(rows, S + 1, -1), out=amps)
         weights = self.row_weights
-        herald = weights @ np.square(c, out=c).reshape(rows, weights.size, -1)
+        herald = weights @ np.square(c, out=c)
         vacuum_one = weights[: 2 * B] @ np.square(amps, out=amps).reshape(rows, 2, 2 * B, -1)
-        one = vacuum_one[:, 1]
-        multi = np.maximum(herald - vacuum_one[:, 0] - one, 0.0)
-        return herald, one, multi
+        return herald, vacuum_one[:, 0], vacuum_one[:, 1]
 
     def _work_arrays(self, rows, patterns):
         """G, one gathered factor of it, the branch amplitudes c and their
         surviving-mode contraction for ``rows`` parameter rows and
-        ``patterns`` columns: real views of one block, shaped (R, detected
-        states, patterns) twice, (R, S + 1, 2, branches, patterns) with the
-        real and imaginary parts on the middle axis, and (R, 2, 2 * branches
-        * patterns).  c is contiguous, so the k_0 GEMM writes it as (R, 2 (S +
-        1) branches, patterns).
+        ``patterns`` columns: four real views of one ``np.empty`` block,
+        shaped (R, detected states, patterns) twice, (R, 2 (S + 1) branches,
+        patterns), the rows of c in the order (k_0, real or imaginary part,
+        branch), and (R, 2, 2 * branches * patterns).
 
         They are an evaluation's largest arrays.  glibc returns the free top
         of its heap to the system once it exceeds twice the largest block it
         ever had to map and free; with one block the largest block holds most
         of the evaluation, so a search does not fault its arrays in again on
-        every evaluation.  The block's size follows the call's pattern count."""
+        every evaluation.  The block's size follows the call's pattern count,
+        and it is allocated on every call.  Holding one block per row and
+        pattern count across a line's calls is a trap: a held block is never
+        freed, so glibc's mmap threshold never rises to its size, and each
+        line maps its blocks afresh.  On perfbench's 12 ``search-4m``
+        searches (its 4 cells at seeds 1-3) in a fresh process with the
+        engines built, that took 29,599 minor page faults against 1,746 with
+        a block per call (``getrusage``; 2-CPU Xeon, glibc, OpenBLAS on one
+        thread), and ran no faster."""
         S, B = self.space.num_sources, self.num_branches
-        detected = self.column_index.shape[1]
-        shapes = [(rows, detected, patterns)] * 2 + [
-            (rows, S + 1, 2, B, patterns), (rows, 2, 2 * B * patterns)
-        ]
-        block = np.empty(sum(math.prod(shape) for shape in shapes))
-        views, start = [], 0
-        for shape in shapes:
-            stop = start + math.prod(shape)
-            views.append(block[start:stop].reshape(shape))
-            start = stop
-        return views
+        g_size = rows * self.column_index.shape[1] * patterns
+        c_size = rows * 2 * (S + 1) * B * patterns
+        block = np.empty(2 * g_size + c_size + rows * 4 * B * patterns)
+        end = 2 * g_size + c_size
+        return (
+            block[:g_size].reshape(rows, -1, patterns),
+            block[g_size : 2 * g_size].reshape(rows, -1, patterns),
+            block[2 * g_size : end].reshape(rows, -1, patterns),
+            block[end:].reshape(rows, 2, -1),
+        )
 
 
 @lru_cache(maxsize=32)
@@ -668,34 +705,56 @@ def _objective(space: SearchSpace, params):
     return _scores(space, table)
 
 
-def _scores(space: SearchSpace, table):
-    """Search score and best pattern index of each row of a ``tabulate``
-    table over a prefix of the scanned patterns.  One rule makes a pattern
-    eligible: its herald reaches ``min_herald``.  Every eligible pattern is
-    ranked, and the score is the best X among those that meet the
-    constraint; with none eligible it is -2, or -1 minus the least
-    multiphoton ratio when eligible patterns all break the constraint, and
-    the pattern index is -1.  A column's index is its pattern's index, so
-    ties go to the same pattern as over every scanned pattern.  A NaN X is
-    the best index, as ``argmax`` takes it, and a NaN score."""
-    herald, one, multi = table
+def _multiphoton(herald, vacuum, one):
+    """The multiphoton weight of each ``tabulate`` column: the herald less
+    its vacuum and one-photon weights, at least 0."""
+    return np.maximum(herald - vacuum - one, 0.0)
+
+
+def _ratios(space: SearchSpace, table):
+    """The X ratio of each column of a ``tabulate`` table over a prefix of
+    the scanned patterns, -1 where the column is not valid, and the score of
+    each row in which none is.  One rule makes a pattern eligible: its
+    herald reaches ``min_herald``.  Every eligible pattern is ranked, and a
+    valid one also meets the constraint; with none eligible the fallback is
+    -2, or -1 minus the least multiphoton ratio when eligible patterns all
+    break the constraint.  A NaN multiphoton ratio does not break it, so a
+    NaN anywhere in an eligible column reads as a NaN X.  Unconstrained, X
+    is divided into the herald's floor buffer and masked in place."""
+    herald, vacuum, one = table
     eligible = herald >= space.min_herald
     floor = np.maximum(herald, 1e-300)
-    valid = eligible
-    fallback = -2.0
-    if space.constraint is not None:
-        multi_ratio = np.where(eligible, multi / floor, np.inf)
-        valid = eligible & (multi_ratio <= space.constraint)
-        # no feasible outcome: drive the least multiphoton weight down
-        fallback = np.where(
-            eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), fallback
-        )
-    x_ratio = np.where(valid, one / floor, -1.0)
-    best = x_ratio.argmax(axis=1)
-    top = x_ratio[np.arange(best.size), best]
+    if space.constraint is None:
+        ratio = np.divide(one, floor, out=floor)
+        np.copyto(ratio, -1.0, where=~eligible)
+        return ratio, -2.0
+    multi_ratio = np.where(eligible, _multiphoton(herald, vacuum, one) / floor, np.inf)
+    valid = eligible & ~(multi_ratio > space.constraint)
+    # no feasible outcome: drive the least multiphoton weight down
+    fallback = np.where(eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), -2.0)
+    return np.where(valid, one / floor, -1.0), fallback
+
+
+def _scores(space: SearchSpace, table):
+    """Search score and best pattern index of each row of a ``tabulate``
+    table: the best ``_ratios`` X, or the fallback with index -1 when no
+    column is valid.  A column's index is its pattern's index, so ties go to
+    the same pattern as over every scanned pattern.  A NaN X is the best
+    index, as ``argmax`` takes it, and a NaN score."""
+    ratio, fallback = _ratios(space, table)
+    best = ratio.argmax(axis=1)
+    top = ratio[np.arange(best.size), best]
     # a valid X is >= 0 or NaN, so only a row with none valid reads -1 here
     found = ~(top < 0.0)
     return np.where(found, top, fallback), np.where(found, best, -1)
+
+
+def _probe_scores(space: SearchSpace, table):
+    """The scores of ``_scores`` alone, through ``max``: it picks the value
+    that ``argmax`` points at, NaN included."""
+    ratio, fallback = _ratios(space, table)
+    top = ratio.max(axis=1)
+    return np.where(top < 0.0, fallback, top)
 
 
 def _line_scores(space: SearchSpace, params, coord: int):
@@ -715,42 +774,58 @@ def _line_scores(space: SearchSpace, params, coord: int):
     any probe of the line.  On a mesh line that is the rows' own; on an
     amplitude line it puts the moved ancilla at ``_admitted_cap``, the
     largest |alpha_j| that ``tabulate`` admits, and the others where they
-    are, so no probe leaves out a pattern it can herald.  Rows never mix."""
+    are, so no probe leaves out a pattern it can herald.  Rows never mix.
+    The rows a call repeats per probe (the parameters and the mesh output on
+    an amplitude line, the amplitudes on a mesh line) are repeated once per
+    line and probe count, and the probes are scored by ``_probe_scores``."""
     engine = _engine(space)
     params = np.array(params, dtype=float)
     mesh, alphas = engine.split_params(params)
     rows = params.shape[0]
+    # the rows of each probe count, repeated once per line
+    repeated = {}
     if coord >= engine.mesh_len:
         vectors = engine.propagate(mesh)
         widest = alphas.copy()
         widest[:, (coord - engine.mesh_len) // 2] = _admitted_cap(space)
         count = engine.reachable(widest)
+        # split_params checked the rows' shape when the line was set up
+        real = slice(engine.mesh_len, None, 2)
+        imag = slice(engine.mesh_len + 1, None, 2)
 
         def scores(x):
-            probes = np.size(x) // rows
-            trial = np.repeat(params, probes, axis=0)
-            trial[:, coord] = np.ravel(x)
-            probe_vectors = vectors if probes == 1 else np.repeat(vectors, probes, axis=0)
-            table = engine.tabulate(probe_vectors, engine.split_params(trial)[1], count)
-            return _scores(space, table)[0].reshape(np.shape(x))
+            probes = x.size // rows
+            if probes not in repeated:
+                repeated[probes] = (
+                    np.repeat(params, probes, axis=0),
+                    vectors if probes == 1 else np.repeat(vectors, probes, axis=0),
+                )
+            trial, probe_vectors = repeated[probes]
+            trial[:, coord] = x.ravel()
+            probe_alphas = trial[:, real] + 1j * trial[:, imag]
+            table = engine.tabulate(probe_vectors, probe_alphas, count)
+            return _probe_scores(space, table).reshape(x.shape)
 
         return scores
     nodes = engine.line_steps.size
-    center = mesh[:, coord].copy()
+    center = mesh[:, coord, None, None, None]
     sampled = np.repeat(mesh[:, None], nodes, axis=1)
     sampled[:, :, coord] += engine.line_steps
     samples = engine.propagate(sampled.reshape(rows * nodes, -1))
-    coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))
+    coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))[:, None]
+    shape = (-1,) + samples.shape[1:]
     count = engine.reachable(alphas)
 
     def scores(x):
         # one 1 x (2S + 1) rebuild per (row, probe), whatever the probes per row
-        offsets = np.reshape(x, (rows, -1, 1, 1)) - center[:, None, None, None]
+        offsets = x.reshape(rows, -1, 1, 1) - center
         phases = _unit_phases(offsets * engine.line_orders)
-        vectors = np.matmul(phases, coefficients[:, None]).reshape((-1,) + samples.shape[1:])
-        probe_alphas = np.repeat(alphas, offsets.shape[1], axis=0)
-        table = engine.tabulate(vectors, probe_alphas, count)
-        return _scores(space, table)[0].reshape(np.shape(x))
+        vectors = np.matmul(phases, coefficients).reshape(shape)
+        probes = offsets.shape[1]
+        if probes not in repeated:
+            repeated[probes] = np.repeat(alphas, probes, axis=0)
+        table = engine.tabulate(vectors, repeated[probes], count)
+        return _probe_scores(space, table).reshape(x.shape)
 
     return scores
 
@@ -908,11 +983,14 @@ def maximize_X(
     its own (seed, restart)-keyed stream, the blocks of ``_LOCKSTEP``
     restarts are fixed by the budget and run in turn in the calling thread,
     and the merge is a best-of in restart order.  A restart's bits can
-    change with the block it runs in (module docstring).  ``threads`` is
-    accepted and ignored.
+    change with the block it runs in (module docstring).  ``budget`` is a
+    whole number of at least 1; an integral float counts as its integer.
+    ``threads`` is accepted and ignored.
     """
-    if budget < 1:
-        raise ContractViolation("budget must be >= 1")
+    # written so that NaN fails it too
+    if not (budget >= 1 and float(budget).is_integer()):
+        raise ContractViolation(f"budget must be an integer >= 1, got {budget!r}")
+    budget = int(budget)
     engine = _engine(space)
     if not engine.scanned:
         raise ContractViolation(

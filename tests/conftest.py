@@ -82,6 +82,28 @@ def fold_tensor_all(states, joint, tail_tol=TAIL):
     return acc
 
 
+def pair_displaced_number_elements(alphas, cutoff, photons):
+    """Reference ``fock.displaced_number_elements``: the (alpha, alpha^*)
+    pair array, scaled by the plan's steps into the (q, r) rows in one
+    multiply, and |alpha|^2 as the real part of alpha alpha^*; the rest of
+    the construction as in the library.  Refuses nothing."""
+    alphas = np.asarray(alphas)
+    alphas = alphas.astype(np.result_type(alphas, float), copy=False)
+    steps, index, weight = pel.fock._displacement_plan(cutoff, photons)
+    pair = np.empty(alphas.shape + (2, 1), dtype=alphas.dtype)
+    pair[..., 0, 0] = alphas
+    np.conjugate(alphas, out=pair[..., 1, 0])
+    mean = np.multiply(pair[..., 0, 0], pair[..., 1, 0]).real
+    runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=alphas.dtype)
+    np.multiply(pair, steps, out=runs[..., 1:])
+    runs[..., 0, 0] = np.exp(mean * -0.5)
+    runs[..., 1, 0] = 1.0
+    np.cumprod(runs, axis=-1, out=runs)
+    factors = runs.reshape(alphas.shape + (2 * runs.shape[-1],)).take(index, axis=-1)
+    factors *= weight
+    return np.matmul(factors[..., : cutoff + 1, :], factors[..., cutoff + 1 :, :])
+
+
 def vectorised_golden_max(fun, lo, hi, evals, ahead=False):
     """Reference golden-section maximization: the schedule of
     ``pel.nogo._golden_max``, with ``ahead`` too, stepped on (R,) arrays,

@@ -484,7 +484,7 @@ def test_main_partial_qubit_coherence_past_the_float_range_exit_code(tmp_path, c
     assert "coherence" in capsys.readouterr().err
 
 
-def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
+def test_main_refuses_unknown_flags_with_exit_2(tmp_path, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
@@ -494,14 +494,91 @@ def test_main_zero_threads_exit_code(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"command": "nogo-search", "search": search}))
     # every command runs in the calling thread: there is no --threads flag
     for value in ("0", "2"):
-        with pytest.raises(SystemExit) as exit_:
-            main(["nogo-search", "--spec", str(path), "--threads", value])
-        assert exit_.value.code == 2
-        assert f"unrecognized arguments: --threads {value}" in capsys.readouterr().err
+        assert main(["nogo-search", "--spec", str(path), "--threads", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"unrecognized arguments: --threads {value}" in err
 
 
 _ONE_ISPS = {"sources": [{"kind": "isps", "p": 0.5}]}
 _SEARCH = {"search": {"source_efficiencies": [0.5, 0.5], "budget": 50, "cutoff": 6}}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "commutation", "--format", "xml"], "argument --format: invalid choice"),
+        (["verify", "commutation", "--seed", "1.5"], "argument --seed: invalid int value"),
+        (["verify", "commutation", "--trials", "two"], "argument --trials: invalid int value"),
+        (["search"], "argument command: invalid choice"),
+        (["verify", "commutation", "--spec"], "argument --spec: expected one argument"),
+    ],
+    ids=["format", "seed", "trials", "command", "spec-value"],
+)
+def test_main_returns_2_for_argparse_refusals(capsys, monkeypatch, argv, message):
+    # argparse's refusals return 2 and print one error line, as every other
+    # refusal does, instead of leaving main through SystemExit
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(pel.cli, "_RUNNERS", dict.fromkeys(pel.cli._RUNNERS, no_run))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_main_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    assert "usage: pel" in capsys.readouterr().out
+
+
+_ISPS_PAIR = [{"kind": "isps", "p": 0.5}, {"kind": "isps", "p": 0.3}]
+
+
+@pytest.mark.parametrize(
+    "spec,path",
+    [
+        ({"command": "efficiency", "sources": _ISPS_PAIR, "cutoff": 6}, ("cutoff",)),
+        ({"command": "efficiency", "sources": [{"kind": "fock", "n": 2}]},
+         ("sources", 0, "n")),
+        ({"command": "simulate", "sources": _ISPS_PAIR,
+          "interferometer": {"haar": {"seed": 5}}}, ("interferometer", "haar", "seed")),
+        ({"command": "verify", "seed": 3, "verify": {"check": "commutation", "trials": 2}},
+         ("seed",)),
+        ({"command": "nogo-search",
+          "search": {"source_efficiencies": [0.5, 0.5], "cutoff": 6, "budget": 400}},
+         ("search", "budget")),
+        ({"command": "nogo-search",
+          "search": {"p_max_grid": [0.5], "num_sources": 2, "cutoff": 6, "budget": 200}},
+         ("search", "num_sources")),
+        ({"command": "verify", "verify": {"check": "bernoulli", "trials": 2}},
+         ("verify", "trials")),
+    ],
+    ids=["cutoff", "fock-n", "haar-seed", "seed", "budget", "num_sources", "trials"],
+)
+def test_an_integral_float_runs_as_its_integer(tmp_path, capsys, spec, path):
+    # the schema admits 6.0 where it asks for an integer, as jsonschema
+    # does: the float spelling must run, and emit, as the int spelling
+    floated = copy.deepcopy(spec)
+    node = floated
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float(node[path[-1]])
+    outputs = []
+    for version in (spec, floated):
+        file = tmp_path / "spec.json"
+        file.write_text(json.dumps(version))
+        code = main([spec["command"], "--spec", str(file)])
+        outputs.append((code, capsys.readouterr()))
+    (int_code, int_out), (float_code, float_out) = outputs
+    assert int_code == float_code == 0
+    assert float_out.out == int_out.out and float_out.err == int_out.err == ""
+    assert json.loads(int_out.out)["spec_echo"] == spec
+    # the caller's spec is left as it is
+    assert run_spec(floated)[0]["spec_echo"] == spec
+    assert isinstance(node[path[-1]], float)
 
 
 @pytest.mark.parametrize(

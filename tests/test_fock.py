@@ -27,7 +27,13 @@ from pel.errors import (
 )
 from pel.fock import poisson_tails
 
-from conftest import fold_tensor_all, inertia_min_eigenvalue, loop_trace_out, random_density
+from conftest import (
+    fold_tensor_all,
+    inertia_min_eigenvalue,
+    loop_trace_out,
+    pair_displaced_number_elements,
+    random_density,
+)
 
 
 # --- basis -------------------------------------------------------------------
@@ -287,6 +293,35 @@ def test_displaced_number_elements_refuse_an_underflowing_table(alpha):
     # exp(-|alpha|^2 / 2) leaves the normal floats past |alpha|^2 ~ 1417
     with pytest.raises(CapacityError, match="float range"):
         pel.displaced_number_elements([0.5, alpha], 1600, 1)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)], ids=["scalar", "n", "RxM"])
+def test_displaced_number_elements_keep_the_pair_construction_bits(rng, dtype, shape):
+    # the search's every report depends on these tables, so the library's
+    # construction must give the reference's bits, not merely its values
+    for cutoff, photons, scale in [(16, 2, 1.0), (17, 3, 0.3), (5, 0, 2.5), (0, 4, 4.0)]:
+        alphas = rng.standard_normal(shape) * scale
+        if dtype is complex:
+            alphas = alphas + 1j * scale * rng.standard_normal(shape)
+        table = pel.displaced_number_elements(alphas, cutoff, photons)
+        reference = pair_displaced_number_elements(alphas, cutoff, photons)
+        assert table.dtype == reference.dtype == np.dtype(dtype)
+        assert table.shape == np.shape(alphas) + (cutoff + 1, photons + 1)
+        assert np.array_equal(table.view(np.uint64), reference.view(np.uint64))
+        # alpha = 0 gives the identity exactly
+        zero = pel.displaced_number_elements(np.zeros(shape, dtype=dtype), cutoff, photons)
+        assert (zero == np.eye(cutoff + 1, photons + 1)).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("bad", [math.nan, 1.01 * math.sqrt(pel.fock.MAX_DISPLACEMENT_MEAN)])
+def test_displaced_number_elements_refuse_nan_and_past_the_mean(dtype, bad):
+    alphas = np.array([[0.5, bad], [0.0, 0.25]], dtype=dtype)
+    with pytest.raises(CapacityError, match="float range"):
+        pel.displaced_number_elements(alphas, 16, 2)
+    with pytest.raises(CapacityError, match="float range"):
+        pel.displaced_number_elements(np.array(bad, dtype=dtype), 16, 2)
 
 
 def test_partial_qubit_state_and_positivity_guard():

@@ -657,12 +657,40 @@ def test_index_tables_are_in_range(space):
     S, M = space.num_sources, space.modes
     tables = displaced_number_elements(np.zeros((1, M)), engine.max_count, S)
     for index, size in [
-        (engine.row_index, tables[:, 1:].size),
-        (engine.column_index, engine.row_index.shape[1]),
+        (engine.row_gather, tables.size),
+        (engine.column_index, engine.row_gather.shape[0]),
         (engine.psi_index, 2 * engine.inputs.size),
     ]:
         assert index.min() >= 0
         assert index.max() < size
+
+
+@pytest.mark.parametrize("space", LINE_SPACES, ids=["2+1", "3+1", "2+2"])
+def test_row_gather_prefixes_are_contiguous_read_only_copies(space):
+    # a search call gathers through the prefix of its count without
+    # copying the index: one per count that reachable returns
+    engine = pel.nogo._SchemeEngine(space)
+    counts = engine.reach_table[1]
+    assert sorted(engine.row_gathers) == sorted(set(counts))
+    assert engine.scanned in engine.row_gathers
+    for count, prefix in engine.row_gathers.items():
+        assert np.array_equal(prefix, engine.row_gather[:, :count])
+        assert prefix.flags.c_contiguous and not prefix.flags.writeable
+    # the survivor's mode 0 is never gathered: every entry lies past its table
+    width = (engine.max_count + 1) * (space.num_sources + 1)
+    assert engine.row_gather.min() >= width
+
+
+@pytest.mark.parametrize("budget", [0, 400.5, math.nan, math.inf, -3.0])
+def test_maximize_refuses_a_budget_that_is_no_whole_number(budget):
+    with pytest.raises(ContractViolation, match="budget"):
+        maximize_X(small_space(), budget, seed=1)
+
+
+def test_maximize_takes_an_integral_float_budget_as_its_integer():
+    space = small_space()
+    budget = pel.nogo._restart_cost(space)
+    assert maximize_X(space, float(budget), seed=1) == maximize_X(space, budget, seed=1)
 
 
 def test_maximize_across_blocks_is_thread_independent():
@@ -966,10 +994,32 @@ def test_scores_keep_a_nan_x_as_a_nan_score(constraint):
     space = SearchSpace((0.5, 0.5), constraint=constraint)
     herald = np.full((2, 4), 0.5)
     one = np.array([[0.125, 0.25, math.nan, 0.0], [0.125, 0.25, 0.0, 0.0]])
-    multi = np.zeros((2, 4))
-    scores, best = pel.nogo._scores(space, (herald, one, multi))
+    vacuum = herald - one
+    scores, best = pel.nogo._scores(space, (herald, vacuum, one))
     assert math.isnan(scores[0]) and best[0] == 2
     assert scores[1] == 0.5 and best[1] == 1
+
+
+@pytest.mark.parametrize("constraint", [None, 1e-3], ids=["free", "constrained"])
+def test_probe_scores_are_the_scores_values_bit_for_bit(rng, constraint):
+    # a line probe takes the score through max, the objective through
+    # argmax: the two must agree in every bit, NaN and the fallbacks included
+    space = SearchSpace((0.5, 0.5), constraint=constraint, min_herald=1e-2)
+    herald = rng.uniform(0.0, 0.05, (64, 9))
+    one = herald * rng.uniform(0.0, 1.0, herald.shape)
+    vacuum = (herald - one) * rng.choice([1.0, 0.9999, 0.5], herald.shape)
+    one[rng.random(herald.shape) < 0.03] = math.nan
+    herald[rng.random(herald.shape) < 0.03] = math.nan
+    herald[:4] = 0.0
+    # a row whose valid patterns all give X = 0 scores 0, not the fallback
+    herald[4], one[4], vacuum[4] = 0.03, 0.0, 0.03
+    seen = []
+    for table in [(herald, vacuum, one), (herald[:, :1], vacuum[:, :1], one[:, :1])]:
+        scores = pel.nogo._scores(space, tuple(a.copy() for a in table))[0]
+        line = pel.nogo._probe_scores(space, tuple(a.copy() for a in table))
+        assert np.array_equal(scores.view(np.uint64), line.view(np.uint64))
+        seen.append(scores)
+    assert np.isnan(seen[0]).any() and (seen[0] == -2.0).any() and seen[0][4] == 0.0
 
 
 def _every_column_objective(space, params):
