@@ -489,24 +489,27 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
     The table is thus one batched matmul of two banded factors,
     A[m, i] = sqrt(C(m, i)) q_{m-i} and B[i, k] = sqrt(C(k, i)) r_{k-i} with
     i <= photons, gathered from q and r, each of which is one cumulative
-    product.  Every element is a finite sum of at most photons + 1 terms, so
-    truncating the rows at the cutoff is exact, and alpha = 0 gives
-    q = r = (1, 0, ...) and the identity exactly.  q starts at
-    e^{-|alpha|^2/2}, a normal float only up to |alpha|^2 =
-    ``MAX_DISPLACEMENT_MEAN``; a larger amplitude raises CapacityError
-    rather than return an underflowed table.
+    product (``_displaced_elements``).  Every element is a finite sum of at
+    most photons + 1 terms, so truncating the rows at the cutoff is exact,
+    and alpha = 0 gives q = r = (1, 0, ...) and the identity exactly.  q
+    starts at e^{-|alpha|^2/2}, a normal float only up to |alpha|^2 =
+    ``MAX_DISPLACEMENT_MEAN``; a larger or NaN amplitude raises
+    CapacityError rather than return an underflowed table.
 
     The table has the dtype of the amplitudes: real amplitudes give a real
     table, complex ones a complex table.  With alpha = |alpha| e^{i phi},
     D(alpha) = e^{i phi n} D(|alpha|) e^{-i phi n}, so a caller may take the
-    table at |alpha| and carry the phases e^{i(m - k) phi} itself.
+    table at |alpha| and carry the phases e^{i(m - k) phi} itself.  This
+    function is the guard around the kernel; the search engine, which
+    bounds |alpha|^2 when it is built, calls the kernel itself.
     """
     alphas = np.asarray(alphas)
     if alphas.dtype.char not in "dD":
         alphas = alphas.astype(np.result_type(alphas, float))
-    steps, index, weight = _displacement_plan(cutoff, photons)
-    real = alphas.dtype.kind == "f"
-    mean = alphas * alphas if real else (alphas * np.conjugate(alphas)).real
+    if alphas.dtype.kind == "f":
+        mean = alphas * alphas
+    else:
+        mean = (alphas * np.conjugate(alphas)).real
     # written so that a NaN amplitude fails it too
     largest = mean.max(initial=0.0)
     if not largest <= MAX_DISPLACEMENT_MEAN:
@@ -514,18 +517,30 @@ def displaced_number_elements(alphas, cutoff: int, photons: int) -> np.ndarray:
             f"|alpha|^2 = {largest:.6g} leaves the float range of the "
             f"displacement tables (at most {MAX_DISPLACEMENT_MEAN:.6g})"
         )
+    return _displaced_elements(alphas, mean, _displacement_plan(cutoff, photons))
+
+
+def _displaced_elements(alphas, mean, plan) -> np.ndarray:
+    """The kernel of ``displaced_number_elements``: the tables of a float64
+    or complex128 array ``alphas`` whose |alpha|^2 are ``mean``, through a
+    ``_displacement_plan``, with no check."""
+    steps, index, weight = plan
     # rows (q, r), each a cumulative product of its first value and its
     # steps: alpha times both rows of steps, with r's conjugated in place
     runs = np.empty(alphas.shape + (2, steps.shape[1] + 1), dtype=alphas.dtype)
     np.multiply(alphas[..., None, None], steps, out=runs[..., 1:])
-    if not real:
+    if alphas.dtype.kind == "c":
         np.conjugate(runs[..., 1, 1:], out=runs[..., 1, 1:])
     np.exp(mean * -0.5, out=runs[..., 0, 0])
     runs[..., 1, 0] = 1.0
-    np.cumprod(runs, axis=-1, out=runs)
-    factors = runs.reshape(alphas.shape + (2 * runs.shape[-1],)).take(index, axis=-1)
+    runs.cumprod(axis=-1, out=runs)
+    factors = runs.reshape(alphas.shape + (2 * runs.shape[-1],)).take(
+        index, axis=-1, mode="clip"
+    )
     factors *= weight
-    return np.matmul(factors[..., : cutoff + 1, :], factors[..., cutoff + 1 :, :])
+    # index stacks A's cutoff + 1 rows over B's photons + 1
+    split = index.shape[0] - index.shape[1]
+    return np.matmul(factors[..., :split, :], factors[..., split:, :])
 
 
 # --- composite-state operations --------------------------------------------

@@ -41,6 +41,17 @@ rebuilds the output at each probe x from e^{iq (x - x_c)}, q = -S..S.  The
 scores so found agree with a direct evaluation to rounding; the start point,
 the final scores and every public entry point evaluate directly.
 
+A probe is arithmetic only.  ``_SchemeEngine.tabulate`` is a kernel of the
+mesh output and the displacement amplitudes beta = U[:, S:] alpha, which its
+callers form (``ancilla_images``, ``displacements``), and it checks nothing.
+The amplitude cap is checked where amplitudes enter: by ``outcome_table``
+and ``_objective`` on every call, by a mesh line once when it is set up, its
+amplitudes being fixed, and by an amplitude line on the moved ancilla of
+each probe, the others once at set-up.  An amplitude past ``_admitted_cap``,
+or NaN, raises ContractViolation there.  The cap in turn bounds every
+|beta_j|^2 by ||alpha||^2, which the engine checks against the float range
+of the displacement tables when it is built.
+
 ``verify_commutation`` checks the enabling lemma directly: equal loss on all
 modes commutes with any interferometer.  With unequal loss it does not, and
 ``unequal_loss_counterexample`` shows the test has the power to notice.
@@ -99,7 +110,8 @@ from .fock import (
     DensityMatrix,
     FockBasis,
     Isps,
-    displaced_number_elements,
+    _displaced_elements,
+    _displacement_plan,
     make_state,
     poisson_tails,
     tensor_all,
@@ -162,6 +174,19 @@ def _admitted_cap(space) -> float:
     """The largest |alpha_j| that the engine admits: amplitude_cap * (1 +
     1e-9)."""
     return space.amplitude_cap * (1.0 + 1e-9)
+
+
+def _check_cap(space, alphas) -> None:
+    """Refuse ancilla amplitudes, an array of any shape, of which one is
+    past ``_admitted_cap`` or NaN, with ContractViolation."""
+    cap = _admitted_cap(space)
+    # a few amplitudes: Python floats beat numpy's reductions, and the
+    # comparison is written so that a NaN amplitude fails it too
+    if not all(abs(a) <= cap for a in alphas.ravel().tolist()):
+        raise ContractViolation(
+            f"|alpha| = {np.abs(alphas).max():.4g} is not within the "
+            f"amplitude cap {space.amplitude_cap}"
+        )
 
 
 def _cap_mean(space) -> float:
@@ -344,9 +369,14 @@ class _SchemeEngine:
     <m|D(|beta_j|)|k>.  The e^{i m phi_j} of the outcome (m_0, d) multiplies
     all of its amplitudes alike and leaves every |amplitude|^2 as it is, so
     it is dropped; e^{-i k phi_j} makes one phase e^{-i sum_j k_j phi_j} per
-    basis state, applied to the mesh output.  The displacement tables of all
-    rows and modes are then one closed-form, real batched matmul at |beta|
-    (``displaced_number_elements``), and so is G.  psi has one row per
+    basis state, applied to the mesh output: ``negated_occupations`` @
+    arctan2(Im beta, Re beta), arctan2 being odd in its first argument.  The
+    displacement tables of all rows and modes are then one closed-form, real
+    batched matmul at |beta|, the kernel of ``displaced_number_elements``
+    run through the engine's own ``displacement_plan``, and so is G.  beta
+    itself is one flat take of the ancilla columns' one-photon rows of the
+    mesh output (``ancilla_index``) and one matmul with alpha, formed by the
+    callers of ``tabulate``.  psi has one row per
     (k_0, real or imaginary part, b) over every detected state; the states
     that do not fit beside k_0 read an all-zero input column, which the mesh
     and the line rebuild keep exactly zero, so one real (R, 2 (S + 1) B,
@@ -374,6 +404,10 @@ class _SchemeEngine:
     bisection of the line's largest ||alpha||^2.  Once built,
     the engine holds no state that depends on its calls; ``reach_table`` and
     ``row_gathers`` are computed on first use.
+
+    ``tabulate`` is the kernel of an evaluation and checks nothing; its
+    callers check the amplitudes against the cap before they form beta (see
+    the module docstring).
     """
 
     def __init__(self, space: SearchSpace):
@@ -427,11 +461,17 @@ class _SchemeEngine:
         branch_states = np.zeros((B, M), dtype=np.int64)
         branch_states[:, :S] = branches
         self.one_photon_rows = self.basis.rank(unit)
-        # the basis occupations as the floats that ``tabulate``'s phases
-        # multiply, so that no call casts them
-        self.occupations = self.basis.occupations.astype(float)
         self.inputs[self.basis.rank(branch_states), np.arange(B)] = 1.0
         self.inputs[self.one_photon_rows[S:], np.arange(B, zero_column)] = 1.0
+        # U[:, S:] of each row as one flat take of its mesh output: the
+        # one-photon rows of the ancilla columns, (M, num_coherent)
+        self.ancilla_index = (
+            self.one_photon_rows[:, None] * self.inputs.shape[1]
+            + np.arange(B, zero_column)
+        )
+        # minus the basis occupations, as the floats that ``tabulate``'s
+        # phases multiply, so that no call casts or negates them
+        self.negated_occupations = -self.basis.occupations.astype(float)
 
         # a search line moves one mesh angle or phase, in which every mesh
         # output amplitude is a trigonometric polynomial of degree <= S:
@@ -452,6 +492,7 @@ class _SchemeEngine:
         # (j, k'_j) for each detected state.  The survivor's table needs rows
         # m_0 = 0 and 1 even at cutoff 0
         self.max_count = max(int(self.patterns.max()), 1)
+        self.displacement_plan = _displacement_plan(self.max_count, S)
         self.row_gather = (
             (np.arange(1, M)[:, None, None] * (self.max_count + 1)
              + self.patterns.T[:, None, :]) * (S + 1)
@@ -559,10 +600,14 @@ class _SchemeEngine:
         weight (unnormalized), each (R, patterns), and the herald mass outside
         the patterns, (R,), for an (R, parameters) array.  Each row's result
         is the same whatever R is.  The multiphoton weight is
-        ``_multiphoton`` of the ``tabulate`` columns."""
+        ``_multiphoton`` of the ``tabulate`` columns.  An amplitude past the
+        cap, or NaN, raises ContractViolation (``_check_cap``)."""
         mesh, alphas = self.split_params(params)
+        _check_cap(self.space, alphas)
+        vectors = self.propagate(mesh)
         herald, vacuum, one = self.tabulate(
-            self.propagate(mesh), alphas, self.patterns.shape[0]
+            vectors, self.displacements(self.ancilla_images(vectors), alphas),
+            self.patterns.shape[0],
         )
         tail = np.maximum(0.0, 1.0 - herald.sum(axis=1))
         return herald, one, _multiphoton(herald, vacuum, one), tail
@@ -576,30 +621,41 @@ class _SchemeEngine:
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
         return vectors
 
-    def tabulate(self, vectors, alphas, count):
+    def ancilla_images(self, vectors):
+        """U[:, S:] of each row of a mesh output, (R, M, num_coherent): the
+        images of the one-photon inputs of the ancillas, one flat take."""
+        return vectors.reshape(vectors.shape[0], -1).take(
+            self.ancilla_index, axis=1, mode="clip"
+        )
+
+    @staticmethod
+    def displacements(images, alphas):
+        """The displacement amplitudes beta = U[:, S:] alpha of each row, as
+        the (R, M, 1) that ``tabulate`` reads, from ``ancilla_images`` and
+        the (R, num_coherent) ancilla amplitudes."""
+        return np.matmul(images, alphas[:, :, None])
+
+    def tabulate(self, vectors, betas, count):
         """The herald probability, vacuum weight and one-photon weight of the
         first ``count`` patterns, each (R, count) and unnormalized, from the
-        mesh output of ``propagate`` and the (R, num_coherent) ancilla
-        amplitudes; ``vectors`` is left as it is.  The multiphoton weight is
-        what the other two leave of the herald (``_multiphoton``), formed
-        only where it is read.  A column's bits can follow ``count`` (the
-        BLAS kernel of the trailing columns), never the other rows of the
-        call."""
-        cap = _admitted_cap(self.space)
-        # a few amplitudes: Python floats beat numpy's reductions, and the
-        # comparison is written so that a NaN amplitude fails it too
-        if not all(abs(a) <= cap for a in alphas.ravel().tolist()):
-            raise ContractViolation(
-                f"|alpha| = {np.abs(alphas).max():.4g} is not within the "
-                f"amplitude cap {self.space.amplitude_cap}"
-            )
+        mesh output of ``propagate`` and the (R, M, 1) displacement
+        amplitudes beta of ``displacements``; ``vectors`` is left as it is.
+        The multiphoton weight is what the other two leave of the herald
+        (``_multiphoton``), formed only where it is read.  A column's bits
+        can follow ``count`` (the BLAS kernel of the trailing columns),
+        never the other rows of the call.
+
+        This is the kernel alone: it checks nothing.  Its callers check the
+        amplitudes against the cap (``_check_cap``), which bounds every
+        |beta_j|^2 by the mean that the engine admitted when it was built."""
         rows, S, B = vectors.shape[0], self.space.num_sources, self.num_branches
-        betas = np.matmul(vectors[:, self.one_photon_rows, self.ancilla_columns],
-                          alphas[:, :, None])
         # tables at |beta|, and the phase e^{-i sum_j k_j arg beta_j} of each
         # basis state on the mesh output (see the class docstring)
-        tables = displaced_number_elements(np.abs(betas[:, :, 0]), self.max_count, S)
-        turns = np.matmul(self.occupations, np.arctan2(-betas.imag, betas.real))
+        magnitudes = np.abs(betas[:, :, 0])
+        tables = _displaced_elements(
+            magnitudes, magnitudes * magnitudes, self.displacement_plan
+        )
+        turns = np.matmul(self.negated_occupations, np.arctan2(betas.imag, betas.real))
         phased = vectors * _unit_phases(turns)
         g, factor, c, amps = self._work_arrays(rows, count)
         # take along axis 1 applies one index table to every parameter row:
@@ -701,8 +757,10 @@ def _objective(space: SearchSpace, params):
     can herald."""
     engine = _engine(space)
     mesh, alphas = engine.split_params(params)
-    table = engine.tabulate(engine.propagate(mesh), alphas, engine.reachable(alphas))
-    return _scores(space, table)
+    _check_cap(space, alphas)
+    vectors = engine.propagate(mesh)
+    betas = engine.displacements(engine.ancilla_images(vectors), alphas)
+    return _scores(space, engine.tabulate(vectors, betas, engine.reachable(alphas)))
 
 
 def _multiphoton(herald, vacuum, one):
@@ -713,26 +771,31 @@ def _multiphoton(herald, vacuum, one):
 
 def _ratios(space: SearchSpace, table):
     """The X ratio of each column of a ``tabulate`` table over a prefix of
-    the scanned patterns, -1 where the column is not valid, and the score of
-    each row in which none is.  One rule makes a pattern eligible: its
-    herald reaches ``min_herald``.  Every eligible pattern is ranked, and a
-    valid one also meets the constraint; with none eligible the fallback is
-    -2, or -1 minus the least multiphoton ratio when eligible patterns all
-    break the constraint.  A NaN multiphoton ratio does not break it, so a
-    NaN anywhere in an eligible column reads as a NaN X.  Unconstrained, X
-    is divided into the herald's floor buffer and masked in place."""
+    the scanned patterns, a negative mask where the column is not valid, and
+    the score of each row in which none is.  One rule makes a pattern
+    eligible: its herald reaches ``min_herald``.  Every eligible pattern is
+    ranked, and a valid one also meets the constraint; with none eligible
+    the fallback is -2, or -1 minus the least multiphoton ratio when
+    eligible patterns all break the constraint.  A NaN multiphoton ratio
+    does not break it, so a NaN anywhere in an eligible column reads as a
+    NaN X.  X is divided into the herald's floor buffer.  Unconstrained,
+    the mask is the fallback -2 itself, so a row's largest entry is its
+    score; constrained, the mask is -1."""
     herald, vacuum, one = table
     eligible = herald >= space.min_herald
     floor = np.maximum(herald, 1e-300)
     if space.constraint is None:
-        ratio = np.divide(one, floor, out=floor)
-        np.copyto(ratio, -1.0, where=~eligible)
-        return ratio, -2.0
-    multi_ratio = np.where(eligible, _multiphoton(herald, vacuum, one) / floor, np.inf)
-    valid = eligible & ~(multi_ratio > space.constraint)
+        return np.where(eligible, np.divide(one, floor, out=floor), -2.0), -2.0
+    multi_ratio = _multiphoton(herald, vacuum, one)
+    multi_ratio /= floor
+    np.copyto(multi_ratio, np.inf, where=~eligible)
+    # the constraint is finite, so the infinite ratios of the columns that
+    # are not eligible break it
+    valid = multi_ratio > space.constraint
+    np.logical_not(valid, out=valid)
     # no feasible outcome: drive the least multiphoton weight down
     fallback = np.where(eligible.any(axis=1), -1.0 - multi_ratio.min(axis=1), -2.0)
-    return np.where(valid, one / floor, -1.0), fallback
+    return np.where(valid, np.divide(one, floor, out=floor), -1.0), fallback
 
 
 def _scores(space: SearchSpace, table):
@@ -744,16 +807,19 @@ def _scores(space: SearchSpace, table):
     ratio, fallback = _ratios(space, table)
     best = ratio.argmax(axis=1)
     top = ratio[np.arange(best.size), best]
-    # a valid X is >= 0 or NaN, so only a row with none valid reads -1 here
+    # a valid X is >= 0 or NaN, so only a row with none valid reads < 0 here
     found = ~(top < 0.0)
     return np.where(found, top, fallback), np.where(found, best, -1)
 
 
 def _probe_scores(space: SearchSpace, table):
     """The scores of ``_scores`` alone, through ``max``: it picks the value
-    that ``argmax`` points at, NaN included."""
+    that ``argmax`` points at, NaN included.  Unconstrained, that is the
+    score itself."""
     ratio, fallback = _ratios(space, table)
     top = ratio.max(axis=1)
+    if space.constraint is None:
+        return top
     return np.where(top < 0.0, fallback, top)
 
 
@@ -773,11 +839,18 @@ def _line_scores(space: SearchSpace, params, coord: int):
     set up: those ``_SchemeEngine.reachable`` at the largest ||alpha||^2 of
     any probe of the line.  On a mesh line that is the rows' own; on an
     amplitude line it puts the moved ancilla at ``_admitted_cap``, the
-    largest |alpha_j| that ``tabulate`` admits, and the others where they
+    largest |alpha_j| that the cap check admits, and the others where they
     are, so no probe leaves out a pattern it can herald.  Rows never mix.
-    The rows a call repeats per probe (the parameters and the mesh output on
-    an amplitude line, the amplitudes on a mesh line) are repeated once per
-    line and probe count, and the probes are scored by ``_probe_scores``."""
+    The rows a call repeats per probe (the parameters, the mesh output and
+    its ``ancilla_images`` on an amplitude line, the amplitudes on a mesh
+    line) are repeated once per line and probe count, and the probes are
+    scored by ``_probe_scores``.
+
+    What a line holds fixed is checked once, when it is set up: a mesh line
+    checks its amplitudes against the cap, an amplitude line the ancillas it
+    does not move.  An amplitude line checks the moved ancilla of its probes
+    on every call.  Either raises ContractViolation at an amplitude past the
+    cap, or NaN (``_check_cap``)."""
     engine = _engine(space)
     params = np.array(params, dtype=float)
     mesh, alphas = engine.split_params(params)
@@ -785,9 +858,12 @@ def _line_scores(space: SearchSpace, params, coord: int):
     # the rows of each probe count, repeated once per line
     repeated = {}
     if coord >= engine.mesh_len:
-        vectors = engine.propagate(mesh)
+        ancilla = (coord - engine.mesh_len) // 2
         widest = alphas.copy()
-        widest[:, (coord - engine.mesh_len) // 2] = _admitted_cap(space)
+        widest[:, ancilla] = _admitted_cap(space)
+        # the other ancillas stay where they are: checked once, here
+        _check_cap(space, widest)
+        vectors = engine.propagate(mesh)
         count = engine.reachable(widest)
         # split_params checked the rows' shape when the line was set up
         real = slice(engine.mesh_len, None, 2)
@@ -796,17 +872,25 @@ def _line_scores(space: SearchSpace, params, coord: int):
         def scores(x):
             probes = x.size // rows
             if probes not in repeated:
+                probe_vectors = (
+                    vectors if probes == 1 else np.repeat(vectors, probes, axis=0)
+                )
                 repeated[probes] = (
                     np.repeat(params, probes, axis=0),
-                    vectors if probes == 1 else np.repeat(vectors, probes, axis=0),
+                    probe_vectors,
+                    engine.ancilla_images(probe_vectors),
                 )
-            trial, probe_vectors = repeated[probes]
+            trial, probe_vectors, images = repeated[probes]
             trial[:, coord] = x.ravel()
             probe_alphas = trial[:, real] + 1j * trial[:, imag]
-            table = engine.tabulate(probe_vectors, probe_alphas, count)
+            _check_cap(space, probe_alphas[:, ancilla])
+            betas = engine.displacements(images, probe_alphas)
+            table = engine.tabulate(probe_vectors, betas, count)
             return _probe_scores(space, table).reshape(x.shape)
 
         return scores
+    # the amplitudes stay where they are: checked once, here
+    _check_cap(space, alphas)
     nodes = engine.line_steps.size
     center = mesh[:, coord, None, None, None]
     sampled = np.repeat(mesh[:, None], nodes, axis=1)
@@ -824,7 +908,8 @@ def _line_scores(space: SearchSpace, params, coord: int):
         probes = offsets.shape[1]
         if probes not in repeated:
             repeated[probes] = np.repeat(alphas, probes, axis=0)
-        table = engine.tabulate(vectors, repeated[probes], count)
+        betas = engine.displacements(engine.ancilla_images(vectors), repeated[probes])
+        table = engine.tabulate(vectors, betas, count)
         return _probe_scores(space, table).reshape(x.shape)
 
     return scores

@@ -256,6 +256,67 @@ def test_nan_amplitude_fails_the_cap_check():
         pel.nogo._objective(space, params)
 
 
+def _amplitude_line_probed_at(space, params, value):
+    # set up at amplitude 0, within the cap, and probed at the value: only
+    # the call can find the probe past the cap
+    coord = mesh_param_count(space.modes)
+    start = params.copy()
+    start[:, coord] = 0.0
+    line = pel.nogo._line_scores(space, start, coord)
+    line(np.full(params.shape[0], value))
+
+
+#: every entry of the search's evaluations, called on parameter rows whose
+#: first ancilla's real part is the value; a mesh line fixes its amplitudes,
+#: so it checks them when it is set up, and an amplitude line checks its
+#: probes on every call
+CAP_ENTRIES = {
+    "evaluate_scheme": lambda space, params, value: evaluate_scheme(
+        space, params[0], (0,) * (space.modes - 1)
+    ),
+    "outcome_table": lambda space, params, value: pel.nogo._engine(
+        space
+    ).outcome_table(params),
+    "_objective": lambda space, params, value: pel.nogo._objective(space, params),
+    "mesh line": lambda space, params, value: pel.nogo._line_scores(space, params, 0),
+    "amplitude line": _amplitude_line_probed_at,
+}
+
+
+@pytest.mark.parametrize("past", ["nextafter", "nan"])
+@pytest.mark.parametrize("entry", CAP_ENTRIES.values(), ids=CAP_ENTRIES.keys())
+@pytest.mark.parametrize("space", [SearchSpace((0.5, 0.5)),
+                                   SearchSpace((0.5, 0.6), num_coherent=2)],
+                         ids=["2+1", "2+2"])
+def test_every_entry_refuses_an_amplitude_past_the_cap(rng, space, entry, past):
+    # tabulate checks nothing, so each entry checks the amplitudes it
+    # evaluates: one float past the admitted cap is refused, and so is a
+    # NaN, which evaluate_scheme refuses as a non-finite parameter first
+    cap = pel.nogo._admitted_cap(space)
+    value = np.nextafter(cap, math.inf) if past == "nextafter" else math.nan
+    params = rows_at_the_cap(rng, space, 2)
+    params[:, mesh_param_count(space.modes):] = 0.0
+    params[:, mesh_param_count(space.modes)] = value
+    at_the_cap = params.copy()
+    at_the_cap[:, mesh_param_count(space.modes)] = cap
+    entry(space, at_the_cap, cap)
+    finite_first = past == "nan" and entry is CAP_ENTRIES["evaluate_scheme"]
+    match = "finite" if finite_first else "amplitude cap"
+    with pytest.raises(ContractViolation, match=match):
+        entry(space, params, value)
+
+
+def test_an_amplitude_line_checks_its_fixed_ancillas_when_it_is_set_up(rng):
+    space = SearchSpace((0.5, 0.6), num_coherent=2)
+    params = rows_at_the_cap(rng, space, 2)
+    mesh_len = mesh_param_count(space.modes)
+    params[:, mesh_len:] = 0.0
+    # the second ancilla, which the first one's line keeps fixed
+    params[:, mesh_len + 2] = math.nan
+    with pytest.raises(ContractViolation, match="amplitude cap"):
+        pel.nogo._line_scores(space, params, mesh_len)
+
+
 def test_maximize_is_deterministic_and_thread_independent():
     space = small_space(eff=(0.6, 0.4))
     a = maximize_X(space, 1200, seed=7)
@@ -427,9 +488,9 @@ def test_line_scores_match_the_objective(rng, monkeypatch, space):
     counts = []
     tabulate = engine.tabulate
 
-    def counted(vectors, alphas, count):
+    def counted(vectors, betas, count):
         counts.append(count)
-        return tabulate(vectors, alphas, count)
+        return tabulate(vectors, betas, count)
 
     monkeypatch.setattr(engine, "tabulate", counted)
     for coord in coords:
@@ -596,9 +657,9 @@ def test_search_looks_ahead_on_every_line_of_small_blocks(monkeypatch, space, ro
     tabulated = []
     tabulate = engine.tabulate
 
-    def counted(vectors, alphas, count):
+    def counted(vectors, betas, count):
         tabulated.append(vectors.shape[0])
-        return tabulate(vectors, alphas, count)
+        return tabulate(vectors, betas, count)
 
     monkeypatch.setattr(engine, "tabulate", counted)
     pel.nogo._run_restarts(space, 3, range(rows))
@@ -634,10 +695,10 @@ def test_search_tabulates_one_pattern_count_per_line(monkeypatch, space, rows):
 
         return traced
 
-    def counted(vectors, alphas, count):
+    def counted(vectors, betas, count):
         if current:
             current[-1].append(count)
-        return tabulate(vectors, alphas, count)
+        return tabulate(vectors, betas, count)
 
     monkeypatch.setattr(pel.nogo, "_line_scores", traced_line_scores)
     monkeypatch.setattr(engine, "tabulate", counted)
@@ -742,9 +803,9 @@ def test_psi_padding_reads_exact_zeros(rng, monkeypatch, space):
     seen = [engine.propagate(engine.split_params(params)[0])]
     tabulate = engine.tabulate
 
-    def recording(vectors, alphas, columns):
+    def recording(vectors, betas, columns):
         seen.append(vectors.copy())
-        return tabulate(vectors, alphas, columns)
+        return tabulate(vectors, betas, columns)
 
     monkeypatch.setattr(engine, "tabulate", recording)
     for coord in (0, 1, engine.mesh_len - 1, engine.mesh_len):
@@ -1027,7 +1088,9 @@ def _every_column_objective(space, params):
     the amplitudes: the reference for the pattern count of each call."""
     engine = pel.nogo._engine(space)
     mesh, alphas = engine.split_params(params)
-    table = engine.tabulate(engine.propagate(mesh), alphas, engine.scanned)
+    vectors = engine.propagate(mesh)
+    betas = engine.displacements(engine.ancilla_images(vectors), alphas)
+    table = engine.tabulate(vectors, betas, engine.scanned)
     return pel.nogo._scores(space, table)
 
 
