@@ -158,7 +158,7 @@ SCHEMA = {
                 "detect": {
                     "type": "object",
                     "patternProperties": {
-                        "^[0-9]+$": {
+                        "^(0|[1-9][0-9]*)$": {
                             "oneOf": [{"type": "integer", "minimum": 0}, {"type": "null"}]
                         }
                     },

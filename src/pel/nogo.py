@@ -42,10 +42,12 @@ scores so found agree with a direct evaluation to rounding; the start point,
 the final scores and every public entry point evaluate directly.
 
 A probe is arithmetic only.  ``_SchemeEngine.tabulate`` is a kernel of the
-mesh output and the displacement amplitudes beta = U[:, S:] alpha, which its
-callers form (``ancilla_images``, ``displacements``), and it checks nothing.
-The amplitude cap is checked where amplitudes enter: by ``outcome_table``
-and ``_objective`` on every call, by a mesh line once when it is set up, its
+mesh output and the displacement amplitudes beta = U[:, S:] alpha
+(``_SchemeEngine.betas``), and it checks nothing.  One path takes parameter
+rows to a table, ``_SchemeEngine.evaluate``, which ``outcome_table`` and
+``_objective`` call; a search line forms its probe rows itself and shares
+the rest of that path.  The amplitude cap is checked where amplitudes enter:
+by ``evaluate`` on every call, by a mesh line once when it is set up, its
 amplitudes being fixed, and by an amplitude line on the moved ancilla of
 each probe, the others once at set-up.  An amplitude past ``_admitted_cap``,
 or NaN, raises ContractViolation there.  The cap in turn bounds every
@@ -194,7 +196,7 @@ def _cap_mean(space) -> float:
     ``_admitted_cap``.  A cap whose mean passes the float range is
     refused."""
     try:
-        return (math.sqrt(space.num_coherent) * space.amplitude_cap * (1.0 + 1e-9)) ** 2
+        return (math.sqrt(space.num_coherent) * _admitted_cap(space)) ** 2
     except OverflowError:
         raise CapacityError(
             f"amplitude_cap {space.amplitude_cap} puts ||alpha||^2 past the float range"
@@ -286,7 +288,7 @@ class SearchSpace:
                    for p in listed):
                 raise ContractViolation(
                     f"patterns need {self.modes - 1} nonnegative integer counts "
-                    f"each, got {self.patterns!r}"
+                    f"each, one per detected mode, got {self.patterns!r}"
                 )
             object.__setattr__(
                 self, "patterns", tuple(tuple(int(v) for v in p) for p in listed)
@@ -375,8 +377,8 @@ class _SchemeEngine:
     batched matmul at |beta|, the kernel of ``displaced_number_elements``
     run through the engine's own ``displacement_plan``, and so is G.  beta
     itself is one flat take of the ancilla columns' one-photon rows of the
-    mesh output (``ancilla_index``) and one matmul with alpha, formed by the
-    callers of ``tabulate``.  psi has one row per
+    mesh output (``ancilla_index``) and one matmul with alpha (``betas``).
+    psi has one row per
     (k_0, real or imaginary part, b) over every detected state; the states
     that do not fit beside k_0 read an all-zero input column, which the mesh
     and the line rebuild keep exactly zero, so one real (R, 2 (S + 1) B,
@@ -398,16 +400,18 @@ class _SchemeEngine:
     requested above the bound, so the scanned patterns within any total are
     always a prefix.  ``tabulate`` reads the first ``count`` patterns: all of
     them for ``outcome_table``, and for a search call the scanned ones within
-    the total that the amplitudes of its line can reach (``reachable``),
-    one count for every call of the line.  A short rising list of threshold
+    the total that its amplitudes, or those of its line, can reach
+    (``reachable``), one count for every call of a line.  A short rising list of threshold
     means and pattern counts (``reach_table``) turns that count into one
     bisection of the line's largest ||alpha||^2.  Once built,
     the engine holds no state that depends on its calls; ``reach_table`` and
     ``row_gathers`` are computed on first use.
 
-    ``tabulate`` is the kernel of an evaluation and checks nothing; its
-    callers check the amplitudes against the cap before they form beta (see
-    the module docstring).
+    ``evaluate`` is the one path from parameter rows to a ``tabulate``
+    table: it splits the rows, checks the amplitudes against the cap, runs
+    the mesh, forms beta and tabulates.  ``tabulate`` is its kernel and
+    checks nothing; a search line, which forms its probe rows itself, checks
+    their amplitudes before it calls it (see the module docstring).
     """
 
     def __init__(self, space: SearchSpace):
@@ -595,20 +599,25 @@ class _SchemeEngine:
         means, counts = self.reach_table
         return counts[bisect_right(means, mean)]
 
-    def outcome_table(self, params):
-        """Per-pattern herald probability, one-photon weight and multiphoton
-        weight (unnormalized), each (R, patterns), and the herald mass outside
-        the patterns, (R,), for an (R, parameters) array.  Each row's result
-        is the same whatever R is.  The multiphoton weight is
-        ``_multiphoton`` of the ``tabulate`` columns.  An amplitude past the
-        cap, or NaN, raises ContractViolation (``_check_cap``)."""
+    def evaluate(self, params, count=None):
+        """The ``tabulate`` table of the first ``count`` patterns for an (R,
+        parameters) array, by default of the patterns that its amplitudes
+        can herald (``reachable``).  An amplitude past the cap, or NaN,
+        raises ContractViolation (``_check_cap``)."""
         mesh, alphas = self.split_params(params)
         _check_cap(self.space, alphas)
         vectors = self.propagate(mesh)
-        herald, vacuum, one = self.tabulate(
-            vectors, self.displacements(self.ancilla_images(vectors), alphas),
-            self.patterns.shape[0],
-        )
+        if count is None:
+            count = self.reachable(alphas)
+        return self.tabulate(vectors, self.betas(vectors, alphas), count)
+
+    def outcome_table(self, params):
+        """Per-pattern herald probability, one-photon weight and multiphoton
+        weight (unnormalized), each (R, patterns), and the herald mass outside
+        the patterns, (R,), for an (R, parameters) array: ``evaluate`` over
+        every pattern.  Each row's result is the same whatever R is.  The
+        multiphoton weight is ``_multiphoton`` of the table's columns."""
+        herald, vacuum, one = self.evaluate(params, self.patterns.shape[0])
         tail = np.maximum(0.0, 1.0 - herald.sum(axis=1))
         return herald, one, _multiphoton(herald, vacuum, one), tail
 
@@ -621,33 +630,30 @@ class _SchemeEngine:
         apply_mesh_to_vectors(vectors, mesh, self.space.modes, self.basis)
         return vectors
 
-    def ancilla_images(self, vectors):
-        """U[:, S:] of each row of a mesh output, (R, M, num_coherent): the
-        images of the one-photon inputs of the ancillas, one flat take."""
-        return vectors.reshape(vectors.shape[0], -1).take(
+    def betas(self, vectors, alphas):
+        """The displacement amplitudes beta = U[:, S:] alpha of each row of a
+        mesh output, as the (R, M, 1) that ``tabulate`` reads, for the (R,
+        num_coherent) ancilla amplitudes.  U[:, S:] is one flat take of the
+        images of the ancillas' one-photon inputs."""
+        images = vectors.reshape(vectors.shape[0], -1).take(
             self.ancilla_index, axis=1, mode="clip"
         )
-
-    @staticmethod
-    def displacements(images, alphas):
-        """The displacement amplitudes beta = U[:, S:] alpha of each row, as
-        the (R, M, 1) that ``tabulate`` reads, from ``ancilla_images`` and
-        the (R, num_coherent) ancilla amplitudes."""
         return np.matmul(images, alphas[:, :, None])
 
     def tabulate(self, vectors, betas, count):
         """The herald probability, vacuum weight and one-photon weight of the
         first ``count`` patterns, each (R, count) and unnormalized, from the
         mesh output of ``propagate`` and the (R, M, 1) displacement
-        amplitudes beta of ``displacements``; ``vectors`` is left as it is.
+        amplitudes of ``betas``; ``vectors`` is left as it is.
         The multiphoton weight is what the other two leave of the herald
         (``_multiphoton``), formed only where it is read.  A column's bits
         can follow ``count`` (the BLAS kernel of the trailing columns),
         never the other rows of the call.
 
-        This is the kernel alone: it checks nothing.  Its callers check the
-        amplitudes against the cap (``_check_cap``), which bounds every
-        |beta_j|^2 by the mean that the engine admitted when it was built."""
+        This is the kernel alone: it checks nothing.  ``evaluate`` and the
+        search lines check the amplitudes against the cap (``_check_cap``),
+        which bounds every |beta_j|^2 by the mean that the engine admitted
+        when it was built."""
         rows, S, B = vectors.shape[0], self.space.num_sources, self.num_branches
         # tables at |beta|, and the phase e^{-i sum_j k_j arg beta_j} of each
         # basis state on the mesh output (see the class docstring)
@@ -731,36 +737,26 @@ def evaluate_scheme(space: SearchSpace, params, pattern):
         raise ContractViolation(f"scheme parameters must be finite, got {params}")
     engine = _engine(space)
     pattern = tuple(pattern)
-    if len(pattern) != space.modes - 1 or not all(
-        float(v).is_integer() for v in pattern
-    ):
-        raise ContractViolation(
-            f"pattern must give integer counts for the {space.modes - 1} "
-            f"detected modes, got {pattern!r}"
-        )
-    pattern = tuple(int(v) for v in pattern)
     if pattern not in engine.pattern_index:
+        # SearchSpace refuses a pattern that is not one nonnegative integer
+        # count per detected mode
         engine = _engine(replace(space, patterns=(pattern,)))
     herald, one, multi, _ = engine.outcome_table(params[None])
     index = engine.pattern_index[pattern]
     prob = float(herald[0, index])
     if prob < HERALD_FLOOR:
         raise HeraldImpossibleError(
-            f"outcome {pattern}: probability {prob:.3e} below the herald floor"
+            f"outcome {tuple(map(int, pattern))}: probability {prob:.3e} below "
+            f"the herald floor"
         )
     return float(one[0, index]) / prob, prob, float(multi[0, index]) / prob
 
 
 def _objective(space: SearchSpace, params):
     """Search score and best pattern index of each row of an (R, parameters)
-    array: ``_scores`` of the outcome table over the patterns its amplitudes
-    can herald."""
-    engine = _engine(space)
-    mesh, alphas = engine.split_params(params)
-    _check_cap(space, alphas)
-    vectors = engine.propagate(mesh)
-    betas = engine.displacements(engine.ancilla_images(vectors), alphas)
-    return _scores(space, engine.tabulate(vectors, betas, engine.reachable(alphas)))
+    array: ``_scores`` of the table over the patterns its amplitudes can
+    herald (``_SchemeEngine.evaluate``)."""
+    return _scores(space, _engine(space).evaluate(params))
 
 
 def _multiphoton(herald, vacuum, one):
@@ -835,16 +831,18 @@ def _line_scores(space: SearchSpace, params, coord: int):
     their DFT gives the coefficients of the degree-S trigonometric
     polynomial, and the output at x is one matmul of them against
     e^{iq (x - x_c)}, q = -S..S, a 1 x (2S + 1) product per (row, probe).
-    Every call of a line tabulates the same patterns, fixed when the line is
-    set up: those ``_SchemeEngine.reachable`` at the largest ||alpha||^2 of
-    any probe of the line.  On a mesh line that is the rows' own; on an
-    amplitude line it puts the moved ancilla at ``_admitted_cap``, the
-    largest |alpha_j| that the cap check admits, and the others where they
-    are, so no probe leaves out a pattern it can herald.  Rows never mix.
-    The rows a call repeats per probe (the parameters, the mesh output and
-    its ``ancilla_images`` on an amplitude line, the amplitudes on a mesh
-    line) are repeated once per line and probe count, and the probes are
-    scored by ``_probe_scores``.
+    The two kinds of line differ only in how they form the mesh output and
+    amplitudes of their probe rows; one ``scores`` then takes those through
+    ``_SchemeEngine.betas`` and ``tabulate`` to ``_probe_scores``, the rest
+    of ``_SchemeEngine.evaluate``'s path.  Every call of a line tabulates
+    the same patterns, fixed when the line is set up: those
+    ``_SchemeEngine.reachable`` at the largest ||alpha||^2 of any probe of
+    the line.  On a mesh line that is the rows' own; on an amplitude line it
+    puts the moved ancilla at ``_admitted_cap``, the largest |alpha_j| that
+    the cap check admits, and the others where they are, so no probe leaves
+    out a pattern it can herald.  Rows never mix.  The rows a call repeats
+    per probe (the parameters and the mesh output on an amplitude line, the
+    amplitudes on a mesh line) are repeated once per line and probe count.
 
     What a line holds fixed is checked once, when it is set up: a mesh line
     checks its amplitudes against the cap, an amplitude line the ancillas it
@@ -869,47 +867,43 @@ def _line_scores(space: SearchSpace, params, coord: int):
         real = slice(engine.mesh_len, None, 2)
         imag = slice(engine.mesh_len + 1, None, 2)
 
-        def scores(x):
+        def probe_rows(x):
             probes = x.size // rows
             if probes not in repeated:
-                probe_vectors = (
-                    vectors if probes == 1 else np.repeat(vectors, probes, axis=0)
-                )
                 repeated[probes] = (
                     np.repeat(params, probes, axis=0),
-                    probe_vectors,
-                    engine.ancilla_images(probe_vectors),
+                    vectors if probes == 1 else np.repeat(vectors, probes, axis=0),
                 )
-            trial, probe_vectors, images = repeated[probes]
+            trial, probe_vectors = repeated[probes]
             trial[:, coord] = x.ravel()
             probe_alphas = trial[:, real] + 1j * trial[:, imag]
             _check_cap(space, probe_alphas[:, ancilla])
-            betas = engine.displacements(images, probe_alphas)
-            table = engine.tabulate(probe_vectors, betas, count)
-            return _probe_scores(space, table).reshape(x.shape)
+            return probe_vectors, probe_alphas
+    else:
+        # the amplitudes stay where they are: checked once, here
+        _check_cap(space, alphas)
+        nodes = engine.line_steps.size
+        center = mesh[:, coord, None, None, None]
+        sampled = np.repeat(mesh[:, None], nodes, axis=1)
+        sampled[:, :, coord] += engine.line_steps
+        samples = engine.propagate(sampled.reshape(rows * nodes, -1))
+        coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))[:, None]
+        shape = (-1,) + samples.shape[1:]
+        count = engine.reachable(alphas)
 
-        return scores
-    # the amplitudes stay where they are: checked once, here
-    _check_cap(space, alphas)
-    nodes = engine.line_steps.size
-    center = mesh[:, coord, None, None, None]
-    sampled = np.repeat(mesh[:, None], nodes, axis=1)
-    sampled[:, :, coord] += engine.line_steps
-    samples = engine.propagate(sampled.reshape(rows * nodes, -1))
-    coefficients = np.matmul(engine.line_dft, samples.reshape(rows, nodes, -1))[:, None]
-    shape = (-1,) + samples.shape[1:]
-    count = engine.reachable(alphas)
+        def probe_rows(x):
+            # one 1 x (2S + 1) rebuild per (row, probe), whatever the probes per row
+            offsets = x.reshape(rows, -1, 1, 1) - center
+            phases = _unit_phases(offsets * engine.line_orders)
+            probes = offsets.shape[1]
+            if probes not in repeated:
+                repeated[probes] = np.repeat(alphas, probes, axis=0)
+            return np.matmul(phases, coefficients).reshape(shape), repeated[probes]
 
     def scores(x):
-        # one 1 x (2S + 1) rebuild per (row, probe), whatever the probes per row
-        offsets = x.reshape(rows, -1, 1, 1) - center
-        phases = _unit_phases(offsets * engine.line_orders)
-        vectors = np.matmul(phases, coefficients).reshape(shape)
-        probes = offsets.shape[1]
-        if probes not in repeated:
-            repeated[probes] = np.repeat(alphas, probes, axis=0)
-        betas = engine.displacements(engine.ancilla_images(vectors), repeated[probes])
-        table = engine.tabulate(vectors, betas, count)
+        probe_vectors, probe_alphas = probe_rows(x)
+        betas = engine.betas(probe_vectors, probe_alphas)
+        table = engine.tabulate(probe_vectors, betas, count)
         return _probe_scores(space, table).reshape(x.shape)
 
     return scores
@@ -1059,9 +1053,7 @@ def _run_restarts(space: SearchSpace, seed: int, restarts):
     ]
 
 
-def maximize_X(
-    space: SearchSpace, budget: int, seed: int, *, threads=None
-) -> SearchReport:
+def maximize_X(space: SearchSpace, budget: int, seed: int) -> SearchReport:
     """Random-restart derivative-free search for the largest heralded X.
 
     Deterministic for fixed (space, budget, seed): every restart draws from
@@ -1070,7 +1062,6 @@ def maximize_X(
     and the merge is a best-of in restart order.  A restart's bits can
     change with the block it runs in (module docstring).  ``budget`` is a
     whole number of at least 1; an integral float counts as its integer.
-    ``threads`` is accepted and ignored.
     """
     # written so that NaN fails it too
     if not (budget >= 1 and float(budget).is_integer()):

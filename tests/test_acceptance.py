@@ -37,8 +37,6 @@ from pel.cli import emit, run_spec
 
 from conftest import random_density
 
-THREADS = 4
-
 
 def report(name, detail):
     print(f"\n[acceptance] {name}: PASS ({detail})")
@@ -156,7 +154,7 @@ def _nogo_grid(constraint):
 def test_criterion_4_nogo_bound_no_multiphoton():
     lines = []
     for cell in _nogo_grid(constraint=1e-9):
-        result = maximize_X(cell, 20000, seed=404, threads=THREADS)
+        result = maximize_X(cell, 20000, seed=404)
         assert result.best_X <= cell.p_max + 1e-6, (cell.p_max, result.best_X)
         assert not result.violated
         assert result.multiphoton_weight <= 1e-9
@@ -168,7 +166,7 @@ def test_criterion_4_nogo_bound_no_multiphoton():
 def test_criterion_5_nogo_bound_unconstrained():
     lines = []
     for cell in _nogo_grid(constraint=None):
-        result = maximize_X(cell, 20000, seed=505, threads=THREADS)
+        result = maximize_X(cell, 20000, seed=505)
         bound = max(cell.p_max, 0.5)
         assert result.best_X <= bound + 1e-6, (cell.p_max, result.best_X)
         assert not result.violated
@@ -179,7 +177,7 @@ def test_criterion_5_nogo_bound_unconstrained():
 @pytest.mark.slow
 def test_criterion_6_tightness_below_half():
     space = SearchSpace((0.3, 0.3), num_coherent=1)
-    result = maximize_X(space, 50000, seed=20260809, threads=THREADS)
+    result = maximize_X(space, 50000, seed=20260809)
     assert result.best_X > 0.3
     assert result.best_X <= 0.5 + 1e-6
     # seed-fixed regression, pinned from the first measurement of this search

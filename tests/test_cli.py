@@ -74,6 +74,9 @@ def test_bad_source_rejected():
         {"command": "teleport"},
         {"seed": -1},
         {"command": "simulate", "interferometer": {"mesh": [0.0], "haar": {"seed": 1}}},
+        # a detector key names its mode once: "01" would be mode 1 again
+        {"command": "simulate", "sources": [{"kind": "isps", "p": 0.5}] * 2,
+         "measurement": {"detect": {"1": 0, "01": 1}}},
     ],
 )
 def test_validation_error_is_the_one_jsonschema_validate_picks(spec):

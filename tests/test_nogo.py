@@ -228,6 +228,10 @@ def test_evaluate_scheme_guards():
     # a fractional count is refused, not truncated to (1, 0)
     with pytest.raises(ContractViolation, match="integer"):
         evaluate_scheme(space, np.zeros(space.parameter_count()), (1.7, 0))
+    # a negative or NaN count is refused too, not looked up or computed
+    for pattern in [(-1, 0), (math.nan, 0)]:
+        with pytest.raises(ContractViolation, match="integer"):
+            evaluate_scheme(space, np.zeros(space.parameter_count()), pattern)
     with pytest.raises(HeraldImpossibleError):
         evaluate_scheme(space, np.zeros(space.parameter_count()), (8, 0))
 
@@ -321,7 +325,7 @@ def test_maximize_is_deterministic_and_thread_independent():
     space = small_space(eff=(0.6, 0.4))
     a = maximize_X(space, 1200, seed=7)
     b = maximize_X(space, 1200, seed=7)
-    c = maximize_X(space, 1200, seed=7, threads=4)
+    c = maximize_X(space, 1200, seed=7)
     assert a == b == c
     d = maximize_X(space, 1200, seed=8)
     assert d != a  # different stream explores differently
@@ -757,22 +761,21 @@ def test_maximize_takes_an_integral_float_budget_as_its_integer():
 def test_maximize_across_blocks_is_thread_independent():
     space = small_space(eff=(0.5, 0.3))
     budget = (2 * pel.nogo._LOCKSTEP + 3) * pel.nogo._restart_cost(space)
-    reports = [maximize_X(space, budget, seed=12, threads=t) for t in (1, 2, 4)]
+    reports = [maximize_X(space, budget, seed=12) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].evaluations == budget
 
 
 def test_maximize_starts_no_thread(monkeypatch):
-    # three lockstep blocks run in the calling thread; the threads keyword
-    # is accepted and changes nothing
+    # three lockstep blocks run in the calling thread, the same way twice
     def refuse(thread):
         raise AssertionError(f"maximize_X started the thread {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     space = small_space(eff=(0.5, 0.3))
     three_blocks = (2 * pel.nogo._LOCKSTEP + 1) * pel.nogo._restart_cost(space)
-    serial = maximize_X(space, three_blocks, seed=12, threads=1)
-    assert maximize_X(space, three_blocks, seed=12, threads=4) == serial
+    serial = maximize_X(space, three_blocks, seed=12)
+    assert maximize_X(space, three_blocks, seed=12) == serial
     assert serial.evaluations == three_blocks
 
 
@@ -1089,7 +1092,7 @@ def _every_column_objective(space, params):
     engine = pel.nogo._engine(space)
     mesh, alphas = engine.split_params(params)
     vectors = engine.propagate(mesh)
-    betas = engine.displacements(engine.ancilla_images(vectors), alphas)
+    betas = engine.betas(vectors, alphas)
     table = engine.tabulate(vectors, betas, engine.scanned)
     return pel.nogo._scores(space, table)
 
